@@ -121,7 +121,8 @@ def main(argv=None):
     import scipy.optimize  # noqa: F401  modules its entry points import lazily)
     import scipy.sparse.linalg  # noqa: F401
     import workloads
-    ops = workloads.WORKLOADS[args.workload](args.seed, Path(args.out))
+    # numpy seeds must be non-negative; the modulus keeps any integer usable
+    ops = workloads.WORKLOADS[args.workload](args.seed % 2 ** 64, Path(args.out))
     setup_s = time.monotonic() - args.t0
     if args.setup_only:
         print(json.dumps({"setup_s": setup_s}))
