@@ -22,10 +22,8 @@ from .analytic import (
     cylinder_cap,
     trihedral_cap,
     wedge_cap,
-    wedge_vertex_tangents,
     wente_halfcylinder,
     SphericalCap,
-    edge_vertices,
 )
 from .diagnostics import diagnostics_report, fit_sphere, SphereFit
 from .errors import DomainError, IncompatibleDataError, NoSolutionError
@@ -33,13 +31,13 @@ from .geometry import (
     QTag,
     TrihedralConfig,
     WedgeConfig,
-    classify_data,
+    check_numerator_sign,
     classify_grid,
-    eq_numerator,
     vertex_angle,
+    vertex_angle_grid,
     TAG_CODES,
 )
-from .graphpde import RectangleProblem, compatibility_h, exact_square_cap, solve_rectangle
+from .graphpde import RectangleProblem, compatibility_h, solve_rectangle
 from .meshes import seed_mesh, seed_planar_trihedral, perturb, write_obj
 from .evolver import evolve, volume
 
@@ -230,6 +228,7 @@ def _outcome(name, passed, measured, threshold, note=""):
 
 def _suite_formulas(opts) -> list:
     rng = np.random.default_rng(opts["seed"])
+    interior = TAG_CODES[QTag.INTERIOR_Q]
     outcomes = []
     worst = 0
     for alpha in (np.pi / 6, np.pi / 4, np.pi / 3):
@@ -239,31 +238,36 @@ def _suite_formulas(opts) -> list:
         s = g1 + g2 - np.pi
         d = g1 - g2
         margin = np.minimum(2 * alpha - np.abs(s), (np.pi - 2 * alpha) - np.abs(d))
-        interior = codes == TAG_CODES[QTag.INTERIOR_Q]
         off_band = np.abs(margin) > 1e-6
-        bad = np.count_nonzero(off_band & (interior != (numer > 0)))
+        bad = np.count_nonzero(off_band & ((codes == interior) != (numer > 0)))
         worst = max(worst, bad)
     outcomes.append(_outcome("numerator-sign-vs-rectangle", worst == 0,
                              worst, 0, "disagreements outside 1e-6 band"))
-    worst_id = 0.0
-    worst_lemma = -np.inf
-    n_found = 0
+
+    # rejection sampling of (alpha, g1, g2) rows in small chunks, which keep
+    # memory flat; the sample ends at its 10,000th interior row
+    lo = np.array([0.05, 0.0, 0.0])
+    hi = np.array([np.pi / 2 - 0.05, np.pi, np.pi])
+    n_found, worst_id = 0, 0.0
     while n_found < 10000:
-        alpha = rng.uniform(0.05, np.pi / 2 - 0.05)
-        g1 = rng.uniform(0.0, np.pi)
-        g2 = rng.uniform(0.0, np.pi)
-        if classify_data(alpha, g1, g2).tag is not QTag.INTERIOR_Q:
-            continue
-        n_found += 1
-        va = vertex_angle(alpha, g1, g2)
-        worst_id = max(worst_id,
-                       abs(va.sin_sq_two_beta - (1 - va.cos_two_beta ** 2)))
-    for alpha in np.linspace(0.05, np.pi / 2 - 0.05, 60):
-        for g in np.linspace(0.01, np.pi - 0.01, 120):
-            if classify_data(alpha, g, g).tag is not QTag.INTERIOR_Q:
-                continue
-            va = vertex_angle(alpha, g, g)
-            worst_lemma = max(worst_lemma, va.two_beta - 2 * alpha)
+        draws = lo + (hi - lo) * rng.random((1024, 3))
+        codes, numer = classify_grid(*draws.T)
+        inside = codes == interior
+        n = np.searchsorted(np.cumsum(inside), 10000 - n_found) + 1
+        draws, codes, numer, inside = draws[:n], codes[:n], numer[:n], inside[:n]
+        check_numerator_sign(*draws.T, codes, numer)
+        n_found += np.count_nonzero(inside)
+        _, cos2b, sin_sq = vertex_angle_grid(*draws[inside].T)
+        worst_id = max(worst_id, float(np.max(np.abs(sin_sq - (1 - cos2b ** 2)),
+                                              initial=0.0)))
+
+    al, g = np.meshgrid(np.linspace(0.05, np.pi / 2 - 0.05, 60),
+                        np.linspace(0.01, np.pi - 0.01, 120), indexing="ij")
+    codes, numer = classify_grid(al, g, g)
+    check_numerator_sign(al, g, g, codes, numer)
+    keep = codes == interior
+    two_beta, _, _ = vertex_angle_grid(al[keep], g[keep], g[keep])
+    worst_lemma = float(np.max(two_beta - 2 * al[keep], initial=-np.inf))
     outcomes.append(_outcome("angle-identity", worst_id < 1e-12, worst_id, 1e-12))
     outcomes.append(_outcome("equal-angle-bound", worst_lemma <= 1e-12,
                              worst_lemma, 1e-12,

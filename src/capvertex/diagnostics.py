@@ -14,6 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DomainError
+from .evolver import vertex_dual_areas
 from .meshes import FREE, ON_EDGE, ON_PLANE, TriMeshDrop, vertex_normals
 
 __all__ = [
@@ -125,10 +126,7 @@ def mean_curvature_field(mesh: TriMeshDrop) -> np.ndarray:
         w = cots[:, k][:, None]
         np.add.at(lap, i, w * (v[i] - v[j]))
         np.add.at(lap, j, w * (v[j] - v[i]))
-    areas = mesh.triangle_areas()
-    dual = np.zeros(len(v))
-    for k in range(3):
-        np.add.at(dual, t[:, k], areas / 3.0)
+    dual = vertex_dual_areas(mesh)
     hn = lap / (4.0 * dual[:, None])   # half the Laplace-Beltrami of position
     normals = vertex_normals(mesh)
     h = np.einsum("ij,ij->i", hn, normals)
@@ -137,11 +135,8 @@ def mean_curvature_field(mesh: TriMeshDrop) -> np.ndarray:
 
 
 def _rings(mesh: TriMeshDrop, depth: int = 2):
-    nbrs = [set() for _ in range(mesh.n_vertices)]
-    for a, b, c in mesh.triangles:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
+    """Neighbours within ``depth`` edges of each vertex, grown from the cached one-ring."""
+    nbrs = mesh.one_ring()
     out = []
     for i in range(mesh.n_vertices):
         ring = {i}
@@ -231,10 +226,7 @@ def umbilicity_rms(mesh: TriMeshDrop) -> float:
     good = ~np.isnan(k[:, 0])
     if not good.any():
         raise DomainError("no interior vertices for the umbilicity score")
-    areas = mesh.triangle_areas()
-    dual = np.zeros(mesh.n_vertices)
-    for kk in range(3):
-        np.add.at(dual, mesh.triangles[:, kk], areas / 3.0)
+    dual = vertex_dual_areas(mesh)
     spread = np.abs(k[good, 1] - k[good, 0])
     w = dual[good]
     kscale = np.sqrt(np.sum(w * (0.5 * (k[good, 0] + k[good, 1])) ** 2) / w.sum())

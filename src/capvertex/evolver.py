@@ -41,7 +41,7 @@ class ConvergenceReport:
     volume_error: float = np.nan
     lagrange_h: float = np.nan
     energy_history: list = field(default_factory=list)
-    stalled: bool = False
+    trace: list = field(default_factory=list)
 
 
 # -- scalar functionals ----------------------------------------------------
@@ -213,26 +213,17 @@ def _restore_volume(mesh: TriMeshDrop, target: float, rel_tol: float = 1e-10,
         if denom < 1e-30:
             raise MeshDegenerationError("volume gradient vanished during restoration")
         mesh.vertices -= (err / denom) * m
-        mesh.invalidate()
     err = volume(mesh) - target
     if abs(err) > 1e-8 * scale:
         raise NonConvergenceError("volume restoration stalled", trace=[err])
     return err
 
 
-def _adjacency(mesh: TriMeshDrop):
-    nbrs = [set() for _ in range(mesh.n_vertices)]
-    for a, b, c in mesh.triangles:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    return [np.fromiter(s, dtype=np.int64) for s in nbrs]
-
-
-def _smooth(mesh: TriMeshDrop, nbrs, coeff: float):
+def _smooth(mesh: TriMeshDrop, coeff: float):
     """Tangential area-weighted Laplacian; constrained vertices slide only."""
     from .meshes import vertex_normals
     v = mesh.vertices
+    nbrs = [np.fromiter(s, dtype=np.int64) for s in mesh.one_ring()]
     weights = vertex_dual_areas(mesh)
     normals = vertex_normals(mesh)
     disp = np.zeros_like(v)
@@ -246,7 +237,6 @@ def _smooth(mesh: TriMeshDrop, nbrs, coeff: float):
         disp[i] = d
     disp = project_tangent(mesh, disp)
     mesh.vertices += coeff * disp
-    mesh.invalidate()
 
 
 def _reduced_basis(mesh: TriMeshDrop):
@@ -286,7 +276,7 @@ def _residual_norm(mesh: TriMeshDrop, fixed_volume: bool):
 
 def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
            fixed_volume: bool = True, smoothing: float = 0.2,
-           n_outer: int = 12, verbose: bool = False):
+           n_outer: int = 12):
     """Minimize the capillary energy at fixed enclosed volume.
 
     Quasi-Newton descent in constraint-reduced coordinates with an augmented
@@ -294,7 +284,7 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
     restoration. Returns the relaxed mesh and a convergence report; the
     Lagrange estimate in the report is half the energy-to-volume gradient
     ratio, which for an equilibrium spherical surface is the reciprocal of
-    its radius.
+    its radius. ``report.trace`` holds one record per outer loop.
     """
     from scipy.optimize import minimize
 
@@ -314,7 +304,6 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
         v = x0 + np.zeros_like(x0)
         np.add.at(v, dof_vertex, q[:, None] * dof_dir)
         work.vertices = v
-        work.invalidate()
 
     def reduce_grad(g):
         return np.einsum("ij,ij->i", g[dof_vertex], dof_dir)
@@ -336,7 +325,7 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
             break
         if smoothing > 0.0 and outer > 0:
             trial = work.copy()
-            _smooth(trial, _adjacency(trial), smoothing)
+            _smooth(trial, smoothing)
             try:
                 if fixed_volume:
                     _restore_volume(trial, target)
@@ -353,23 +342,24 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
         set_q(res.x)
         inner_budget -= res.nit
         report.iterations += res.nit
+        dv = volume(work) - target
         if fixed_volume:
-            dv = volume(work) - target
             lam_aug -= mu * dv
             if abs(dv) > 1e-4 * scale:
                 mu *= 10.0
 
-        if work.triangle_areas().min() <= 1e-14:
+        min_area = float(work.triangle_areas().min())
+        if min_area <= 1e-14:
             raise MeshDegenerationError("triangle collapsed during evolution")
 
         gnorm, lam = _residual_norm(work, fixed_volume)
         if gnorm < best_resid:
             best_resid, best_state = gnorm, work.copy()
         report.energy_history.append(energy(work).total)
-        if verbose:
-            print(f"outer {outer}: nit {res.nit}  E {report.energy_history[-1]:.10f}"
-                  f"  |resid| {gnorm:.3e}  dV {volume(work) - target:.2e}")
-        vol_ok = (not fixed_volume) or abs(volume(work) - target) < 1e-6 * scale
+        report.trace.append({"nit": int(res.nit), "energy": float(report.energy_history[-1]),
+                             "residual": gnorm, "volume_error": float(dv), "mu": float(mu),
+                             "multiplier": float(lam_aug), "min_area": min_area})
+        vol_ok = (not fixed_volume) or abs(dv) < 1e-6 * scale
         if gnorm < grad_tol and vol_ok:
             report.converged = True
             break

@@ -26,6 +26,7 @@ __all__ = [
     "eq_numerator",
     "classify_data",
     "classify_grid",
+    "check_numerator_sign",
     "vertex_angle",
 ]
 
@@ -324,23 +325,31 @@ def classify_data(alpha: float, gamma1: float, gamma2: float,
     disagreement outside the boundary band raises ``ConsistencyError``.
     """
     code, numerator = classify_grid(float(alpha), float(gamma1), float(gamma2), band=band)
-    tag = _CODE_TO_TAG[int(code)]
-    numerator = float(numerator)
+    check_numerator_sign(alpha, gamma1, gamma2, code, numerator)
+    return AdmissibilityClass(tag=_CODE_TO_TAG[int(code)], numerator=float(numerator))
 
-    # cross-check: numerator sign must agree with the closed-form decision
-    if tag is QTag.INTERIOR_Q and numerator < -1e-10:
+
+def check_numerator_sign(alpha, gamma1, gamma2, code, numerator):
+    """Raise ``ConsistencyError`` where the numerator sign contradicts the tag codes.
+
+    Interior data need a numerator of at least -1e-10; D1/D2 data more than
+    1e-9 outside both rectangle bounds need one of at most 1e-10. Accepts
+    scalars or broadcastable arrays, as returned by ``classify_grid``.
+    """
+    bad = (code == TAG_CODES[QTag.INTERIOR_Q]) & (numerator < -1e-10)
+    if np.any(bad):
         raise ConsistencyError(
-            f"closed-form test says interior but numerator = {numerator:.3e}"
+            f"closed-form test says interior but numerator = {np.min(numerator[bad]):.3e}"
         )
-    if tag in (QTag.D1, QTag.D2) and numerator > 1e-10:
-        # discount points within the band of the rectangle boundary
-        s_excess = abs(gamma1 + gamma2 - np.pi) - 2.0 * alpha
-        d_excess = abs(gamma1 - gamma2) - (np.pi - 2.0 * alpha)
-        if max(-s_excess, -d_excess) < -1e-9:
-            raise ConsistencyError(
-                f"closed-form test says {tag.value} but numerator = {numerator:.3e}"
-            )
-    return AdmissibilityClass(tag=tag, numerator=numerator)
+    s_excess = np.abs(gamma1 + gamma2 - np.pi) - 2.0 * alpha
+    d_excess = np.abs(gamma1 - gamma2) - (np.pi - 2.0 * alpha)
+    outside = (code == TAG_CODES[QTag.D1]) | (code == TAG_CODES[QTag.D2])
+    # discount points within the band of the rectangle boundary
+    bad = outside & (numerator > 1e-10) & (np.maximum(-s_excess, -d_excess) < -1e-9)
+    if np.any(bad):
+        raise ConsistencyError(
+            f"closed-form test says D1/D2 but numerator = {np.max(numerator[bad]):.3e}"
+        )
 
 
 def vertex_angle_grid(alpha, gamma1, gamma2):

@@ -185,16 +185,6 @@ class _Discretization:
         div = (fx_all[1:] - fx_all[:-1]) / self.hx + (fy_all[:, 1:] - fy_all[:, :-1]) / self.hy
         return div - 2.0 * self.prob.h - self.defect
 
-    def conservation_gap(self, u):
-        """Total divergence minus total boundary flux (zero to round-off)."""
-        res = self.residual(u)
-        cell = self.hx * self.hy
-        total_div = float((res + 2.0 * self.prob.h + self.defect).sum() * cell)
-        gl, gr, gb, gt = self.prob.gammas
-        total_bnd = ((np.cos(gl) + np.cos(gr)) * self.prob.b
-                     + (np.cos(gb) + np.cos(gt)) * self.prob.a)
-        return total_div - total_bnd
-
     def jacobian(self, u):
         nx, ny = self.nx, self.ny
         hx, hy = self.hx, self.hy

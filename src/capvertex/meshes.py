@@ -4,6 +4,16 @@ Vertices carry one of three constraint tags: free, confined to a support
 plane, or confined to an intersection line of two support planes. Seeds are
 sampled from the analytic spherical caps and refined by midpoint subdivision
 with constraint-respecting projection.
+
+A ``TriMeshDrop`` keeps its topology apart from its geometry. The geometry is
+the ``vertices`` array, which the evolver moves freely. The topology is the
+read-only ``triangles``, ``tag_kind`` and ``tag_id`` arrays and everything
+derived from them alone: the boundary loop, the per-wall contact polylines
+and the one-ring neighbour lists. Each derived item is built on first use, at
+most once per triangulation, and no vertex move reaches it. The one place
+where topology may change is assignment to ``triangles`` (the orientation
+flip in ``_orient_positive``); it starts a fresh, empty topology. Subdivision,
+OBJ reading and structured surfaces build new meshes instead.
 """
 
 from __future__ import annotations
@@ -109,26 +119,124 @@ class SupportAdapter:
             np.cross(pts[1] - pts[0], pts[2] - pts[0]))))
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+class _Topology:
+    """Triangles and tags of one triangulation, with the items derived from them.
+
+    The derived items start empty and are filled in on first use by the mesh.
+    Meshes with equal triangles and tags share one instance.
+    """
+
+    def __init__(self, triangles, tag_kind, tag_id):
+        self.triangles = _frozen(triangles, np.int64)
+        self.tag_kind = _frozen(tag_kind, np.int8)
+        self.tag_id = _frozen(tag_id, np.int64)
+        self.loop = None
+        self.polylines = None
+        self.neighbours = None
+
+
+def _build_boundary_loop(triangles) -> np.ndarray:
+    """Vertex indices of the single boundary loop of an oriented disk."""
+    t = triangles
+    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    seen = set(map(tuple, directed))
+    nxt = {}
+    for a, b in directed:
+        if (b, a) not in seen:
+            nxt[int(a)] = int(b)
+    if not nxt:
+        raise DomainError("mesh has no boundary")
+    start = next(iter(nxt))
+    loop = [start]
+    cur = nxt[start]
+    while cur != start:
+        loop.append(cur)
+        cur = nxt[cur]
+    if len(loop) != len(nxt):
+        raise DomainError("boundary is not a single loop")
+    return _frozen(loop, np.int64)
+
+
+def _build_wall_polylines(loop, tag_kind, tag_id) -> dict:
+    """Split the boundary loop at its edge-line vertices into one polyline per wall."""
+    kinds = tag_kind[loop]
+    corner_pos = np.nonzero(kinds == ON_EDGE)[0]
+    if corner_pos.size == 0:
+        raise DomainError("boundary has no edge-line vertices")
+    loop = np.roll(loop, -corner_pos[0])
+    kinds = tag_kind[loop]
+    corner_pos = np.nonzero(kinds == ON_EDGE)[0]
+    out = {}
+    m = len(loop)
+    for a, b in zip(corner_pos, np.append(corner_pos[1:], m)):
+        seg = loop[a:b + 1] if b < m else np.append(loop[a:], loop[0])
+        interior = seg[1:-1]
+        walls = set(tag_id[interior[tag_kind[interior] == ON_PLANE]])
+        if len(walls) != 1:
+            raise DomainError("open or inconsistent contact polyline")
+        seg.flags.writeable = False
+        out[walls.pop()] = seg
+    return out
+
+
+def _build_neighbours(triangles, n_vertices):
+    """One-ring neighbours of each vertex as CSR arrays ``(indptr, indices)``.
+
+    Each vertex lists its neighbours in the order the triangles first add
+    them, so ``set()`` of a list performs the same insertions, in the same
+    order, as growing the set triangle by triangle, and iterates alike.
+    """
+    seq = [[] for _ in range(n_vertices)]
+    for a, b, c in triangles.tolist():
+        seq[a] += (b, c)
+        seq[b] += (a, c)
+        seq[c] += (a, b)
+    rings = [list(dict.fromkeys(s)) for s in seq]
+    indptr = np.cumsum([0] + [len(r) for r in rings])
+    return _frozen(indptr, np.int64), _frozen([j for r in rings for j in r], np.int64)
+
+
 class TriMeshDrop:
     """Oriented triangulated disk with per-vertex constraint tags."""
 
     def __init__(self, vertices, triangles, tag_kind, tag_id, support: SupportAdapter,
                  target_volume: float | None = None, lagrange_h: float = 0.0):
         self.vertices = np.array(vertices, dtype=float)
-        self.triangles = np.array(triangles, dtype=np.int64)
-        self.tag_kind = np.array(tag_kind, dtype=np.int8)
-        self.tag_id = np.array(tag_id, dtype=np.int64)
+        self._topology = _Topology(triangles, tag_kind, tag_id)
         self.support = support
         self.target_volume = target_volume
         self.lagrange_h = float(lagrange_h)
-        self._boundary_cache = None
 
     def copy(self) -> "TriMeshDrop":
-        return TriMeshDrop(self.vertices.copy(), self.triangles.copy(),
-                           self.tag_kind.copy(), self.tag_id.copy(),
-                           self.support, self.target_volume, self.lagrange_h)
+        """Independent vertices; the topology is shared, as it cannot change in place."""
+        out = TriMeshDrop(self.vertices, self.triangles, self.tag_kind, self.tag_id,
+                          self.support, self.target_volume, self.lagrange_h)
+        out._topology = self._topology
+        return out
 
     # -- topology ---------------------------------------------------------
+
+    @property
+    def triangles(self) -> np.ndarray:
+        return self._topology.triangles
+
+    @triangles.setter
+    def triangles(self, triangles):
+        self._topology = _Topology(triangles, self.tag_kind, self.tag_id)
+
+    @property
+    def tag_kind(self) -> np.ndarray:
+        return self._topology.tag_kind
+
+    @property
+    def tag_id(self) -> np.ndarray:
+        return self._topology.tag_id
 
     @property
     def n_vertices(self) -> int:
@@ -144,30 +252,30 @@ class TriMeshDrop:
 
     def boundary_loop(self) -> np.ndarray:
         """Vertex indices of the single boundary loop, in orientation order."""
-        if self._boundary_cache is not None:
-            return self._boundary_cache
-        t = self.triangles
-        directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        seen = set(map(tuple, directed))
-        nxt = {}
-        for a, b in directed:
-            if (b, a) not in seen:
-                nxt[int(a)] = int(b)
-        if not nxt:
-            raise DomainError("mesh has no boundary")
-        start = next(iter(nxt))
-        loop = [start]
-        cur = nxt[start]
-        while cur != start:
-            loop.append(cur)
-            cur = nxt[cur]
-        if len(loop) != len(nxt):
-            raise DomainError("boundary is not a single loop")
-        self._boundary_cache = np.array(loop, dtype=np.int64)
-        return self._boundary_cache
+        topo = self._topology
+        if topo.loop is None:
+            topo.loop = _build_boundary_loop(topo.triangles)
+        return topo.loop
 
-    def invalidate(self):
-        self._boundary_cache = None
+    def wall_polylines(self) -> dict[int, np.ndarray]:
+        """Ordered boundary vertex indices per wall, endpoints on edge lines."""
+        topo = self._topology
+        if topo.polylines is None:
+            topo.polylines = _build_wall_polylines(self.boundary_loop(),
+                                                   topo.tag_kind, topo.tag_id)
+        return dict(topo.polylines)
+
+    def one_ring(self) -> list[set]:
+        """A new neighbour set for each vertex, from the cached neighbour lists.
+
+        The lists, not the sets, are kept: a set costs over ten times the
+        memory of its CSR entries.
+        """
+        topo = self._topology
+        if topo.neighbours is None:
+            topo.neighbours = _build_neighbours(topo.triangles, len(topo.tag_kind))
+        indptr, indices = (a.tolist() for a in topo.neighbours)
+        return [set(indices[i:j]) for i, j in zip(indptr[:-1], indptr[1:])]
 
     # -- geometry ---------------------------------------------------------
 
@@ -208,27 +316,6 @@ class TriMeshDrop:
             e = self.support.edges[self.tag_id[i]]
             rel = self.vertices[i] - e.point
             self.vertices[i] = e.point + np.dot(rel, e.direction) * e.direction
-
-    def wall_polylines(self) -> dict[int, np.ndarray]:
-        """Ordered boundary vertex indices per wall, endpoints on edge lines."""
-        loop = self.boundary_loop()
-        kinds = self.tag_kind[loop]
-        corner_pos = np.nonzero(kinds == ON_EDGE)[0]
-        if corner_pos.size == 0:
-            raise DomainError("boundary has no edge-line vertices")
-        loop = np.roll(loop, -corner_pos[0])
-        kinds = self.tag_kind[loop]
-        corner_pos = np.nonzero(kinds == ON_EDGE)[0]
-        out = {}
-        m = len(loop)
-        for a, b in zip(corner_pos, np.append(corner_pos[1:], m)):
-            seg = loop[a:b + 1] if b < m else np.append(loop[a:], loop[0])
-            interior = seg[1:-1]
-            walls = set(self.tag_id[interior[self.tag_kind[interior] == ON_PLANE]])
-            if len(walls) != 1:
-                raise DomainError("open or inconsistent contact polyline")
-            out[walls.pop()] = seg
-        return out
 
     def interior_mask(self) -> np.ndarray:
         return self.tag_kind == FREE
@@ -338,7 +425,6 @@ def _orient_positive(mesh: TriMeshDrop):
     from .evolver import volume  # cycle: evolver needs TriMeshDrop
     if volume(mesh) < 0:
         mesh.triangles = mesh.triangles[:, [0, 2, 1]]
-        mesh.invalidate()
 
 
 def seed_mesh(config, h: float | None = 1.0, target_volume: float | None = None,
@@ -508,7 +594,6 @@ def perturb(mesh: TriMeshDrop, amplitude: float, seed: int = 0) -> TriMeshDrop:
             e = mesh.support.edges[out.tag_id[i]]
             out.vertices[i] += scale * noise[i] * e.direction
     out.project_constraints()
-    out.invalidate()
     return out
 
 

@@ -54,16 +54,8 @@ def _random_interior(rng):
 
 def test_criterion_01_classification_sign_agreement():
     t0 = time.perf_counter()
-    disagreements = 0
-    for alpha in (np.pi / 6, np.pi / 4, np.pi / 3):
-        g = np.linspace(0.0, np.pi, 181)
-        g1, g2 = np.meshgrid(g, g, indexing="ij")
-        codes, numer = classify_grid(alpha, g1, g2, band=0.0)
-        margin = np.minimum(2 * alpha - np.abs(g1 + g2 - np.pi),
-                            (np.pi - 2 * alpha) - np.abs(g1 - g2))
-        interior = codes == TAG_CODES[QTag.INTERIOR_Q]
-        off_band = np.abs(margin) > 1e-6
-        disagreements += int(np.count_nonzero(off_band & (interior != (numer > 0))))
+    by_name = {o["criterion"]: o for o in verify_suite("formulas")}
+    disagreements = by_name["numerator-sign-vs-rectangle"]["measured"]
     elapsed = time.perf_counter() - t0
     _verdict("criterion-01 numerator sign vs rectangle test",
              disagreements == 0 and elapsed < 1.0,
@@ -326,7 +318,6 @@ def test_criterion_13_energy_gradient_vs_finite_differences():
             for sign in (1.0, -1.0):
                 trial = mesh.copy()
                 trial.vertices[i] += sign * eps * d
-                trial.invalidate()
                 if sign > 0:
                     e_plus = energy(trial).total
                 else:

@@ -48,9 +48,7 @@ def _fd_check(mesh, fun, grad, n_probe=6, eps=1e-6, seed=0):
         for k in range(3):
             mp, mm = mesh.copy(), mesh.copy()
             mp.vertices[i, k] += eps
-            mp.invalidate()
             mm.vertices[i, k] -= eps
-            mm.invalidate()
             fd = (fun(mp) - fun(mm)) / (2 * eps)
             worst = max(worst, abs(fd - g[i, k]) / max(1.0, abs(g[i, k])))
     return worst
@@ -98,6 +96,19 @@ def test_evolve_perturbed_octant_returns_to_sphere():
     # multiplier estimate doubles as the equilibrium curvature
     assert rep.lagrange_h == pytest.approx(1.0, abs=2e-2)
     assert rep.final_energy <= energy(m).total + 1e-12
+
+
+def test_evolve_traces_each_outer_loop():
+    m = perturb(seed_mesh(TrihedralConfig.orthant((np.pi / 2,) * 3), h=1.0,
+                          refinement_level=1), 0.01, seed=3)
+    out, rep = evolve(m, max_iters=120, n_outer=4)
+    assert 1 <= len(rep.trace) <= 4
+    assert sum(r["nit"] for r in rep.trace) == rep.iterations
+    assert [r["energy"] for r in rep.trace] == rep.energy_history[1:]
+    for r in rep.trace:
+        assert set(r) == {"nit", "energy", "residual", "volume_error", "mu",
+                          "multiplier", "min_area"}
+        assert r["min_area"] > 0.0 and r["mu"] > 0.0
 
 
 def test_evolve_keeps_volume_through_iterations():

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from capvertex import meshes
 from capvertex.errors import DomainError
+from capvertex.evolver import energy, energy_gradient, evolve, volume, volume_gradient
 from capvertex.geometry import TrihedralConfig, WedgeConfig
 from capvertex.meshes import (
     FREE,
     ON_EDGE,
     ON_PLANE,
     SupportAdapter,
+    TriMeshDrop,
     perturb,
     read_obj,
     refine,
@@ -140,3 +143,79 @@ def test_validate_rejects_constraint_violation(octant_mesh):
     bad.vertices[i] += 1e-3 * bad.support.planes[bad.tag_id[i]].normal
     with pytest.raises(DomainError):
         bad.validate()
+
+
+def _fresh(mesh):
+    return TriMeshDrop(mesh.vertices, mesh.triangles, mesh.tag_kind, mesh.tag_id,
+                       mesh.support, mesh.target_volume)
+
+
+@pytest.mark.parametrize("name", ["wedge_mesh", "octant_mesh"])
+def test_vertex_moves_keep_functionals_bit_identical(name, request):
+    moved = request.getfixturevalue(name).copy()
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        energy(moved)                     # builds and then reuses the topology
+        moved.vertices += 1e-3 * rng.standard_normal(moved.vertices.shape)
+        moved.vertices[rng.integers(moved.n_vertices)] *= 1.01
+        fresh = _fresh(moved)
+        assert energy(moved) == energy(fresh)
+        assert volume(moved) == volume(fresh)
+        assert np.array_equal(energy_gradient(moved), energy_gradient(fresh))
+        assert np.array_equal(volume_gradient(moved), volume_gradient(fresh))
+
+
+def test_flipped_triangles_reverse_the_boundary(octant_mesh):
+    flipped = octant_mesh.copy()
+    loop = octant_mesh.boundary_loop()
+    polylines = octant_mesh.wall_polylines()
+    flipped.triangles = flipped.triangles[:, [0, 2, 1]]
+    back = flipped.boundary_loop()
+    k = int(np.flatnonzero(back == loop[0])[0])
+    assert np.array_equal(np.roll(back, -k), np.append(loop[0], loop[:0:-1]))
+    for j, seg in flipped.wall_polylines().items():
+        assert np.array_equal(seg, polylines[j][::-1])
+    # the flip made a new topology; the original keeps its own
+    assert np.array_equal(octant_mesh.boundary_loop(), loop)
+
+
+def test_copy_shares_topology_not_vertices(octant_mesh):
+    before = octant_mesh.vertices.copy()
+    dup = octant_mesh.copy()
+    assert dup._topology is octant_mesh._topology
+    dup.vertices += 0.5
+    assert np.array_equal(octant_mesh.vertices, before)
+    assert np.array_equal(dup.wall_polylines()[0], octant_mesh.wall_polylines()[0])
+    # topology arrays cannot change in place, so sharing them is safe
+    for arr in (dup.triangles, dup.tag_kind, dup.boundary_loop(), dup.wall_polylines()[0]):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+
+
+def test_evolve_builds_the_boundary_loop_once(monkeypatch, wedge_mesh):
+    calls = []
+    build = meshes._build_boundary_loop
+
+    def counting(triangles):
+        calls.append(1)
+        return build(triangles)
+
+    mesh = _fresh(perturb(wedge_mesh, 0.01, seed=4))
+    monkeypatch.setattr(meshes, "_build_boundary_loop", counting)
+    _, rep = evolve(mesh, max_iters=60)
+    assert rep.iterations > 0
+    assert len(calls) == 1
+
+
+def test_one_ring_iterates_like_sets_grown_triangle_by_triangle(wedge_mesh):
+    xs = np.linspace(0, 1, 40)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    grid = structured_surface(np.stack([X, Y, X * Y], axis=-1))
+    for mesh in (wedge_mesh, refine(wedge_mesh), grid):
+        grown = [set() for _ in range(mesh.n_vertices)]
+        for a, b, c in mesh.triangles:
+            grown[a].update((b, c))
+            grown[b].update((a, c))
+            grown[c].update((a, b))
+        # same iteration order, so ring expansions and fits see the same points
+        assert [list(s) for s in mesh.one_ring()] == [list(s) for s in grown]
