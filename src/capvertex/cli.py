@@ -26,7 +26,8 @@ from .analytic import (
     SphericalCap,
 )
 from .diagnostics import diagnostics_report, fit_sphere, SphereFit
-from .errors import DomainError, IncompatibleDataError, NoSolutionError
+from .errors import (DomainError, IncompatibleDataError, MeshDegenerationError,
+                     NoSolutionError, NonConvergenceError)
 from .geometry import (
     QTag,
     TrihedralConfig,
@@ -68,14 +69,45 @@ def _load_config(path) -> dict:
 def _require(cfg: dict, key, types, where):
     if key not in cfg:
         raise ConfigError(f"{where}: missing required key '{key}'")
-    if not isinstance(cfg[key], types):
+    # bool is a subclass of int, but true/false never stand for a number
+    if isinstance(cfg[key], bool) or not isinstance(cfg[key], types):
         raise ConfigError(f"{where}: key '{key}' has the wrong type")
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+def _number(cfg: dict, key, where, default=_REQUIRED):
+    """A finite real value; an absent or null key gives ``default`` when one is set."""
+    if default is not _REQUIRED and cfg.get(key) is None:
+        return default
+    value = float(_require(cfg, key, (int, float), where))
+    if not np.isfinite(value):
+        raise ConfigError(f"{where}: key '{key}' must be finite, got {value}")
+    return value
+
+
+def _integer(cfg: dict, key, where, default, minimum=1):
+    if key not in cfg:
+        return default
+    value = _require(cfg, key, int, where)
+    if value < minimum:
+        raise ConfigError(f"{where}: key '{key}' must be at least {minimum}, got {value}")
+    return value
+
+
+def _flag(cfg: dict, key, where, default):
+    value = cfg.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: key '{key}' must be true or false")
+    return value
+
+
 def _angles(cfg, key, n, where):
     vals = _require(cfg, key, list, where)
-    if len(vals) != n or not all(isinstance(v, (int, float)) for v in vals):
+    if len(vals) != n or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                 for v in vals):
         raise ConfigError(f"{where}: '{key}' must be a list of {n} numbers")
     if not all(0.0 <= v <= np.pi for v in vals):
         raise ConfigError(f"{where}: angles must lie in [0, pi]")
@@ -92,13 +124,13 @@ def _write_csv(path, header, rows):
 def _support_from_config(cfg, where):
     kind = _require(cfg, "support", str, where)
     if kind == "wedge":
-        alpha = float(_require(cfg, "alpha", (int, float), where))
+        alpha = _number(cfg, "alpha", where)
         g1, g2 = _angles(cfg, "gammas", 2, where)
         return WedgeConfig.canonical(alpha, g1, g2)
     if kind == "orthant":
         return TrihedralConfig.orthant(tuple(_angles(cfg, "gammas", 3, where)))
     if kind == "cylinder":
-        r = float(cfg.get("inradius", 1.0))
+        r = _number(cfg, "inradius", where, 1.0)
         return TrihedralConfig.regular_cylinder(r, tuple(_angles(cfg, "gammas", 3, where)))
     raise ConfigError(f"{where}: unknown support kind '{kind}'")
 
@@ -107,15 +139,15 @@ def _support_from_config(cfg, where):
 
 
 def _run_classify(cfg, out: Path, seed: int, where: str) -> int:
-    alpha = float(_require(cfg, "alpha", (int, float), where))
-    n = int(cfg.get("grid", 181))
+    alpha = _number(cfg, "alpha", where)
+    n = _integer(cfg, "grid", where, 181)
     g = np.linspace(0.0, np.pi, n)
     g1, g2 = np.meshgrid(g, g, indexing="ij")
     codes, numer = classify_grid(alpha, g1, g2)
     names = {v: k.name for k, v in TAG_CODES.items()}
-    rows = [(f"{g1[i, j]:.12g}", f"{g2[i, j]:.12g}", names[int(codes[i, j])],
+    rows = ((f"{g1[i, j]:.12g}", f"{g2[i, j]:.12g}", names[int(codes[i, j])],
              f"{numer[i, j]:.17g}")
-            for i in range(n) for j in range(n)]
+            for i in range(n) for j in range(n))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "classification.csv",
                ["gamma1", "gamma2", "class", "numerator"], rows)
@@ -127,15 +159,15 @@ def _run_classify(cfg, out: Path, seed: int, where: str) -> int:
 
 def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
-    h = cfg.get("h")
-    h = float(h) if h is not None else None
+    h = _number(cfg, "h", where, None)
+    refinement = _integer(cfg, "refinement", where, 2, minimum=0)
     if isinstance(config, WedgeConfig):
         cap = wedge_cap(config, h if h is not None else 1.0)
     elif config.kind.name == "APEX":
         cap = trihedral_cap(config, h if h is not None else 1.0)
     else:
         cap = cylinder_cap(config, h)
-    out.mkdir(parents=True, exist_ok=True)
+    mesh = None
     if isinstance(cap, SphericalCap):
         report = {
             "scenario": "cap", "seed": seed, "version": __version__,
@@ -147,8 +179,7 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
         }
         is_cyl = isinstance(config, TrihedralConfig) and config.kind.name == "CYLINDER"
         mesh = seed_mesh(config, h=None if is_cyl else (h if h is not None else 1.0),
-                         refinement_level=int(cfg.get("refinement", 2)))
-        write_obj(mesh, out / "cap.obj")
+                         refinement_level=refinement)
     else:
         report = {
             "scenario": "cap", "seed": seed, "version": __version__,
@@ -156,21 +187,24 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
             "normal": list(map(float, cap.normal)),
             "point": list(map(float, cap.point)),
         }
+    out.mkdir(parents=True, exist_ok=True)
+    if mesh is not None:
+        write_obj(mesh, out / "cap.obj")
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
 
 
 def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
-    a = float(_require(cfg, "a", (int, float), where))
-    b = float(_require(cfg, "b", (int, float), where))
+    a = _number(cfg, "a", where)
+    b = _number(cfg, "b", where)
     gammas = tuple(_angles(cfg, "gammas", 4, where))
-    grid_n = int(cfg.get("grid_n", 32))
+    grid_n = _integer(cfg, "grid_n", where, 32)
     prob = RectangleProblem(a, b, gammas, grid_n=grid_n)
     field = solve_rectangle(prob)
     pts = field.points()
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "field.csv", ["x", "y", "u"],
-               [(f"{x:.17g}", f"{y:.17g}", f"{u:.17g}") for x, y, u in pts])
+               ((f"{x:.17g}", f"{y:.17g}", f"{u:.17g}") for x, y, u in pts))
     fit = fit_sphere(pts)
     report = {
         "scenario": "solve-graph", "seed": seed, "version": __version__,
@@ -186,22 +220,22 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
 
 def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
-    h = cfg.get("h", 1.0)
-    refinement = int(cfg.get("refinement", 2))
-    if cfg.get("planar", False):
+    h = _number(cfg, "h", where, 1.0)
+    refinement = _integer(cfg, "refinement", where, 2, minimum=0)
+    if _flag(cfg, "planar", where, False):
         mesh = seed_planar_trihedral(config, refinement_level=refinement)
     else:
         hv = None if isinstance(config, TrihedralConfig) and config.kind.name == "CYLINDER" \
-            else float(h)
+            else h
         mesh = seed_mesh(config, h=hv, refinement_level=refinement,
-                         target_volume=cfg.get("target_volume"))
-    amp = float(cfg.get("perturbation", 0.0))
+                         target_volume=_number(cfg, "target_volume", where, None))
+    amp = _number(cfg, "perturbation", where, 0.0)
     if amp > 0.0:
         mesh = perturb(mesh, amp, seed=seed)
     evolved, rep = evolve(mesh,
-                          max_iters=int(cfg.get("max_iters", 1000)),
-                          grad_tol=float(cfg.get("grad_tol", 1e-6)),
-                          fixed_volume=bool(cfg.get("fixed_volume", True)))
+                          max_iters=_integer(cfg, "max_iters", where, 1000),
+                          grad_tol=_number(cfg, "grad_tol", where, 1e-6),
+                          fixed_volume=_flag(cfg, "fixed_volume", where, True))
     diag = diagnostics_report(evolved)
     out.mkdir(parents=True, exist_ok=True)
     write_obj(evolved, out / "evolved.obj")
@@ -276,9 +310,9 @@ def _suite_formulas(opts) -> list:
 
 
 def _suite_wente(opts) -> list:
-    a, b = 1.0, 1.0
+    a, b = 1.0, 2.0
     sol = wente_halfcylinder(a, b)
-    ys = np.linspace(0.05 * b, 0.95 * b, 181)
+    ys = np.linspace(0.05 * b, 0.95 * b, 2001)
     resid = np.abs(sol.residual(ys)).max()
     hcomp = compatibility_h(a, b, (np.pi / 2, np.pi / 2, 0.0, 0.0))
     return [
@@ -392,7 +426,8 @@ def _run_verify(cfg, out: Path, seed: int, where: str) -> int:
     suite = _require(cfg, "suite", str, where)
     if suite not in _SUITES:
         raise ConfigError(f"{where}: unknown suite '{suite}'")
-    opts = {k: cfg[k] for k in ("refinement", "grid_n", "max_iters") if k in cfg}
+    opts = {k: _integer(cfg, k, where, None, minimum=0 if k == "refinement" else 1)
+            for k in ("refinement", "grid_n", "max_iters") if k in cfg}
     outcomes = verify_suite(suite, seed=seed, **opts)
     out.mkdir(parents=True, exist_ok=True)
     report = {"scenario": "verify", "suite": suite, "seed": seed,
@@ -431,7 +466,8 @@ def run(config_path, out_dir=None, seed: int = 0, subcommand=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, NoSolutionError, IncompatibleDataError) as exc:
+    except (DomainError, NoSolutionError, IncompatibleDataError,
+            NonConvergenceError, MeshDegenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -147,10 +147,6 @@ def _rings(mesh: TriMeshDrop, depth: int = 2):
     return out
 
 
-def _two_ring(mesh: TriMeshDrop):
-    return _rings(mesh, 2)
-
-
 def sphere_curvature_field(mesh: TriMeshDrop, depth: int = 3) -> np.ndarray:
     """Pointwise mean curvature from local sphere fits (NaN on the boundary).
 
@@ -178,7 +174,7 @@ def principal_curvatures(mesh: TriMeshDrop) -> np.ndarray:
     Rows are NaN at boundary vertices and wherever the fit is rank deficient.
     """
     normals = vertex_normals(mesh)
-    rings = _two_ring(mesh)
+    rings = _rings(mesh, 2)
     out = np.full((mesh.n_vertices, 2), np.nan)
     for i in range(mesh.n_vertices):
         if mesh.tag_kind[i] != FREE:
@@ -259,7 +255,7 @@ def measure_contact_angles(mesh: TriMeshDrop) -> dict[int, np.ndarray]:
     taken between the liquid and the wall: cos of the measured angle is the
     outward surface normal dotted with the inward wall normal.
     """
-    rings = _two_ring(mesh)
+    rings = _rings(mesh, 2)
     normals = vertex_normals(mesh)
     out: dict[int, list] = {j: [] for j in range(len(mesh.support.planes))}
     for i in np.nonzero(mesh.tag_kind == ON_PLANE)[0]:

@@ -5,16 +5,23 @@ prescribed contact angle times the wetted wall area. The enclosed volume is
 held fixed by a scalar Newton projection after each descent step. All
 gradients are analytic; validity is established in the tests against central
 finite differences.
+
+One evaluation pass, ``_evaluate``, yields the energy, the volume and their
+gradients at a vertex state: it computes each triangle's cross product and
+builds each wetted wall polygon once. The public functionals and gradients
+are one-line reads of that pass, and code that needs several of them at one
+state calls the pass once and reads its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MeshDegenerationError, NonConvergenceError
-from .meshes import FREE, ON_EDGE, ON_PLANE, TriMeshDrop
+from .meshes import FREE, ON_EDGE, ON_PLANE, TriMeshDrop, vertex_normals
 
 __all__ = [
     "EnergyBreakdown", "ConvergenceReport",
@@ -44,137 +51,102 @@ class ConvergenceReport:
     trace: list = field(default_factory=list)
 
 
-# -- scalar functionals ----------------------------------------------------
+# -- the evaluation pass ---------------------------------------------------
 
 
-def surface_area(mesh: TriMeshDrop) -> float:
-    return float(mesh.triangle_areas().sum())
+class _Evaluation(NamedTuple):
+    breakdown: EnergyBreakdown
+    wetted: dict[int, float]            # signed wetted area, in wall-polyline order
+    area_gradient: np.ndarray
+    energy_gradient: np.ndarray
+    volume_gradient: np.ndarray
 
 
-def _flux_integral(mesh: TriMeshDrop) -> float:
-    """Integral of position dotted with the outward normal over the surface."""
-    v, t = mesh.vertices, mesh.triangles
+def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
+    """Energy, volume and their gradients from one walk over triangles and walls.
+
+    Each triangle's cross product and each wall's wetted polygon are computed
+    once. The free-surface volume term is the flux of position through the
+    surface; a wall contributes its offset times its wetted area, and for a
+    cylindrical support the base patch closes the region at the base gauge
+    plane. A wetted polygon is the wall's contact polyline closed through the
+    apex, through the base corners (cylinder), or by the chord between the
+    edge crossings, which lies in the wall (wedge); only the polyline
+    vertices move, so only they carry shoelace gradients.
+    """
+    sup, v, t = mesh.support, mesh.vertices, mesh.triangles
     a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     w = np.cross(b - a, c - a)
     s = a + b + c
-    return float(np.einsum("ij,ij->", s, w)) / 6.0
+    norms = np.linalg.norm(w, axis=1)
+    area = float((0.5 * norms).sum())
+    nhat = w / norms[:, None]
+    area_grad, flux_grad = np.zeros_like(v), np.zeros_like(v)
+    for k, edge in enumerate((c - b, a - c, b - a)):  # edge opposite corner k
+        np.add.at(area_grad, t[:, k], 0.5 * np.cross(nhat, edge))
+        np.add.at(flux_grad, t[:, k], (w - np.cross(edge, s)) / 6.0)
 
-
-def _wall_polygons(mesh: TriMeshDrop):
-    """2-D wetted polygons per wall: (wall, vertex indices, closed 2-D coords).
-
-    The index array covers only the movable polyline part; closure points
-    (apex, base corners) are appended to the coordinates with no indices.
-    """
-    sup = mesh.support
-    out = []
+    energy_grad = area_grad.copy()
+    wet = {}
     for j, seg in mesh.wall_polylines().items():
-        pts = mesh.vertices[seg]
+        pts = v[seg]
         if sup.kind == "apex":
-            closure = [sup.config.apex]
-        elif sup.kind == "cylinder":
+            pts = np.vstack([pts, sup.config.apex])
+        elif sup.kind == "cylinder":  # drop both ends onto the base plane
             g, z0 = sup.base_normal, sup.base_offset
+            pts = np.vstack([pts] + [p - (np.dot(g, p) - z0) * g for p in pts[[-1, 0]]])
+        x, y = sup.wall_coords(j, pts).T
+        wet[j] = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        eu, ev = sup.wall_frame(j)
+        gx = 0.5 * (np.roll(y, -1) - np.roll(y, 1))
+        gy = 0.5 * (np.roll(x, 1) - np.roll(x, -1))
+        grad = np.zeros_like(v)
+        n = len(seg)
+        np.add.at(grad, seg, gx[:n, None] * eu + gy[:n, None] * ev)
+        energy_grad -= np.cos(sup.planes[j].gamma) * grad
+        flux_grad -= sup.planes[j].offset * grad
 
-            def to_base(p):
-                return p - (np.dot(g, p) - z0) * g
+    vol = float(np.einsum("ij,ij->", s, w)) / 6.0
+    for j, p in enumerate(sup.planes):
+        vol -= p.offset * wet[j]
+    if sup.kind == "cylinder":
+        vol -= sup.base_offset * sup.base_triangle_area()
+    total = area - sum(np.cos(sup.planes[j].gamma) * wet[j] for j in wet)
+    breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
+    return _Evaluation(breakdown, wet, area_grad, energy_grad, flux_grad / 3.0)
 
-            closure = [to_base(pts[-1]), to_base(pts[0])]
-        else:
-            closure = []  # the chord between the edge crossings lies in the wall
-        stack = np.vstack([pts] + closure) if closure else pts
-        out.append((j, seg, sup.wall_coords(j, stack)))
-    return out
+
+# -- reads of the pass -----------------------------------------------------
 
 
-def _shoelace(coords: np.ndarray) -> float:
-    x, y = coords[:, 0], coords[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def surface_area(mesh: TriMeshDrop) -> float:
+    return _evaluate(mesh).breakdown.free_surface_area
 
 
 def wetted_areas(mesh: TriMeshDrop) -> dict[int, float]:
     """Signed wetted area on each wall (positive for an outward-oriented mesh)."""
-    return {j: _shoelace(coords) for j, _, coords in _wall_polygons(mesh)}
+    return _evaluate(mesh).wetted
 
 
 def volume(mesh: TriMeshDrop) -> float:
-    """Enclosed liquid volume from the divergence theorem.
-
-    Wall contributions reduce to offset times wetted area; for a cylindrical
-    support the base patch closes the region at the base gauge plane.
-    """
-    sup = mesh.support
-    total = _flux_integral(mesh)
-    wet = wetted_areas(mesh)
-    for j, p in enumerate(sup.planes):
-        total -= p.offset * wet[j]
-    if sup.kind == "cylinder":
-        total -= sup.base_offset * sup.base_triangle_area()
-    return total / 3.0
+    """Enclosed liquid volume from the divergence theorem."""
+    return _evaluate(mesh).breakdown.volume
 
 
 def energy(mesh: TriMeshDrop) -> EnergyBreakdown:
-    wet = wetted_areas(mesh)
-    area = surface_area(mesh)
-    total = area - sum(np.cos(mesh.support.planes[j].gamma) * wet[j] for j in wet)
-    return EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)),
-                           volume(mesh))
-
-
-# -- gradients -------------------------------------------------------------
+    return _evaluate(mesh).breakdown
 
 
 def surface_area_gradient(mesh: TriMeshDrop) -> np.ndarray:
-    v, t = mesh.vertices, mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    w = np.cross(b - a, c - a)
-    nhat = w / np.linalg.norm(w, axis=1)[:, None]
-    grad = np.zeros_like(v)
-    np.add.at(grad, t[:, 0], 0.5 * np.cross(nhat, c - b))
-    np.add.at(grad, t[:, 1], 0.5 * np.cross(nhat, a - c))
-    np.add.at(grad, t[:, 2], 0.5 * np.cross(nhat, b - a))
-    return grad
-
-
-def _flux_gradient(mesh: TriMeshDrop) -> np.ndarray:
-    v, t = mesh.vertices, mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    w = np.cross(b - a, c - a)
-    s = a + b + c
-    grad = np.zeros_like(v)
-    np.add.at(grad, t[:, 0], (w + np.cross(b - c, s)) / 6.0)
-    np.add.at(grad, t[:, 1], (w + np.cross(c - a, s)) / 6.0)
-    np.add.at(grad, t[:, 2], (w + np.cross(a - b, s)) / 6.0)
-    return grad
-
-
-def _wetted_area_gradients(mesh: TriMeshDrop) -> dict[int, np.ndarray]:
-    """Per-wall shoelace gradients, mapped back to 3-D vertex positions."""
-    sup = mesh.support
-    out = {}
-    for j, seg, coords in _wall_polygons(mesh):
-        eu, ev = sup.wall_frame(j)
-        x, y = coords[:, 0], coords[:, 1]
-        gx = 0.5 * (np.roll(y, -1) - np.roll(y, 1))
-        gy = 0.5 * (np.roll(x, 1) - np.roll(x, -1))
-        grad = np.zeros_like(mesh.vertices)
-        k = len(seg)
-        np.add.at(grad, seg, gx[:k, None] * eu + gy[:k, None] * ev)
-        out[j] = grad
-    return out
+    return _evaluate(mesh).area_gradient
 
 
 def volume_gradient(mesh: TriMeshDrop) -> np.ndarray:
-    grad = _flux_gradient(mesh)
-    for j, g in _wetted_area_gradients(mesh).items():
-        grad -= mesh.support.planes[j].offset * g
-    return grad / 3.0
+    return _evaluate(mesh).volume_gradient
 
 
 def energy_gradient(mesh: TriMeshDrop) -> np.ndarray:
-    grad = surface_area_gradient(mesh)
-    for j, g in _wetted_area_gradients(mesh).items():
-        grad -= np.cos(mesh.support.planes[j].gamma) * g
-    return grad
+    return _evaluate(mesh).energy_gradient
 
 
 def project_tangent(mesh: TriMeshDrop, grad: np.ndarray) -> np.ndarray:
@@ -205,10 +177,11 @@ def _restore_volume(mesh: TriMeshDrop, target: float, rel_tol: float = 1e-10,
     """Move along the projected volume gradient until the volume matches."""
     scale = max(abs(target), 1e-30)
     for _ in range(max_newton):
-        err = volume(mesh) - target
+        ev = _evaluate(mesh)
+        err = ev.breakdown.volume - target
         if abs(err) <= rel_tol * scale:
             return err
-        m = project_tangent(mesh, volume_gradient(mesh))
+        m = project_tangent(mesh, ev.volume_gradient)
         denom = float(np.einsum("ij,ij->", m, m))
         if denom < 1e-30:
             raise MeshDegenerationError("volume gradient vanished during restoration")
@@ -221,7 +194,6 @@ def _restore_volume(mesh: TriMeshDrop, target: float, rel_tol: float = 1e-10,
 
 def _smooth(mesh: TriMeshDrop, coeff: float):
     """Tangential area-weighted Laplacian; constrained vertices slide only."""
-    from .meshes import vertex_normals
     v = mesh.vertices
     nbrs = [np.fromiter(s, dtype=np.int64) for s in mesh.one_ring()]
     weights = vertex_dual_areas(mesh)
@@ -262,16 +234,18 @@ def _reduced_basis(mesh: TriMeshDrop):
 
 
 def _residual_norm(mesh: TriMeshDrop, fixed_volume: bool):
-    """Max constrained-force residual and the Lagrange multiplier estimate."""
-    ge = project_tangent(mesh, energy_gradient(mesh))
+    """Max constrained-force residual, the Lagrange multiplier estimate and
+    the energy breakdown, all from one evaluation of the mesh."""
+    ev = _evaluate(mesh)
+    ge = project_tangent(mesh, ev.energy_gradient)
     lam = 0.0
     if fixed_volume:
-        gv = project_tangent(mesh, volume_gradient(mesh))
+        gv = project_tangent(mesh, ev.volume_gradient)
         gv2 = float(np.einsum("ij,ij->", gv, gv))
         if gv2 > 1e-30:
             lam = float(np.einsum("ij,ij->", ge, gv)) / gv2
             ge = ge - lam * gv
-    return float(np.linalg.norm(ge, axis=1).max()), lam
+    return float(np.linalg.norm(ge, axis=1).max()), lam, ev.breakdown
 
 
 def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
@@ -289,14 +263,14 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
     from scipy.optimize import minimize
 
     work = mesh.copy()
-    target = work.target_volume if work.target_volume is not None else volume(work)
+    _, lam_aug, state = _residual_norm(work, fixed_volume)
+    target = work.target_volume if work.target_volume is not None else state.volume
     work.target_volume = target
     report = ConvergenceReport()
-    report.energy_history.append(energy(work).total)
+    report.energy_history.append(state.total)
 
     dof_vertex, dof_dir = _reduced_basis(work)
     scale = max(abs(target), 1e-30)
-    _, lam_aug = _residual_norm(work, fixed_volume)
     mu = 1e3 * max(1.0, abs(report.energy_history[0])) / scale ** 2
     inner_budget = max_iters
 
@@ -310,13 +284,12 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
 
     def objective(q):
         set_q(q)
-        e = energy(work).total
+        ev = _evaluate(work)
+        e, g = ev.breakdown.total, ev.energy_gradient
         if fixed_volume:
-            dv = volume(work) - target
+            dv = ev.breakdown.volume - target
             e += -lam_aug * dv + 0.5 * mu * dv * dv
-        g = energy_gradient(work)
-        if fixed_volume:
-            g = g + (mu * dv - lam_aug) * volume_gradient(work)
+            g = g + (mu * dv - lam_aug) * ev.volume_gradient
         return e, reduce_grad(g)
 
     best_state, best_resid = None, np.inf
@@ -342,20 +315,19 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
         set_q(res.x)
         inner_budget -= res.nit
         report.iterations += res.nit
-        dv = volume(work) - target
-        if fixed_volume:
-            lam_aug -= mu * dv
-            if abs(dv) > 1e-4 * scale:
-                mu *= 10.0
-
         min_area = float(work.triangle_areas().min())
         if min_area <= 1e-14:
             raise MeshDegenerationError("triangle collapsed during evolution")
 
-        gnorm, lam = _residual_norm(work, fixed_volume)
+        gnorm, lam, state = _residual_norm(work, fixed_volume)
+        dv = state.volume - target
+        if fixed_volume:
+            lam_aug -= mu * dv
+            if abs(dv) > 1e-4 * scale:
+                mu *= 10.0
         if gnorm < best_resid:
             best_resid, best_state = gnorm, work.copy()
-        report.energy_history.append(energy(work).total)
+        report.energy_history.append(state.total)
         report.trace.append({"nit": int(res.nit), "energy": float(report.energy_history[-1]),
                              "residual": gnorm, "volume_error": float(dv), "mu": float(mu),
                              "multiplier": float(lam_aug), "min_area": min_area})
@@ -368,11 +340,11 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
         work = best_state
     if fixed_volume:
         _restore_volume(work, target)
-    gnorm, lam = _residual_norm(work, fixed_volume)
+    gnorm, lam, state = _residual_norm(work, fixed_volume)
     report.final_gradient_norm = gnorm
     report.converged = report.converged or gnorm < grad_tol
     report.lagrange_h = 0.5 * lam
-    report.final_energy = energy(work).total
-    report.volume_error = abs(volume(work) - target)
+    report.final_energy = state.total
+    report.volume_error = abs(state.volume - target)
     work.lagrange_h = report.lagrange_h
     return work, report

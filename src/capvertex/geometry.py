@@ -60,6 +60,8 @@ class PlaneSupport:
         object.__setattr__(self, "normal", _as_unit(self.normal, "normal"))
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "gamma", float(self.gamma))
+        if not np.isfinite(self.offset):
+            raise DomainError(f"plane offset must be finite, got {self.offset}")
         if not 0.0 <= self.gamma <= np.pi:
             raise DomainError(f"contact angle must lie in [0, pi], got {self.gamma}")
 
@@ -261,6 +263,9 @@ def _check_angles(alpha, gamma1, gamma2):
     alpha = np.asarray(alpha, dtype=float)
     gamma1 = np.asarray(gamma1, dtype=float)
     gamma2 = np.asarray(gamma2, dtype=float)
+    # every comparison with NaN is false, so the range tests alone let NaN through
+    if not all(np.isfinite(x).all() for x in (alpha, gamma1, gamma2)):
+        raise DomainError("angles must be finite")
     if np.any(alpha <= 0.0) or np.any(alpha >= np.pi / 2):
         raise DomainError("half-opening must satisfy 0 < alpha < pi/2")
     for g in (gamma1, gamma2):
@@ -365,6 +370,10 @@ def vertex_angle_grid(alpha, gamma1, gamma2):
     d1, d2 = 1.0 - b1 * b1, 1.0 - b2 * b2
     if np.any(np.minimum(d1, d2) < 1e-14):
         raise DomainError("vertical data (|cos gamma| = 1) are degenerate")
+    # the sine-formula numerator rearranged as a difference of products; this
+    # is algebraically identical to the raw form but shares its rounding with
+    # the cosine expression, so the two returned fields satisfy the Pythagorean
+    # identity to machine precision even close to the rectangle boundary
     top = b1 * b2 + np.cos(2.0 * np.asarray(alpha, dtype=float))
     denom_sq = d1 * d2
     cos_two_beta = top / np.sqrt(denom_sq)
@@ -383,18 +392,6 @@ def vertex_angle(alpha: float, gamma1: float, gamma2: float) -> VertexAngleResul
     cls = classify_data(alpha, gamma1, gamma2)
     if cls.tag is not QTag.INTERIOR_Q:
         raise DomainError(f"vertex angle requires InteriorQ data, got {cls.tag.value}")
-    b1, b2 = np.cos(gamma1), np.cos(gamma2)
-    d1, d2 = 1.0 - b1 * b1, 1.0 - b2 * b2
-    if min(d1, d2) < 1e-14:
-        raise DomainError("vertical data (|cos gamma| = 1) are degenerate")
-    # the sine-formula numerator rearranged as a difference of products; this
-    # is algebraically identical to the raw form but shares its rounding with
-    # the cosine expression, so the two returned fields satisfy the Pythagorean
-    # identity to machine precision even close to the rectangle boundary
-    top = b1 * b2 + np.cos(2.0 * alpha)
-    denom_sq = d1 * d2
-    cos_two_beta = float(top / np.sqrt(denom_sq))
-    sin_sq = float((denom_sq - top * top) / denom_sq)
-    two_beta = float(np.arccos(np.clip(cos_two_beta, -1.0, 1.0)))
-    return VertexAngleResult(two_beta=two_beta, cos_two_beta=cos_two_beta,
-                             sin_sq_two_beta=sin_sq)
+    two_beta, cos_two_beta, sin_sq = vertex_angle_grid(alpha, gamma1, gamma2)
+    return VertexAngleResult(two_beta=float(two_beta), cos_two_beta=float(cos_two_beta),
+                             sin_sq_two_beta=float(sin_sq))

@@ -52,8 +52,8 @@ class RectangleProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("side lengths must be positive")
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise DomainError("side lengths must be positive and finite")
         if len(self.gammas) != 4:
             raise DomainError("four wall angles required (left, right, bottom, top)")
         if any(not 0.0 <= g <= np.pi for g in self.gammas):

@@ -33,7 +33,7 @@ from capvertex.geometry import (
     vertex_angle,
     vertex_angle_grid,
 )
-from capvertex.graphpde import RectangleProblem, compatibility_h, exact_square_cap, solve_rectangle
+from capvertex.graphpde import RectangleProblem, exact_square_cap, solve_rectangle
 from capvertex.meshes import perturb, seed_mesh, seed_planar_trihedral, structured_surface
 
 
@@ -169,31 +169,26 @@ def test_criterion_05_square_pde_oracle(square_solutions):
              "err <= 5e-3, order >= 1.9, < 60 s", t0)
 
 
-def test_criterion_06_rectangle_non_sphericity(square_solutions):
+def test_criterion_06_rectangle_non_sphericity():
     t0 = time.perf_counter()
-    prob = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=128)
-    field = solve_rectangle(prob)
-    rect_rms = fit_sphere(field.points()).relative_rms
-    square_rms = fit_sphere(square_solutions[128][1].points()).relative_rms
-    ratio = rect_rms / square_rms
+    (outcome,) = verify_suite("counterexample-v4", grid_n=128)
     elapsed = time.perf_counter() - t0
     _verdict("criterion-06 rectangle drop is not spherical",
-             ratio >= 20.0 and elapsed < 60.0,
-             f"rms ratio {ratio:.1f}, {elapsed:.1f}s",
+             outcome["pass"] and elapsed < 60.0,
+             f"rms ratio {outcome['measured']:.1f}, {elapsed:.1f}s",
              "ratio >= 20, < 60 s", t0)
 
 
 def test_criterion_07_half_cylinder_residual_and_compatibility():
     t0 = time.perf_counter()
-    b = 2.0
-    sol = wente_halfcylinder(1.0, b)
-    ys = np.linspace(0.05 * b, 0.95 * b, 2001)
-    worst = float(np.abs(sol.residual(ys)).max())
-    h_exact = compatibility_h(1.0, b, (np.pi / 2, np.pi / 2, 0.0, 0.0))
+    by_name = {o["criterion"]: o for o in verify_suite("wente")}
+    resid = by_name["halfcylinder-residual"]
+    h = by_name["compatibility-h"]
     elapsed = time.perf_counter() - t0
     _verdict("criterion-07 half-cylinder residual and mixed-angle curvature",
-             worst < 1e-10 and h_exact == 1.0 / b and elapsed < 1.0,
-             f"residual {worst:.2e}, h {h_exact} vs {1.0 / b}, {elapsed:.3f}s",
+             resid["pass"] and h["pass"] and elapsed < 1.0,
+             f"residual {resid['measured']:.2e}, h {h['measured']} vs {h['threshold']}, "
+             f"{elapsed:.3f}s",
              "residual < 1e-10, h exact, < 1 s", t0)
 
 

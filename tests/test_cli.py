@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from capvertex import cli
 from capvertex.cli import main, run, verify_suite
-from capvertex.errors import DomainError
+from capvertex.errors import DomainError, MeshDegenerationError, NonConvergenceError
 
 
 def _write_config(tmp_path, name, payload):
@@ -113,3 +114,53 @@ def test_verify_wente_suite_passes(tmp_path, capsys):
     assert rc == 0
     assert "[PASS]" in captured
     assert "[FAIL]" not in captured
+
+
+_ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
+            "refinement": 1}
+
+
+@pytest.mark.parametrize("payload", [
+    {"kind": "classify", "alpha": math.nan, "grid": 5},
+    {"kind": "classify", "alpha": math.inf, "grid": 5},
+    {"kind": "classify", "alpha": True, "grid": 5},
+    {"kind": "classify", "alpha": math.pi / 4, "grid": "abc"},
+    {"kind": "classify", "alpha": math.pi / 4, "grid": -3},
+    {"kind": "classify", "alpha": math.pi / 4, "grid": 7.5},
+    {"kind": "classify", "alpha": math.pi / 4, "grid": True},
+    {"kind": "solve-graph", "a": math.nan, "b": 1.0, "gammas": [math.pi / 3] * 4},
+    {"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [True, 1.0, 1.0, 1.0]},
+    {"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [math.pi / 3] * 4,
+     "grid_n": "32"},
+    {"kind": "cap", "support": "cylinder", "gammas": [1.9] * 3, "inradius": math.nan},
+    {"kind": "cap", "support": "wedge", "alpha": math.pi / 4,
+     "gammas": [math.nan, 2.0], "h": 1.0},
+    {**_ORTHANT, "refinement": "1"},
+    {**_ORTHANT, "max_iters": 0},
+    {**_ORTHANT, "perturbation": math.inf},
+    {**_ORTHANT, "planar": "no"},
+    {"kind": "verify", "suite": "wente", "grid_n": False},
+], ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items() if k != "gammas"))
+def test_bad_config_exits_2_with_one_line_and_no_artifacts(tmp_path, capsys, payload):
+    cfg = _write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver, exc, payload", [
+    ("solve_rectangle", NonConvergenceError("no convergence in 60 iterations"),
+     {"kind": "solve-graph", "a": 1.0, "b": 3.0, "gammas": [0.1, 0.1, 3.0, 3.0]}),
+    ("evolve", MeshDegenerationError("triangle collapsed during evolution"), _ORTHANT),
+], ids=["non-convergence", "mesh-degeneration"])
+def test_solver_failure_exits_2_with_one_line_and_no_artifacts(
+        tmp_path, capsys, monkeypatch, solver, exc, payload):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, solver, fail)
+    cfg = _write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out) == 2
+    assert capsys.readouterr().err.strip() == f"error: {exc}"
+    assert not out.exists()

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from capvertex import evolver
 from capvertex.geometry import TrihedralConfig, WedgeConfig
-from capvertex.meshes import seed_mesh, seed_planar_trihedral, perturb
+from capvertex.meshes import TriMeshDrop, seed_mesh, seed_planar_trihedral, perturb
 from capvertex.evolver import (
     energy,
     energy_gradient,
@@ -131,3 +132,24 @@ def test_planar_mode_stays_planar():
     d = out.vertices @ n
     assert np.ptp(d) < 1e-6
     assert abs(rep.lagrange_h) < 1e-6
+
+
+def test_evolve_builds_wall_polygons_only_inside_the_single_pass(monkeypatch):
+    # every objective, residual and volume-restoration step reads one
+    # evaluation pass, and only that pass walks the wall polylines
+    calls = {"evaluate": 0, "wall_polylines": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    cfg = WedgeConfig.canonical(np.pi / 3, 1.2, 2.0)
+    m = perturb(seed_mesh(cfg, h=1.0, refinement_level=2), 0.01, seed=4)
+    monkeypatch.setattr(evolver, "_evaluate", counted("evaluate", evolver._evaluate))
+    monkeypatch.setattr(TriMeshDrop, "wall_polylines",
+                        counted("wall_polylines", TriMeshDrop.wall_polylines))
+    evolve(m, max_iters=60, n_outer=3)
+    assert calls["evaluate"] > 0
+    assert calls["wall_polylines"] == calls["evaluate"]

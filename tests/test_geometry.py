@@ -178,3 +178,19 @@ def test_equal_angle_vertex_opening_bounded_by_wedge(alpha, g):
         return
     va = vertex_angle(alpha, g, g)
     assert va.two_beta <= 2 * alpha + 1e-12
+
+
+@pytest.mark.parametrize("angles", [
+    (np.nan, 1.0, 2.0), (0.5, np.nan, 2.0), (0.5, 1.0, np.inf),
+    (np.array([0.5, np.nan]), 1.0, 2.0),
+])
+def test_non_finite_angles_are_rejected(angles):
+    with pytest.raises(DomainError):
+        classify_grid(*angles)
+    with pytest.raises(DomainError):
+        eq_numerator(*angles)
+
+
+def test_plane_support_rejects_non_finite_offset():
+    with pytest.raises(DomainError):
+        PlaneSupport(normal=(0.0, 0.0, 1.0), offset=np.nan, gamma=1.0)

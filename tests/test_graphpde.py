@@ -94,3 +94,9 @@ def test_compatibility_round_trip(a, b, gammas):
     total = (b * (np.cos(gammas[0]) + np.cos(gammas[1]))
              + a * (np.cos(gammas[2]) + np.cos(gammas[3])))
     assert 2.0 * h * a * b == pytest.approx(total, abs=1e-12)
+
+
+@pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0)])
+def test_side_lengths_must_be_positive_and_finite(a, b):
+    with pytest.raises(DomainError):
+        RectangleProblem(a, b, (1.0,) * 4, grid_n=16)
