@@ -12,7 +12,7 @@ radius R meeting plane ``{n . x = d}`` (inward normal n) in interior angle
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -25,7 +25,7 @@ from .analytic import (
     wente_halfcylinder,
     SphericalCap,
 )
-from .diagnostics import diagnostics_report, fit_sphere, SphereFit
+from .diagnostics import diagnostics_report, fit_plane, fit_sphere, SphereFit
 from .errors import (DomainError, IncompatibleDataError, MeshDegenerationError,
                      NoSolutionError, NonConvergenceError)
 from .geometry import (
@@ -46,6 +46,8 @@ __all__ = ["main", "run", "verify_suite"]
 
 _SUITES = ("theorem1-wedge", "theorem3-trihedral", "theorem4-cylinder",
            "counterexample-v4", "wente", "formulas")
+# amplitude of the random vertex displacement before each suite relaxation
+_SUITE_PERTURBATION = 0.01
 
 
 class ConfigError(ValueError):
@@ -333,14 +335,12 @@ def _suite_counterexample(opts) -> list:
                      "elongated-rectangle solution vs square cap")]
 
 
-def _evolve_sphere_check(config, h, refinement, seed, max_iters, perturbation=0.01,
-                         planar=False):
+def _evolve_sphere_check(config, h, refinement, seed, max_iters, planar=False):
     if planar:
         mesh = seed_planar_trihedral(config, refinement_level=refinement)
     else:
         mesh = seed_mesh(config, h=h, refinement_level=refinement)
-    if perturbation:
-        mesh = perturb(mesh, perturbation, seed=seed)
+    mesh = perturb(mesh, _SUITE_PERTURBATION, seed=seed)
     evolved, rep = evolve(mesh, max_iters=max_iters)
     return evolved, rep
 
@@ -372,9 +372,7 @@ def _suite_theorem3(opts) -> list:
     outcomes = []
     flat_cfg = TrihedralConfig.orthant((float(np.arccos(np.sqrt(3.0) / 3.0)),) * 3)
     evolved, _ = _evolve_sphere_check(flat_cfg, None, refinement, opts["seed"],
-                                      opts.get("max_iters", 600),
-                                      perturbation=0.01, planar=True)
-    from .diagnostics import fit_plane
+                                      opts.get("max_iters", 600), planar=True)
     plane = fit_plane(evolved.vertices)
     diam = float(np.ptp(evolved.vertices, axis=0).max())
     outcomes.append(_outcome("planar-mode", plane.rms < 1e-4 * diam,

@@ -10,7 +10,7 @@ Angle conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

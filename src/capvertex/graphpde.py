@@ -4,11 +4,15 @@
 contact-angle flux condition ``nu . Tu = cos(gamma)`` on each wall. Cell
 centered, with face fluxes and a damped Newton iteration; the mean-zero gauge
 fixes the additive constant.
+
+The face slopes and the divergence are constant sparse operators, built once
+per discretization from 1-D difference, average and gradient matrices. The
+residual and the Jacobian read the same operators, so they share one stencil.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -67,14 +71,18 @@ class RectangleProblem:
             raise IncompatibleDataError(
                 f"prescribed h = {self.h} violates the flux balance (want {h0})"
             )
-        gs = set(round(g, 14) for g in self.gammas)
-        if len(gs) == 1:
+        if self.equal_angles:
             g = self.gammas[0]
             # existence window for the single-angle rectangle problem
             if not np.pi / 4 < g < np.pi / 2:
                 raise DomainError(
                     "equal-angle rectangle data require pi/4 < gamma < pi/2"
                 )
+
+    @property
+    def equal_angles(self) -> bool:
+        """All four walls carry the same angle (to 14 decimals)."""
+        return len(set(round(g, 14) for g in self.gammas)) == 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -114,137 +122,77 @@ class GraphField:
         return np.column_stack([xx.ravel(), yy.ravel(), self.u.ravel()])
 
 
-def _transverse_gradient(u: np.ndarray, hy: float) -> np.ndarray:
-    """d(u)/dy at every cell center; second-order one-sided at the walls."""
-    g = np.empty_like(u)
-    g[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * hy)
-    g[:, 0] = (-3.0 * u[:, 0] + 4.0 * u[:, 1] - u[:, 2]) / (2.0 * hy)
-    g[:, -1] = (3.0 * u[:, -1] - 4.0 * u[:, -2] + u[:, -3]) / (2.0 * hy)
-    return g
+def _difference(n: int) -> sp.csr_matrix:
+    """(n-1, n) forward difference between neighbouring cells."""
+    return sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n), format="csr")
 
 
-def _transverse_weights(ny: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-row (offsets, weights) of the y-gradient stencil in units of 1/hy."""
-    out = []
-    for j in range(ny):
-        if j == 0:
-            out.append((np.array([0, 1, 2]), np.array([-1.5, 2.0, -0.5])))
-        elif j == ny - 1:
-            out.append((np.array([0, -1, -2]), np.array([1.5, -2.0, 0.5])))
-        else:
-            out.append((np.array([-1, 1]), np.array([-0.5, 0.5])))
-    return out
+def _average(n: int) -> sp.csr_matrix:
+    """(n-1, n) mean of neighbouring cells, i.e. the value on their shared face."""
+    return sp.diags([0.5, 0.5], [0, 1], shape=(n - 1, n), format="csr")
+
+
+def _gradient(n: int) -> sp.csr_matrix:
+    """(n, n) cell-centre slope in units of 1/h; second-order one-sided at the walls."""
+    g = sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="lil")
+    g[0, :3] = [-1.5, 2.0, -0.5]
+    g[-1, -3:] = [0.5, -2.0, 1.5]
+    return g.tocsr()
+
+
+def _flux(p, t):
+    """Face flux ``p / sqrt(1 + p^2 + t^2)`` and its partials in p and t."""
+    w = np.sqrt(1.0 + p ** 2 + t ** 2)
+    return p / w, (1.0 + t ** 2) / w ** 3, -(p * t) / w ** 3
 
 
 class _Discretization:
-    """Residual and Jacobian of the finite-volume system for one problem."""
+    """Residual and Jacobian of the finite-volume system for one problem.
+
+    Cells are flattened row-major, cell (i, j) at ``i * ny + j``. East faces
+    lie between columns i and i+1, north faces between rows j and j+1; on
+    each face the primary slope crosses it and the transverse slope is the
+    face mean of the cell-centre slopes along it.
+    """
 
     def __init__(self, prob: RectangleProblem):
-        self.prob = prob
-        self.nx, self.ny = prob.shape
-        self.hx = prob.a / self.nx
-        self.hy = prob.b / self.ny
-        gl, gr, gb, gt = prob.gammas
-        # face-value of the x/y flux component on each boundary
-        self.fw = -np.cos(gl)
-        self.fe = np.cos(gr)
-        self.fs = -np.cos(gb)
-        self.fn = np.cos(gt)
-        # uniform correction keeping the singular system consistent
+        self.nx, self.ny = nx, ny = prob.shape
+        self.hx = hx = prob.a / nx
+        self.hy = hy = prob.b / ny
+        ix, iy = sp.identity(nx), sp.identity(ny)
+        dx, dy = _difference(nx), _difference(ny)
+        self.east_p = sp.kron(dx, iy, format="csr") / hx
+        self.east_t = sp.kron(_average(nx), _gradient(ny), format="csr") / hy
+        self.north_p = sp.kron(ix, dy, format="csr") / hy
+        self.north_t = sp.kron(_gradient(nx), _average(ny), format="csr") / hx
+        self.east_div = -sp.kron(dx.T, iy, format="csr") / hx
+        self.north_div = -sp.kron(ix, dy.T, format="csr") / hy
+        # the walls carry the prescribed fluxes cos(gamma); the uniform defect
+        # keeps the singular system consistent
+        cl, cr, cb, ct = np.cos(prob.gammas)
         area = prob.a * prob.b
-        total_boundary = (np.cos(gl) + np.cos(gr)) * prob.b + (np.cos(gb) + np.cos(gt)) * prob.a
-        self.defect = (total_boundary - 2.0 * prob.h * area) / area
-
-    def _face_fluxes(self, u):
-        hx, hy = self.hx, self.hy
-        # east faces between columns i and i+1
-        ux_e = (u[1:, :] - u[:-1, :]) / hx
-        gy = _transverse_gradient(u, hy)
-        uy_e = 0.5 * (gy[1:, :] + gy[:-1, :])
-        we = np.sqrt(1.0 + ux_e ** 2 + uy_e ** 2)
-        fx = ux_e / we
-        # north faces between rows j and j+1
-        uy_n = (u[:, 1:] - u[:, :-1]) / hy
-        gx = _transverse_gradient(u.T, hx).T
-        ux_n = 0.5 * (gx[:, 1:] + gx[:, :-1])
-        wn = np.sqrt(1.0 + ux_n ** 2 + uy_n ** 2)
-        fy = uy_n / wn
-        return (ux_e, uy_e, we, fx), (ux_n, uy_n, wn, fy)
+        defect = ((cl + cr) * prob.b + (cb + ct) * prob.a - 2.0 * prob.h * area) / area
+        source = np.full((nx, ny), -2.0 * prob.h - defect)
+        source[0] += cl / hx
+        source[-1] += cr / hx
+        source[:, 0] += cb / hy
+        source[:, -1] += ct / hy
+        self.source = source.ravel()
 
     def residual(self, u):
-        nx, ny = self.nx, self.ny
-        (_, _, _, fx), (_, _, _, fy) = self._face_fluxes(u)
-        fx_all = np.empty((nx + 1, ny))
-        fx_all[1:-1] = fx
-        fx_all[0] = self.fw
-        fx_all[-1] = self.fe
-        fy_all = np.empty((nx, ny + 1))
-        fy_all[:, 1:-1] = fy
-        fy_all[:, 0] = self.fs
-        fy_all[:, -1] = self.fn
-        div = (fx_all[1:] - fx_all[:-1]) / self.hx + (fy_all[:, 1:] - fy_all[:, :-1]) / self.hy
-        return div - 2.0 * self.prob.h - self.defect
+        u = np.ravel(u)
+        fe, _, _ = _flux(self.east_p @ u, self.east_t @ u)
+        fn, _, _ = _flux(self.north_p @ u, self.north_t @ u)
+        res = self.east_div @ fe + self.north_div @ fn + self.source
+        return res.reshape(self.nx, self.ny)
 
     def jacobian(self, u):
-        nx, ny = self.nx, self.ny
-        hx, hy = self.hx, self.hy
-        (ux_e, uy_e, we, _), (ux_n, uy_n, wn, _) = self._face_fluxes(u)
-        rows, cols, vals = [], [], []
-
-        def flat(i, j):
-            return i * ny + j
-
-        ii = np.arange(nx)
-        jj = np.arange(ny)
-
-        # d(flux)/d(primary gradient) and /d(transverse gradient)
-        dfe_dux = (1.0 + uy_e ** 2) / we ** 3
-        dfe_duy = -(ux_e * uy_e) / we ** 3
-        dfn_duy = (1.0 + ux_n ** 2) / wn ** 3
-        dfn_dux = -(uy_n * ux_n) / wn ** 3
-
-        ty = _transverse_weights(ny)
-        tx = _transverse_weights(nx)
-
-        # east faces: face (i, j) couples cells (i, j), (i+1, j) and the
-        # transverse stencils of both columns
-        for i in range(nx - 1):
-            for down, sign in ((0, 1.0), (1, -1.0)):
-                # residual row of cell (i + down, j); d(res)/d(face flux)
-                coef_row = sign / hx
-                # primary part
-                for col_off, wgt in ((0, -1.0 / hx), (1, 1.0 / hx)):
-                    rows.append(flat(i + down, jj))
-                    cols.append(flat(i + col_off, jj))
-                    vals.append(coef_row * dfe_dux[i] * wgt)
-                # transverse part: average of y-gradients in columns i, i+1
-                for col_off in (0, 1):
-                    for j in range(ny):
-                        offs, wts = ty[j]
-                        rows.append(np.full(offs.size, flat(i + down, j)))
-                        cols.append(flat(i + col_off, j + offs))
-                        vals.append(coef_row * dfe_duy[i, j] * 0.5 * wts / hy)
-
-        # north faces
-        for j in range(ny - 1):
-            for down, sign in ((0, 1.0), (1, -1.0)):
-                coef_row = sign / hy
-                for row_off, wgt in ((0, -1.0 / hy), (1, 1.0 / hy)):
-                    rows.append(flat(ii, j + down))
-                    cols.append(flat(ii, j + row_off))
-                    vals.append(coef_row * dfn_duy[:, j] * wgt)
-                for row_off in (0, 1):
-                    for i in range(nx):
-                        offs, wts = tx[i]
-                        rows.append(np.full(offs.size, flat(i, j + down)))
-                        cols.append(flat(i + offs, j + row_off))
-                        vals.append(coef_row * dfn_dux[i, j] * 0.5 * wts / hx)
-
-        rows = np.concatenate([np.atleast_1d(r) for r in rows])
-        cols = np.concatenate([np.atleast_1d(c) for c in cols])
-        vals = np.concatenate([np.atleast_1d(v) for v in vals])
-        n = nx * ny
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        u = np.ravel(u)
+        _, de_p, de_t = _flux(self.east_p @ u, self.east_t @ u)
+        _, dn_p, dn_t = _flux(self.north_p @ u, self.north_t @ u)
+        east = sp.diags(de_p) @ self.east_p + sp.diags(de_t) @ self.east_t
+        north = sp.diags(dn_p) @ self.north_p + sp.diags(dn_t) @ self.north_t
+        return (self.east_div @ east + self.north_div @ north).tocsr()
 
 
 def _initial_guess(prob: RectangleProblem) -> np.ndarray:
@@ -253,8 +201,7 @@ def _initial_guess(prob: RectangleProblem) -> np.ndarray:
     x = (np.arange(nx) + 0.5) * hx - prob.a / 2
     y = (np.arange(ny) + 0.5) * hy - prob.b / 2
     xx, yy = np.meshgrid(x, y, indexing="ij")
-    gs = set(round(g, 14) for g in prob.gammas)
-    if len(gs) == 1 and abs(prob.a - prob.b) < 1e-14:
+    if prob.equal_angles and abs(prob.a - prob.b) < 1e-14:
         # the exact lower cap solves the square problem
         radius = prob.a / (2.0 * np.cos(prob.gammas[0]))
         u = -np.sqrt(radius ** 2 - xx ** 2 - yy ** 2)
@@ -265,8 +212,7 @@ def _initial_guess(prob: RectangleProblem) -> np.ndarray:
 
 def exact_square_cap(prob: RectangleProblem) -> np.ndarray:
     """Mean-zero samples of the exact spherical-cap solution (square, equal angles)."""
-    gs = set(round(g, 14) for g in prob.gammas)
-    if len(gs) != 1 or abs(prob.a - prob.b) > 1e-14:
+    if not prob.equal_angles or abs(prob.a - prob.b) > 1e-14:
         raise DomainError("exact cap exists only for the equal-angle square")
     return _initial_guess(prob)
 

@@ -25,13 +25,10 @@ from capvertex.errors import NoSolutionError
 from capvertex.evolver import energy, energy_gradient, evolve
 from capvertex.geometry import (
     QTag,
-    TAG_CODES,
     TrihedralConfig,
     WedgeConfig,
     classify_data,
-    classify_grid,
     vertex_angle,
-    vertex_angle_grid,
 )
 from capvertex.graphpde import RectangleProblem, exact_square_cap, solve_rectangle
 from capvertex.meshes import perturb, seed_mesh, seed_planar_trihedral, structured_surface
@@ -65,24 +62,9 @@ def test_criterion_01_classification_sign_agreement():
 
 def test_criterion_02_vertex_angle_identity_and_equal_angle_bound():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    samples = np.empty((0, 3))
-    while len(samples) < 10_000:
-        alpha = rng.uniform(0.05, np.pi / 2 - 0.05, 40_000)
-        g1, g2 = rng.uniform(0.0, np.pi, (2, 40_000))
-        codes, _ = classify_grid(alpha, g1, g2)
-        keep = codes == TAG_CODES[QTag.INTERIOR_Q]
-        samples = np.vstack([samples, np.column_stack([alpha, g1, g2])[keep]])
-    alpha, g1, g2 = samples[:10_000].T
-    _, cos2b, sin_sq = vertex_angle_grid(alpha, g1, g2)
-    worst_identity = float(np.abs(sin_sq - (1.0 - cos2b ** 2)).max())
-
-    al = np.repeat(np.linspace(0.05, np.pi / 2 - 0.05, 40), 80)
-    g = np.tile(np.linspace(0.01, np.pi - 0.01, 80), 40)
-    codes, _ = classify_grid(al, g, g)
-    keep = codes == TAG_CODES[QTag.INTERIOR_Q]
-    two_beta, _, _ = vertex_angle_grid(al[keep], g[keep], g[keep])
-    worst_excess = float((two_beta - 2.0 * al[keep]).max())
+    by_name = {o["criterion"]: o for o in verify_suite("formulas", seed=2024)}
+    worst_identity = by_name["angle-identity"]["measured"]
+    worst_excess = by_name["equal-angle-bound"]["measured"]
     elapsed = time.perf_counter() - t0
     _verdict("criterion-02 angle identity and equal-angle bound",
              worst_identity < 1e-12 and worst_excess <= 1e-12 and elapsed < 1.0,

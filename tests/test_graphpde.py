@@ -6,6 +6,7 @@ from capvertex.errors import DomainError, IncompatibleDataError
 from capvertex.graphpde import (
     GraphField,
     RectangleProblem,
+    _Discretization,
     compatibility_h,
     exact_square_cap,
     solve_rectangle,
@@ -100,3 +101,23 @@ def test_compatibility_round_trip(a, b, gammas):
 def test_side_lengths_must_be_positive_and_finite(a, b):
     with pytest.raises(DomainError):
         RectangleProblem(a, b, (1.0,) * 4, grid_n=16)
+
+
+@pytest.mark.parametrize("a, b, gammas, grid_n", [
+    (1.0, 2.0, (1.2, 1.2, 1.3, 1.3), 16),
+    (1.3, 0.7, (1.1, 0.9, 1.4, 1.0), 20),
+])
+def test_jacobian_matches_residual_differences_and_flux_is_conserved(a, b, gammas, grid_n):
+    p = RectangleProblem(a, b, gammas, grid_n=grid_n)
+    disc = _Discretization(p)
+    rng = np.random.default_rng(7)
+    x, y = np.meshgrid((np.arange(disc.nx) + 0.5) * disc.hx,
+                       (np.arange(disc.ny) + 0.5) * disc.hy, indexing="ij")
+    u = 0.3 * np.sin(2.0 * x) * np.cos(3.0 * y) + 0.01 * rng.standard_normal(x.shape)
+    v = rng.standard_normal(u.shape)
+    eps = 1e-6
+    fd = (disc.residual(u + eps * v) - disc.residual(u - eps * v)).ravel() / (2.0 * eps)
+    jv = disc.jacobian(u) @ v.ravel()
+    assert np.abs(jv - fd).max() <= 1e-6 * np.abs(jv).max()
+    # the wall fluxes and the defect balance 2h exactly: no net source
+    assert abs(disc.residual(u).sum() * disc.hx * disc.hy) < 1e-12
