@@ -3,6 +3,12 @@
 Everything here is read-only: sphere and plane fitting, discrete curvature,
 contact-angle and vertex-angle measurement, and an umbilicity score that
 separates spherical surfaces from genuinely anisotropic ones.
+
+The local fits behind the curvature fields and the contact angles are
+stacked: every vertex's neighbourhood (from ``TriMeshDrop.neighbourhood``,
+built once per triangulation) is zero-padded into one array, and all sphere,
+plane and quadric fits of a block of vertices are solved by one batched SVD.
+``fit_sphere`` and ``fit_plane`` are the same fitters applied to one cloud.
 """
 
 from __future__ import annotations
@@ -44,14 +50,94 @@ class PlaneFit:
     rms: float
 
 
+# Local fits run on stacks of neighbourhoods, at most this many per stack, so
+# that the padded arrays and the SVD workspace stay small on large meshes.
+_BLOCK_ROWS = 256
+
+
+def _lstsq(A, b, n):
+    """Stacked ``np.linalg.lstsq(A[i], b[i])`` through one batched SVD.
+
+    ``A`` is (k, m, p) and ``b`` is (k, m), zero-padded below the ``n[i]``
+    true rows of each stack; zero rows change neither the solution nor the
+    singular values. As in ``lstsq``, singular values at or below
+    ``eps * max(n, p) * s[0]`` count as zero. Returns the minimum-norm
+    solutions (k, p), the singular values (k, p) and the ranks (k,).
+    """
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    cutoff = np.finfo(float).eps * np.maximum(n, A.shape[2]) * s[:, 0]
+    keep = s > cutoff[:, None]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    utb = np.einsum("kmj,km->kj", u, b)
+    return np.einsum("kji,kj->ki", vt, inv * utb), s, keep.sum(axis=1)
+
+
+def _fit_planes(pts, mask):
+    """Stacked ``fit_plane``: normals (k, 3), offsets (k,) and rms (k,).
+
+    ``pts`` is (k, m, 3), zero-padded where ``mask`` (k, m) is False.
+    """
+    n = mask.sum(axis=1)
+    centroid = pts.sum(axis=1) / n[:, None]
+    rel = np.where(mask[..., None], pts - centroid[:, None], 0.0)
+    normal = np.linalg.svd(rel, full_matrices=False)[2][:, -1]
+    res = np.einsum("kmj,kj->km", rel, normal)
+    return (normal, np.einsum("kj,kj->k", normal, centroid),
+            np.sqrt(np.einsum("km,km->k", res, res) / n))
+
+
+def _fit_spheres(pts, mask, max_newton=10):
+    """Stacked ``fit_sphere``: centres (k, 3), radii (k,), rms (k,), plane (k,).
+
+    ``pts`` is (k, m, 3), zero-padded where ``mask`` (k, m) is False. Each
+    stack follows the rules of the single fit on its own: the algebraic seed,
+    the plane fallback (``plane`` True, other outputs meaningless) and at most
+    ``max_newton`` Gauss-Newton steps with its own stopping test.
+    """
+    n = mask.sum(axis=1)
+    if n.min(initial=4) < 4:
+        raise DomainError("sphere fit needs at least four points")
+    rows = mask[..., None]
+    centroid = pts.sum(axis=1) / n[:, None]
+    rel = np.where(rows, pts - centroid[:, None], 0.0)
+    # algebraic stage: |x|^2 = 2 c.x + k is linear in (c, k)
+    A = np.concatenate([2.0 * rel, rows.astype(float)], axis=2)
+    b = np.einsum("kmj,kmj->km", rel, rel)
+    sol, sv, _ = _lstsq(A, b, n)
+    c = sol[:, :3]
+    r2 = sol[:, 3] + np.einsum("kj,kj->k", c, c)
+    plane = (sv[:, -1] < 1e-9 * np.maximum(sv[:, 0], 1e-30)) | (r2 <= 0)
+    r = np.sqrt(np.where(plane, 1.0, r2))
+    # scale-aware planarity guard: curvature too small to resolve
+    extent = np.linalg.norm(rel, axis=2).max(axis=1)
+    plane |= r > 1e6 * extent
+    live = np.nonzero(~plane)[0]
+    for _ in range(max_newton):
+        if not live.size:
+            break
+        d = pts[live] - (centroid[live] + c[live])[:, None]
+        dist = np.linalg.norm(d, axis=2)
+        on = mask[live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            J = np.where(on[..., None], np.concatenate(
+                [-d / dist[..., None], -np.ones_like(dist)[..., None]], axis=2), 0.0)
+        res = np.where(on, dist - r[live, None], 0.0)
+        # a point on the centre makes the step undefined: that fit stops here
+        ok = np.isfinite(J).all(axis=(1, 2))
+        live, J, res = live[ok], J[ok], res[ok]
+        delta, _, _ = _lstsq(J, -res, n[live])
+        c[live] += delta[:, :3]
+        r[live] += delta[:, 3]
+        live = live[np.linalg.norm(delta, axis=1) >= 1e-14 * np.maximum(r[live], 1.0)]
+    center = centroid + c
+    res = np.where(mask, np.linalg.norm(pts - center[:, None], axis=2) - r[:, None], 0.0)
+    return center, r, np.sqrt(np.einsum("km,km->k", res, res) / n), plane
+
+
 def fit_plane(points: np.ndarray) -> PlaneFit:
     pts = np.asarray(points, dtype=float)
-    centroid = pts.mean(axis=0)
-    _, sv, vt = np.linalg.svd(pts - centroid, full_matrices=False)
-    n = vt[-1]
-    res = (pts - centroid) @ n
-    return PlaneFit(tuple(n), float(np.dot(n, centroid)),
-                    float(np.sqrt(np.mean(res ** 2))))
+    normal, offset, rms = _fit_planes(pts[None], np.ones((1, len(pts)), dtype=bool))
+    return PlaneFit(tuple(normal[0]), float(offset[0]), float(rms[0]))
 
 
 def fit_sphere(points: np.ndarray, max_newton: int = 10):
@@ -61,39 +147,28 @@ def fit_sphere(points: np.ndarray, max_newton: int = 10):
     Nearly coplanar clouds fall back to a plane fit.
     """
     pts = np.asarray(points, dtype=float)
-    if len(pts) < 4:
-        raise DomainError("sphere fit needs at least four points")
-    centroid = pts.mean(axis=0)
-    rel = pts - centroid
-    # algebraic stage: |x|^2 = 2 c.x + k is linear in (c, k)
-    A = np.column_stack([2.0 * rel, np.ones(len(pts))])
-    b = np.einsum("ij,ij->i", rel, rel)
-    sol, _, rank, sv = np.linalg.lstsq(A, b, rcond=None)
-    if sv[-1] < 1e-9 * max(sv[0], 1e-30) or sol[3] + np.dot(sol[:3], sol[:3]) <= 0:
+    center, radius, rms, plane = _fit_spheres(
+        pts[None], np.ones((1, len(pts)), dtype=bool), max_newton)
+    if plane[0]:
         return fit_plane(pts)
-    c = sol[:3]
-    r = float(np.sqrt(sol[3] + np.dot(c, c)))
-    # scale-aware planarity guard: curvature too small to resolve
-    extent = np.linalg.norm(rel, axis=1).max()
-    if r > 1e6 * extent:
-        return fit_plane(pts)
-    for _ in range(max_newton):
-        d = pts - (centroid + c)
-        dist = np.linalg.norm(d, axis=1)
-        res = dist - r
-        J = np.column_stack([-d / dist[:, None], -np.ones(len(pts))])
-        try:
-            delta, *_ = np.linalg.lstsq(J, -res, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        c = c + delta[:3]
-        r = r + delta[3]
-        if np.linalg.norm(delta) < 1e-14 * max(r, 1.0):
-            break
-    d = pts - (centroid + c)
-    res = np.linalg.norm(d, axis=1) - r
-    return SphereFit(tuple(centroid + c), float(r),
-                     float(np.sqrt(np.mean(res ** 2))))
+    return SphereFit(tuple(center[0]), float(radius[0]), float(rms[0]))
+
+
+def _neighbourhood_stacks(mesh: TriMeshDrop, depth: int, rows: np.ndarray):
+    """The depth-``depth`` neighbourhoods of ``rows``, vertex included, in stacks.
+
+    Yields ``(block, pts, mask)`` for consecutive blocks of at most
+    ``_BLOCK_ROWS`` rows: ``pts`` (k, m, 3) holds each neighbourhood's
+    points zero-padded to the block's widest one, ``mask`` (k, m) its true rows.
+    """
+    indptr, indices = mesh.neighbourhood(depth)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        first, count = indptr[block], indptr[block + 1] - indptr[block]
+        slot = np.arange(count.max())
+        mask = slot < count[:, None]
+        idx = indices[np.where(mask, first[:, None] + slot, 0)]
+        yield block, np.where(mask[..., None], mesh.vertices[idx], 0.0), mask
 
 
 # -- discrete curvature ----------------------------------------------------
@@ -134,80 +209,59 @@ def mean_curvature_field(mesh: TriMeshDrop) -> np.ndarray:
     return h
 
 
-def _rings(mesh: TriMeshDrop, depth: int = 2):
-    """Neighbours within ``depth`` edges of each vertex, grown from the cached one-ring."""
-    nbrs = mesh.one_ring()
-    out = []
-    for i in range(mesh.n_vertices):
-        ring = {i}
-        for _ in range(depth):
-            ring = ring.union(*(nbrs[j] for j in ring))
-        ring.discard(i)
-        out.append(np.fromiter(ring, dtype=np.int64))
-    return out
-
-
 def sphere_curvature_field(mesh: TriMeshDrop, depth: int = 3) -> np.ndarray:
     """Pointwise mean curvature from local sphere fits (NaN on the boundary).
 
     Wider stencils than the cotangent formula make this estimator robust to
     tangential vertex irregularity; it is the field used for the curvature
-    spread statistic in reports.
+    spread statistic in reports. Neighbourhoods whose fit falls back to a
+    plane get curvature 0.
     """
-    rings = _rings(mesh, depth)
     normals = vertex_normals(mesh)
     out = np.full(mesh.n_vertices, np.nan)
-    for i in np.nonzero(mesh.tag_kind == FREE)[0]:
-        fit = fit_sphere(mesh.vertices[np.append(rings[i], i)])
-        if isinstance(fit, PlaneFit):
-            out[i] = 0.0
-            continue
-        sign = 1.0 if np.dot(mesh.vertices[i] - np.array(fit.center),
-                             normals[i]) > 0 else -1.0
-        out[i] = sign / fit.radius
+    for block, pts, mask in _neighbourhood_stacks(mesh, depth,
+                                                  np.nonzero(mesh.tag_kind == FREE)[0]):
+        center, radius, _, plane = _fit_spheres(pts, mask)
+        outward = np.einsum("kj,kj->k", mesh.vertices[block] - center, normals[block])
+        out[block] = np.where(plane, 0.0, np.where(outward > 0, 1.0, -1.0) / radius)
     return out
 
 
 def principal_curvatures(mesh: TriMeshDrop) -> np.ndarray:
     """Per-vertex (k1, k2) from a local quadric fit over the two-ring.
 
-    Rows are NaN at boundary vertices and wherever the fit is rank deficient.
+    Rows are NaN at boundary vertices and wherever the fit is rank deficient:
+    fewer than five singular values of the fit matrix above ``lstsq``'s
+    cutoff, which includes every two-ring of fewer than five vertices.
     """
     normals = vertex_normals(mesh)
-    rings = _rings(mesh, 2)
     out = np.full((mesh.n_vertices, 2), np.nan)
-    for i in range(mesh.n_vertices):
-        if mesh.tag_kind[i] != FREE:
-            continue
-        ring = rings[i]
-        if len(ring) < 5:
-            continue
-        n = normals[i]
+    for block, pts, mask in _neighbourhood_stacks(mesh, 2,
+                                                  np.nonzero(mesh.tag_kind == FREE)[0]):
+        n = normals[block]
         e1 = np.cross(n, [1.0, 0.0, 0.0])
-        if np.linalg.norm(e1) < 1e-6:
-            e1 = np.cross(n, [0.0, 1.0, 0.0])
-        e1 /= np.linalg.norm(e1)
+        flat = np.linalg.norm(e1, axis=1) < 1e-6
+        e1[flat] = np.cross(n[flat], [0.0, 1.0, 0.0])
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
         e2 = np.cross(n, e1)
-        rel = mesh.vertices[ring] - mesh.vertices[i]
-        x, y, z = rel @ e1, rel @ e2, rel @ n
-        A = np.column_stack([0.5 * x * x, x * y, 0.5 * y * y, x, y])
-        try:
-            coef, *_ = np.linalg.lstsq(A, z, rcond=None)
-        except np.linalg.LinAlgError:
-            continue
-        L, M, N, p, q = coef
+        # the vertex itself gives a zero row, which changes nothing
+        rel = np.where(mask[..., None], pts - mesh.vertices[block][:, None], 0.0)
+        x, y, z = (np.einsum("kmj,kj->km", rel, e) for e in (e1, e2, n))
+        A = np.stack([0.5 * x * x, x * y, 0.5 * y * y, x, y], axis=2)
+        # a non-finite fit matrix (a vertex without a normal) gets no fit
+        finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(z).all(axis=1)
+        coef, _, rank = _lstsq(A[finite], z[finite], mask[finite].sum(axis=1) - 1)
+        full = rank == 5
+        L, M, N, p, q = coef[full].T
         # shape operator of z = f(x, y) at the origin with slope (p, q)
-        E = 1 + p * p
-        F = p * q
-        G = 1 + q * q
         w = np.sqrt(1 + p * p + q * q)
-        second = np.array([[L, M], [M, N]]) / w
-        first = np.array([[E, F], [F, G]])
+        second = np.stack([L, M, M, N], axis=1).reshape(-1, 2, 2) / w[:, None, None]
+        first = np.stack([1 + p * p, p * q, p * q, 1 + q * q], axis=1).reshape(-1, 2, 2)
         k = np.linalg.eigvals(np.linalg.solve(first, second))
         # the fit frame has its third axis along the outward normal, where an
         # outward-bulging surface drops quadratically; flip so such a surface
         # carries positive curvatures, matching the mean-curvature field
-        out[i] = np.sort(-k.real)
+        out[block[finite][full]] = np.sort(-k.real, axis=1)
     return out
 
 
@@ -233,20 +287,6 @@ def umbilicity_rms(mesh: TriMeshDrop) -> float:
 # -- boundary measurements -------------------------------------------------
 
 
-def _local_surface_normal(mesh: TriMeshDrop, i: int, rings, normals) -> np.ndarray:
-    """Surface normal at vertex i from a local sphere (or plane) fit."""
-    ring = np.append(rings[i], i)
-    fit = fit_sphere(mesh.vertices[ring])
-    if isinstance(fit, SphereFit):
-        nu = mesh.vertices[i] - np.array(fit.center)
-        nu /= np.linalg.norm(nu)
-    else:
-        nu = np.array(fit.normal)
-    if np.dot(nu, normals[i]) < 0:
-        nu = -nu
-    return nu
-
-
 def measure_contact_angles(mesh: TriMeshDrop) -> dict[int, np.ndarray]:
     """Measured contact angle at each wall vertex, per wall.
 
@@ -255,15 +295,23 @@ def measure_contact_angles(mesh: TriMeshDrop) -> dict[int, np.ndarray]:
     taken between the liquid and the wall: cos of the measured angle is the
     outward surface normal dotted with the inward wall normal.
     """
-    rings = _rings(mesh, 2)
     normals = vertex_normals(mesh)
-    out: dict[int, list] = {j: [] for j in range(len(mesh.support.planes))}
-    for i in np.nonzero(mesh.tag_kind == ON_PLANE)[0]:
-        nu = _local_surface_normal(mesh, int(i), rings, normals)
-        n_in = mesh.support.planes[mesh.tag_id[i]].normal
-        cosg = np.clip(np.dot(nu, n_in), -1.0, 1.0)
-        out[int(mesh.tag_id[i])].append(np.arccos(cosg))
-    return {j: np.array(v) for j, v in out.items() if v}
+    wall_normals = np.array([p.normal for p in mesh.support.planes])
+    rows = np.nonzero(mesh.tag_kind == ON_PLANE)[0]
+    angles = np.empty(mesh.n_vertices)
+    for block, pts, mask in _neighbourhood_stacks(mesh, 2, rows):
+        center, _, _, plane = _fit_spheres(pts, mask)
+        nu = np.empty((len(block), 3))
+        sphere = ~plane
+        nu[sphere] = mesh.vertices[block[sphere]] - center[sphere]
+        nu[sphere] /= np.linalg.norm(nu[sphere], axis=1)[:, None]
+        nu[plane] = _fit_planes(pts[plane], mask[plane])[0]
+        nu *= np.where(np.einsum("kj,kj->k", nu, normals[block]) < 0, -1.0, 1.0)[:, None]
+        cosg = np.einsum("kj,kj->k", nu, wall_normals[mesh.tag_id[block]])
+        angles[block] = np.arccos(np.clip(cosg, -1.0, 1.0))
+    walls = mesh.tag_id[rows]
+    return {j: angles[rows[walls == j]] for j in range(len(wall_normals))
+            if np.any(walls == j)}
 
 
 def _polyline_tangent(mesh: TriMeshDrop, seg: np.ndarray, at_start: bool,

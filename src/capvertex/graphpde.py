@@ -64,6 +64,11 @@ class RectangleProblem:
             raise DomainError("contact angles must lie in [0, pi]")
         if self.grid_n < 16:
             raise DomainError("grid_n must be at least 16")
+        if min(self.shape) < 3:
+            # the second-order one-sided wall slopes span three cells
+            raise DomainError(
+                f"grid of {self.shape[0]} x {self.shape[1]} cells: each side needs at least 3"
+            )
         h0 = compatibility_h(self.a, self.b, self.gammas)
         if self.h is None:
             object.__setattr__(self, "h", float(h0))

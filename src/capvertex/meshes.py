@@ -8,12 +8,13 @@ with constraint-respecting projection.
 A ``TriMeshDrop`` keeps its topology apart from its geometry. The geometry is
 the ``vertices`` array, which the evolver moves freely. The topology is the
 read-only ``triangles``, ``tag_kind`` and ``tag_id`` arrays and everything
-derived from them alone: the boundary loop, the per-wall contact polylines
-and the one-ring neighbour lists. Each derived item is built on first use, at
-most once per triangulation, and no vertex move reaches it. The one place
-where topology may change is assignment to ``triangles`` (the orientation
-flip in ``_orient_positive``); it starts a fresh, empty topology. Subdivision,
-OBJ reading and structured surfaces build new meshes instead.
+derived from them alone: the boundary loop, the per-wall contact polylines,
+the one-ring neighbour lists and the depth-k neighbourhoods. Each derived
+item is built on first use, at most once per triangulation, and no vertex
+move reaches it. The one place where topology may change is assignment to
+``triangles`` (the orientation flip in ``_orient_positive``); it starts a
+fresh, empty topology. Subdivision, OBJ reading and structured surfaces build
+new meshes instead.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .analytic import (
     SphericalCap,
@@ -139,6 +141,7 @@ class _Topology:
         self.loop = None
         self.polylines = None
         self.neighbours = None
+        self.neighbourhoods = {}
 
 
 def _build_boundary_loop(triangles) -> np.ndarray:
@@ -200,6 +203,23 @@ def _build_neighbours(triangles, n_vertices):
     rings = [list(dict.fromkeys(s)) for s in seq]
     indptr = np.cumsum([0] + [len(r) for r in rings])
     return _frozen(indptr, np.int64), _frozen([j for r in rings for j in r], np.int64)
+
+
+def _build_neighbourhood(neighbours, depth):
+    """Vertices within ``depth`` edges of each vertex, itself included.
+
+    The sparsity pattern of ``(I + A)^depth``, for ``A`` the adjacency of the
+    one-ring lists, as CSR arrays ``(indptr, indices)`` with sorted indices.
+    """
+    indptr, indices = neighbours
+    n = len(indptr) - 1
+    step = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    step = step + sp.identity(n, format="csr")
+    out = sp.identity(n, format="csr")
+    for _ in range(depth):
+        out = out @ step
+    out.sort_indices()
+    return _frozen(out.indptr, np.int32), _frozen(out.indices, np.int32)
 
 
 class TriMeshDrop:
@@ -271,11 +291,25 @@ class TriMeshDrop:
         The lists, not the sets, are kept: a set costs over ten times the
         memory of its CSR entries.
         """
+        indptr, indices = (a.tolist() for a in self._neighbour_lists())
+        return [set(indices[i:j]) for i, j in zip(indptr[:-1], indptr[1:])]
+
+    def neighbourhood(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """Vertices within ``depth`` edges of each vertex, itself included.
+
+        Read-only CSR arrays ``(indptr, indices)``, each row sorted; built on
+        first use for each depth and kept with the topology.
+        """
+        topo = self._topology
+        if depth not in topo.neighbourhoods:
+            topo.neighbourhoods[depth] = _build_neighbourhood(self._neighbour_lists(), depth)
+        return topo.neighbourhoods[depth]
+
+    def _neighbour_lists(self):
         topo = self._topology
         if topo.neighbours is None:
             topo.neighbours = _build_neighbours(topo.triangles, len(topo.tag_kind))
-        indptr, indices = (a.tolist() for a in topo.neighbours)
-        return [set(indices[i:j]) for i, j in zip(indptr[:-1], indptr[1:])]
+        return topo.neighbours
 
     # -- geometry ---------------------------------------------------------
 
@@ -618,17 +652,16 @@ def structured_surface(points: np.ndarray) -> TriMeshDrop:
     pts = np.asarray(points, dtype=float)
     nx, ny, _ = pts.shape
     idx = np.arange(nx * ny).reshape(nx, ny)
-    tris = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            a, b = idx[i, j], idx[i + 1, j]
-            c, d = idx[i + 1, j + 1], idx[i, j + 1]
-            tris += [[a, b, c], [a, c, d]]
+    # cell (i, j) has corners a = (i, j), b = (i+1, j), c = (i+1, j+1),
+    # d = (i, j+1) and gives triangles abc, acd, cells in row-major order
+    a, b = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel()
+    c, d = idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
     tag_kind = np.zeros(nx * ny, dtype=np.int8)
     boundary = np.zeros((nx, ny), dtype=bool)
     boundary[0, :] = boundary[-1, :] = boundary[:, 0] = boundary[:, -1] = True
     tag_kind[boundary.ravel()] = ON_PLANE
-    return TriMeshDrop(pts.reshape(-1, 3), np.array(tris), tag_kind,
+    return TriMeshDrop(pts.reshape(-1, 3), tris, tag_kind,
                        np.zeros(nx * ny, dtype=np.int64), support=None)
 
 

@@ -132,6 +132,7 @@ _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
     {"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [True, 1.0, 1.0, 1.0]},
     {"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [math.pi / 3] * 4,
      "grid_n": "32"},
+    {"kind": "solve-graph", "a": 0.1, "b": 1.0, "gammas": [math.pi / 3] * 4, "grid_n": 16},
     {"kind": "cap", "support": "cylinder", "gammas": [1.9] * 3, "inradius": math.nan},
     {"kind": "cap", "support": "wedge", "alpha": math.pi / 4,
      "gammas": [math.nan, 2.0], "h": 1.0},

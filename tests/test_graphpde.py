@@ -46,6 +46,18 @@ def test_grid_floor():
         RectangleProblem(1.0, 1.0, (1.0,) * 4, grid_n=8)
 
 
+@pytest.mark.parametrize("a, b", [(0.1, 1.0), (1.0, 0.1)])
+def test_grid_needs_three_cells_along_each_side(a, b):
+    with pytest.raises(DomainError, match="at least 3"):
+        RectangleProblem(a, b, (np.pi / 3,) * 4, grid_n=16)
+
+
+def test_three_cells_across_is_enough():
+    field = solve_rectangle(RectangleProblem(3 / 16, 1.0, (1.2,) * 4, grid_n=16))
+    assert field.u.shape == (3, 16)
+    assert np.isfinite(field.u).all()
+
+
 def test_solver_matches_exact_cap_small_grid():
     p = RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, grid_n=32)
     f = solve_rectangle(p)

@@ -126,6 +126,20 @@ def test_structured_surface_topology():
     assert np.count_nonzero(m.tag_kind == FREE) == 49
 
 
+def test_structured_surface_triangles_in_cell_order():
+    nx, ny = 4, 6
+    pts = np.random.default_rng(2).random((nx, ny, 3))
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    expected = []
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            a, b, c, d = idx[i, j], idx[i + 1, j], idx[i + 1, j + 1], idx[i, j + 1]
+            expected += [[a, b, c], [a, c, d]]
+    m = structured_surface(pts)
+    assert np.array_equal(m.triangles, np.array(expected))
+    assert m.triangles.dtype == np.int64
+
+
 def test_support_adapter_edges():
     cyl = SupportAdapter(TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3))
     assert cyl.kind == "cylinder"
