@@ -248,6 +248,7 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
         "final_gradient_norm": rep.final_gradient_norm,
         "volume": volume(evolved), "volume_error": rep.volume_error,
         "lagrange_h": rep.lagrange_h,
+        "trace": rep.trace,
         "diagnostics": json.loads(diag.to_json()),
     }
     (out / "report.json").write_text(json.dumps(report, indent=2))
@@ -260,6 +261,13 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
 def _outcome(name, passed, measured, threshold, note=""):
     return {"criterion": name, "pass": bool(passed), "measured": measured,
             "threshold": threshold, "note": note}
+
+
+def _with_solve(rep, outcomes) -> list:
+    """The outcomes measured on one evolve, each with that solve's state."""
+    state = {"converged": bool(rep.converged), "iterations": int(rep.iterations),
+             "final_gradient_norm": float(rep.final_gradient_norm)}
+    return [{**o, **state} for o in outcomes]
 
 
 def _suite_formulas(opts) -> list:
@@ -336,25 +344,24 @@ def _suite_counterexample(opts) -> list:
 
 
 def _evolve_sphere_check(config, h, refinement, seed, max_iters, planar=False):
+    """The perturbed seed relaxed by ``evolve``: the mesh and its convergence report."""
     if planar:
         mesh = seed_planar_trihedral(config, refinement_level=refinement)
     else:
         mesh = seed_mesh(config, h=h, refinement_level=refinement)
-    mesh = perturb(mesh, _SUITE_PERTURBATION, seed=seed)
-    evolved, rep = evolve(mesh, max_iters=max_iters)
-    return evolved, rep
+    return evolve(perturb(mesh, _SUITE_PERTURBATION, seed=seed), max_iters=max_iters)
 
 
 def _suite_theorem1(opts) -> list:
     refinement = opts.get("refinement", 4)
     config = WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3)
-    evolved, _ = _evolve_sphere_check(config, 1.0, refinement, opts["seed"],
-                                      opts.get("max_iters", 1100))
+    evolved, rep = _evolve_sphere_check(config, 1.0, refinement, opts["seed"],
+                                        opts.get("max_iters", 1100))
     diag = diagnostics_report(evolved)
     two_beta = vertex_angle(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3).two_beta
     worst_beta = max(abs(v - two_beta) for v in diag.vertex_angles.values())
     worst_ca = max(diag.contact_angle_max_error.values())
-    return [
+    return _with_solve(rep, [
         _outcome("sphere-fit", diag.sphere_relative_rms < 1e-3,
                  diag.sphere_relative_rms, 1e-3),
         _outcome("mean-curvature-cv", diag.mean_curvature_cv < 1e-2,
@@ -364,25 +371,25 @@ def _suite_theorem1(opts) -> list:
         _outcome("vertex-angle", worst_beta < np.radians(2.0),
                  float(worst_beta), float(np.radians(2.0)),
                  "opening vs closed form arccos(1/3)"),
-    ]
+    ])
 
 
 def _suite_theorem3(opts) -> list:
     refinement = opts.get("refinement", 3)
     outcomes = []
     flat_cfg = TrihedralConfig.orthant((float(np.arccos(np.sqrt(3.0) / 3.0)),) * 3)
-    evolved, _ = _evolve_sphere_check(flat_cfg, None, refinement, opts["seed"],
-                                      opts.get("max_iters", 600), planar=True)
+    evolved, rep = _evolve_sphere_check(flat_cfg, None, refinement, opts["seed"],
+                                        opts.get("max_iters", 600), planar=True)
     plane = fit_plane(evolved.vertices)
     diam = float(np.ptp(evolved.vertices, axis=0).max())
-    outcomes.append(_outcome("planar-mode", plane.rms < 1e-4 * diam,
-                             plane.rms / diam, 1e-4, "flat drop stays flat"))
+    outcomes += _with_solve(rep, [_outcome("planar-mode", plane.rms < 1e-4 * diam,
+                                           plane.rms / diam, 1e-4, "flat drop stays flat")])
     round_cfg = TrihedralConfig.orthant((np.pi / 2,) * 3)
-    evolved, _ = _evolve_sphere_check(round_cfg, 1.0, refinement, opts["seed"],
-                                      opts.get("max_iters", 800))
+    evolved, rep = _evolve_sphere_check(round_cfg, 1.0, refinement, opts["seed"],
+                                        opts.get("max_iters", 800))
     diag = diagnostics_report(evolved)
-    outcomes.append(_outcome("sphere-fit", diag.sphere_relative_rms < 1e-3,
-                             diag.sphere_relative_rms, 1e-3))
+    outcomes += _with_solve(rep, [_outcome("sphere-fit", diag.sphere_relative_rms < 1e-3,
+                                           diag.sphere_relative_rms, 1e-3)])
     return outcomes
 
 
@@ -395,14 +402,12 @@ def _suite_theorem4(opts) -> list:
     for p in config.planes:
         cosm = abs(p.signed_distance(np.asarray(cap.center))) / cap.radius
         worst = max(worst, abs(cosm - abs(np.cos(p.gamma))))
-    evolved, _ = _evolve_sphere_check(config, None, refinement, opts["seed"],
-                                      opts.get("max_iters", 800))
+    evolved, rep = _evolve_sphere_check(config, None, refinement, opts["seed"],
+                                        opts.get("max_iters", 800))
     diag = diagnostics_report(evolved)
-    return [
-        _outcome("cap-contact-angles", worst < 1e-12, float(worst), 1e-12),
-        _outcome("sphere-fit", diag.sphere_relative_rms < 1e-3,
-                 diag.sphere_relative_rms, 1e-3),
-    ]
+    return [_outcome("cap-contact-angles", worst < 1e-12, float(worst), 1e-12),
+            *_with_solve(rep, [_outcome("sphere-fit", diag.sphere_relative_rms < 1e-3,
+                                        diag.sphere_relative_rms, 1e-3)])]
 
 
 def verify_suite(name: str, seed: int = 0, **opts) -> list:

@@ -174,33 +174,21 @@ def _neighbourhood_stacks(mesh: TriMeshDrop, depth: int, rows: np.ndarray):
 # -- discrete curvature ----------------------------------------------------
 
 
-def _cotangents(mesh: TriMeshDrop):
-    """Per-triangle cotangents opposite each corner."""
-    v, t = mesh.vertices, mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    cots = np.empty((len(t), 3))
-    for k, (p, q, r) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
-        u, w = q - p, r - p
-        cross = np.linalg.norm(np.cross(u, w), axis=1)
-        cots[:, k] = np.einsum("ij,ij->i", u, w) / np.maximum(cross, 1e-30)
-    return cots
-
-
 def mean_curvature_field(mesh: TriMeshDrop) -> np.ndarray:
     """Pointwise mean curvature at interior vertices (NaN on the boundary).
 
     Cotangent mean-curvature normal with barycentric dual areas; positive for
     a surface bulging along its outward normal, as for a drop.
     """
-    v, t = mesh.vertices, mesh.triangles
-    cots = _cotangents(mesh)
-    lap = np.zeros_like(v)
-    # cotangent at corner k multiplies the opposite edge (k+1, k+2)
-    for k in range(3):
-        i, j = t[:, (k + 1) % 3], t[:, (k + 2) % 3]
-        w = cots[:, k][:, None]
-        np.add.at(lap, i, w * (v[i] - v[j]))
-        np.add.at(lap, j, w * (v[j] - v[i]))
+    p = mesh.vertices[mesh.triangles.T]          # (3, T, 3): corner k of each triangle
+    # the edges from corner k to corners k+1 and k+2, and the cotangent at k
+    u, w = np.roll(p, -1, axis=0) - p, np.roll(p, -2, axis=0) - p
+    cot = np.einsum("kti,kti->kt", u, w) / np.maximum(
+        np.linalg.norm(np.cross(u, w), axis=2), 1e-30)
+    # the cotangent at a corner weighs the opposite edge, so corner k takes
+    # its edge to k+1 with the cotangent at k+2, and its edge to k+2 with k+1's
+    corner = np.roll(cot, -2, axis=0)[..., None] * u + np.roll(cot, -1, axis=0)[..., None] * w
+    lap = -(mesh.corner_incidence() @ corner.reshape(-1, 3))
     dual = vertex_dual_areas(mesh)
     hn = lap / (4.0 * dual[:, None])   # half the Laplace-Beltrami of position
     normals = vertex_normals(mesh)

@@ -11,6 +11,12 @@ gradients at a vertex state: it computes each triangle's cross product and
 builds each wetted wall polygon once. The public functionals and gradients
 are one-line reads of that pass, and code that needs several of them at one
 state calls the pass once and reads its fields.
+
+Two sparse operators cached with the mesh topology carry every sum and every
+constraint. The corner incidence ``C`` sums per-corner values onto vertices;
+there is no scatter outside ``C``. The constraint basis ``R`` maps a vertex
+field to the coordinates its constraints allow: the projection is
+``R^T R g``, and the descent runs on ``q`` with vertices ``x0 + R^T q``.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MeshDegenerationError, NonConvergenceError
-from .meshes import FREE, ON_EDGE, ON_PLANE, TriMeshDrop, vertex_normals
+from .meshes import FREE, TriMeshDrop, vertex_normals
 
 __all__ = [
     "EnergyBreakdown", "ConvergenceReport",
@@ -47,7 +53,6 @@ class ConvergenceReport:
     final_gradient_norm: float = np.nan
     volume_error: float = np.nan
     lagrange_h: float = np.nan
-    energy_history: list = field(default_factory=list)
     trace: list = field(default_factory=list)
 
 
@@ -81,10 +86,11 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
     norms = np.linalg.norm(w, axis=1)
     area = float((0.5 * norms).sum())
     nhat = w / norms[:, None]
-    area_grad, flux_grad = np.zeros_like(v), np.zeros_like(v)
-    for k, edge in enumerate((c - b, a - c, b - a)):  # edge opposite corner k
-        np.add.at(area_grad, t[:, k], 0.5 * np.cross(nhat, edge))
-        np.add.at(flux_grad, t[:, k], (w - np.cross(edge, s)) / 6.0)
+    edges = np.stack((c - b, a - c, b - a))           # edge opposite corner k
+    corner = np.concatenate([0.5 * np.cross(nhat, edges), (w - np.cross(edges, s)) / 6.0],
+                            axis=2)
+    grads = mesh.corner_incidence() @ corner.reshape(-1, 6)
+    area_grad, flux_grad = grads[:, :3], grads[:, 3:]
 
     energy_grad = area_grad.copy()
     wet = {}
@@ -100,11 +106,10 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
         eu, ev = sup.wall_frame(j)
         gx = 0.5 * (np.roll(y, -1) - np.roll(y, 1))
         gy = 0.5 * (np.roll(x, 1) - np.roll(x, -1))
-        grad = np.zeros_like(v)
-        n = len(seg)
-        np.add.at(grad, seg, gx[:n, None] * eu + gy[:n, None] * ev)
-        energy_grad -= np.cos(sup.planes[j].gamma) * grad
-        flux_grad -= sup.planes[j].offset * grad
+        n = len(seg)                    # a polyline visits each vertex once
+        grad = gx[:n, None] * eu + gy[:n, None] * ev
+        energy_grad[seg] -= np.cos(sup.planes[j].gamma) * grad
+        flux_grad[seg] -= sup.planes[j].offset * grad
 
     vol = float(np.einsum("ij,ij->", s, w)) / 6.0
     for j, p in enumerate(sup.planes):
@@ -151,22 +156,13 @@ def energy_gradient(mesh: TriMeshDrop) -> np.ndarray:
 
 def project_tangent(mesh: TriMeshDrop, grad: np.ndarray) -> np.ndarray:
     """Project a vertex vector field onto the constraint-tangent directions."""
-    out = grad.copy()
-    for i in np.nonzero(mesh.tag_kind == ON_PLANE)[0]:
-        n = mesh.support.planes[mesh.tag_id[i]].normal
-        out[i] -= np.dot(out[i], n) * n
-    for i in np.nonzero(mesh.tag_kind == ON_EDGE)[0]:
-        d = mesh.support.edges[mesh.tag_id[i]].direction
-        out[i] = np.dot(out[i], d) * d
-    return out
+    R = mesh.constraint_basis()
+    return (R.T @ (R @ np.ravel(grad))).reshape(-1, 3)
 
 
 def vertex_dual_areas(mesh: TriMeshDrop) -> np.ndarray:
-    areas = mesh.triangle_areas()
-    out = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        np.add.at(out, mesh.triangles[:, k], areas / 3.0)
-    return out
+    """Barycentric dual area of each vertex: a third of each incident triangle."""
+    return mesh.corner_incidence() @ np.tile(mesh.triangle_areas() / 3.0, 3)
 
 
 # -- volume restoration ----------------------------------------------------
@@ -193,44 +189,19 @@ def _restore_volume(mesh: TriMeshDrop, target: float, rel_tol: float = 1e-10,
 
 
 def _smooth(mesh: TriMeshDrop, coeff: float):
-    """Tangential area-weighted Laplacian; constrained vertices slide only."""
-    v = mesh.vertices
-    nbrs = [np.fromiter(s, dtype=np.int64) for s in mesh.one_ring()]
-    weights = vertex_dual_areas(mesh)
-    normals = vertex_normals(mesh)
-    disp = np.zeros_like(v)
-    for i in range(mesh.n_vertices):
-        nb = nbrs[i]
-        w = weights[nb]
-        target = (w[:, None] * v[nb]).sum(axis=0) / w.sum()
-        d = target - v[i]
-        if mesh.tag_kind[i] == FREE:
-            d -= np.dot(d, normals[i]) * normals[i]
-        disp[i] = d
-    disp = project_tangent(mesh, disp)
-    mesh.vertices += coeff * disp
+    """Tangential area-weighted Laplacian; constrained vertices slide only.
 
-
-def _reduced_basis(mesh: TriMeshDrop):
-    """Affine parametrization respecting the constraints.
-
-    Free vertices keep three degrees of freedom, plane vertices two in-plane
-    directions, edge-line vertices one along-line direction.
+    Each vertex moves toward the dual-area-weighted mean of its one-ring; a
+    free vertex loses the normal part of that move, a constrained one keeps
+    the part its constraint allows.
     """
-    dof_vertex, dof_dir = [], []
-    for i in range(mesh.n_vertices):
-        if mesh.tag_kind[i] == FREE:
-            for k in range(3):
-                dof_vertex.append(i)
-                dof_dir.append(np.eye(3)[k])
-        elif mesh.tag_kind[i] == ON_PLANE:
-            eu, ev = mesh.support.wall_frame(mesh.tag_id[i])
-            dof_vertex += [i, i]
-            dof_dir += [eu, ev]
-        else:
-            dof_vertex.append(i)
-            dof_dir.append(mesh.support.edges[mesh.tag_id[i]].direction)
-    return np.array(dof_vertex), np.array(dof_dir)
+    v, adj = mesh.vertices, mesh.adjacency()
+    weights = vertex_dual_areas(mesh)
+    disp = (adj @ (weights[:, None] * v)) / (adj @ weights)[:, None] - v
+    free = mesh.tag_kind == FREE
+    n = vertex_normals(mesh)[free]
+    disp[free] -= np.einsum("ij,ij->i", disp[free], n)[:, None] * n
+    mesh.vertices += coeff * project_tangent(mesh, disp)
 
 
 def _residual_norm(mesh: TriMeshDrop, fixed_volume: bool):
@@ -267,20 +238,17 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
     target = work.target_volume if work.target_volume is not None else state.volume
     work.target_volume = target
     report = ConvergenceReport()
-    report.energy_history.append(state.total)
 
-    dof_vertex, dof_dir = _reduced_basis(work)
+    R = work.constraint_basis()
     scale = max(abs(target), 1e-30)
-    mu = 1e3 * max(1.0, abs(report.energy_history[0])) / scale ** 2
+    mu = 1e3 * max(1.0, abs(state.total)) / scale ** 2
     inner_budget = max_iters
 
     def set_q(q):
-        v = x0 + np.zeros_like(x0)
-        np.add.at(v, dof_vertex, q[:, None] * dof_dir)
-        work.vertices = v
+        work.vertices = x0 + (R.T @ q).reshape(-1, 3)
 
     def reduce_grad(g):
-        return np.einsum("ij,ij->i", g[dof_vertex], dof_dir)
+        return R @ g.ravel()
 
     def objective(q):
         set_q(q)
@@ -308,7 +276,7 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
             if ok:
                 work = trial
         x0 = work.vertices.copy()
-        q0 = np.zeros(len(dof_vertex))
+        q0 = np.zeros(R.shape[0])
         res = minimize(objective, q0, jac=True, method="L-BFGS-B",
                        options={"maxiter": min(inner_budget, 500), "ftol": 1e-16,
                                 "gtol": 1e-12, "maxcor": 30})
@@ -327,8 +295,7 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
                 mu *= 10.0
         if gnorm < best_resid:
             best_resid, best_state = gnorm, work.copy()
-        report.energy_history.append(state.total)
-        report.trace.append({"nit": int(res.nit), "energy": float(report.energy_history[-1]),
+        report.trace.append({"nit": int(res.nit), "energy": float(state.total),
                              "residual": gnorm, "volume_error": float(dv), "mu": float(mu),
                              "multiplier": float(lam_aug), "min_area": min_area})
         vol_ok = (not fixed_volume) or abs(dv) < 1e-6 * scale

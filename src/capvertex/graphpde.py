@@ -25,6 +25,11 @@ __all__ = ["RectangleProblem", "GraphField", "compatibility_h", "solve_rectangle
 # wall order used throughout: left (x=0), right (x=a), bottom (y=0), top (y=b)
 WALLS = ("left", "right", "bottom", "top")
 
+# a solve stagnates when this many Newton steps in a row each leave more than
+# this fraction of the residual
+_STALL_STEPS = 5
+_STALL_RATIO = 0.9
+
 
 def compatibility_h(a: float, b: float, gammas) -> float:
     """Mean curvature implied by the divergence theorem.
@@ -226,8 +231,10 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
                     max_iters: int = 60, initial: np.ndarray | None = None) -> GraphField:
     """Damped Newton solve of the discrete CMC system.
 
-    Returns the mean-zero height field; raises ``NonConvergenceError`` with the
-    iteration trace if the residual stagnates.
+    Returns the mean-zero height field. Raises ``NonConvergenceError`` with the
+    trace of residuals if the residual stagnates: the line search finds no
+    decrease, or ``_STALL_STEPS`` steps in a row each cut it by less than
+    ``1 - _STALL_RATIO``.
     """
     disc = _Discretization(prob)
     u = _initial_guess(prob) if initial is None else np.array(initial, dtype=float)
@@ -242,6 +249,11 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
         if rnorm < tol:
             return GraphField(u=u, hx=disc.hx, hy=disc.hy, a=prob.a, b=prob.b,
                               iterations=it, final_residual=rnorm)
+        recent = trace[-_STALL_STEPS - 1:]
+        if len(recent) > _STALL_STEPS and all(
+                new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
+            raise NonConvergenceError(
+                f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
         J = disc.jacobian(u)
         # mean-zero gauge via a bordered system (J has the constant nullspace)
         A = sp.bmat([[J, ones[:, None]], [ones[None, :], None]], format="csc")

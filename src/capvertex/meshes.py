@@ -7,14 +7,16 @@ with constraint-respecting projection.
 
 A ``TriMeshDrop`` keeps its topology apart from its geometry. The geometry is
 the ``vertices`` array, which the evolver moves freely. The topology is the
-read-only ``triangles``, ``tag_kind`` and ``tag_id`` arrays and everything
-derived from them alone: the boundary loop, the per-wall contact polylines,
-the one-ring neighbour lists and the depth-k neighbourhoods. Each derived
-item is built on first use, at most once per triangulation, and no vertex
-move reaches it. The one place where topology may change is assignment to
-``triangles`` (the orientation flip in ``_orient_positive``); it starts a
-fresh, empty topology. Subdivision, OBJ reading and structured surfaces build
-new meshes instead.
+read-only ``triangles``, ``tag_kind`` and ``tag_id`` arrays and all that is
+derived from them: the boundary loop, the wall polylines, the one-ring
+adjacency, the depth-k neighbourhoods, the corner incidence ``C`` (n x 3T;
+there is no scatter outside ``C``) and the constraint basis ``R`` (n_dof x 3n,
+whose rows are the directions a vertex may move in; it reads the support,
+which meshes sharing a topology share). Each is built on first use, at most
+once per triangulation, and no vertex move reaches it. Assignment to
+``triangles`` (the orientation flip in ``_orient_positive``) starts a fresh,
+empty topology; subdivision, OBJ reading and structured surfaces build new
+meshes.
 """
 
 from __future__ import annotations
@@ -127,10 +129,16 @@ def _frozen(values, dtype) -> np.ndarray:
     return out
 
 
+def _frozen_csr(m: sp.csr_matrix) -> sp.csr_matrix:
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
 class _Topology:
     """Triangles and tags of one triangulation, with the items derived from them.
 
-    The derived items start empty and are filled in on first use by the mesh.
+    ``derived`` starts empty and is filled in on first use by the mesh.
     Meshes with equal triangles and tags share one instance.
     """
 
@@ -138,10 +146,7 @@ class _Topology:
         self.triangles = _frozen(triangles, np.int64)
         self.tag_kind = _frozen(tag_kind, np.int8)
         self.tag_id = _frozen(tag_id, np.int64)
-        self.loop = None
-        self.polylines = None
-        self.neighbours = None
-        self.neighbourhoods = {}
+        self.derived = {}
 
 
 def _build_boundary_loop(triangles) -> np.ndarray:
@@ -188,38 +193,58 @@ def _build_wall_polylines(loop, tag_kind, tag_id) -> dict:
     return out
 
 
-def _build_neighbours(triangles, n_vertices):
-    """One-ring neighbours of each vertex as CSR arrays ``(indptr, indices)``.
+def _build_corner_incidence(triangles, n_vertices) -> sp.csr_matrix:
+    """(n, 3T) 0/1 matrix whose column ``k*T + t`` is corner k of triangle t.
 
-    Each vertex lists its neighbours in the order the triangles first add
-    them, so ``set()`` of a list performs the same insertions, in the same
-    order, as growing the set triangle by triangle, and iterates alike.
+    Each row holds its corners in column order, so a product sums a vertex's
+    corners in that order: corner 0 of every triangle first.
     """
-    seq = [[] for _ in range(n_vertices)]
-    for a, b, c in triangles.tolist():
-        seq[a] += (b, c)
-        seq[b] += (a, c)
-        seq[c] += (a, b)
-    rings = [list(dict.fromkeys(s)) for s in seq]
-    indptr = np.cumsum([0] + [len(r) for r in rings])
-    return _frozen(indptr, np.int64), _frozen([j for r in rings for j in r], np.int64)
+    corner = triangles.T.ravel()
+    return _frozen_csr(sp.csr_matrix(
+        (np.ones(len(corner)), (corner, np.arange(len(corner)))),
+        shape=(n_vertices, len(corner))))
 
 
-def _build_neighbourhood(neighbours, depth):
+def _build_adjacency(triangles, n_vertices) -> sp.csr_matrix:
+    """(n, n) 0/1 one-ring adjacency: entry (i, j) is 1 when ij is an edge."""
+    i = triangles[:, [0, 0, 1, 1, 2, 2]].ravel()
+    j = triangles[:, [1, 2, 0, 2, 0, 1]].ravel()
+    a = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n_vertices, n_vertices))
+    a.data[:] = 1.0                     # an interior edge is listed twice
+    return _frozen_csr(a)
+
+
+def _build_neighbourhood(adjacency, depth):
     """Vertices within ``depth`` edges of each vertex, itself included.
 
-    The sparsity pattern of ``(I + A)^depth``, for ``A`` the adjacency of the
-    one-ring lists, as CSR arrays ``(indptr, indices)`` with sorted indices.
+    The sparsity pattern of ``(I + A)^depth``, for ``A`` the one-ring
+    adjacency, as CSR arrays ``(indptr, indices)`` with sorted indices.
     """
-    indptr, indices = neighbours
-    n = len(indptr) - 1
-    step = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    step = step + sp.identity(n, format="csr")
-    out = sp.identity(n, format="csr")
-    for _ in range(depth):
-        out = out @ step
+    out = (adjacency + sp.identity(adjacency.shape[0], format="csr")) ** depth
     out.sort_indices()
     return _frozen(out.indptr, np.int32), _frozen(out.indices, np.int32)
+
+
+def _build_constraint_basis(tag_kind, tag_id, support) -> sp.csr_matrix:
+    """(n_dof, 3n) matrix of the unit directions each vertex may move in.
+
+    Rows are ordered by vertex: three axes for a free vertex, the wall frame
+    of a plane vertex, the line direction of an edge vertex. Each row touches
+    the three coordinates of its vertex only.
+    """
+    n = len(tag_kind)
+    free, plane, edge = (tag_kind == k for k in (FREE, ON_PLANE, ON_EDGE))
+    dirs = np.zeros((n, 3, 3))
+    dirs[free] = np.eye(3)
+    dirs[plane, :2] = np.array([support.wall_frame(j)
+                                for j in range(len(support.planes))])[tag_id[plane]]
+    dirs[edge, 0] = np.array([e.direction for e in support.edges])[tag_id[edge]]
+    count = np.select([free, plane], [3, 2], default=1)
+    vertex = np.repeat(np.arange(n), count)
+    cols = 3 * vertex[:, None] + np.arange(3)
+    return _frozen_csr(sp.csr_matrix(
+        (dirs[np.arange(3) < count[:, None]].ravel(), cols.ravel(),
+         np.arange(0, cols.size + 1, 3)), shape=(len(vertex), 3 * n)))
 
 
 class TriMeshDrop:
@@ -262,54 +287,57 @@ class TriMeshDrop:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def edge_set(self):
-        t = self.triangles
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        return np.unique(np.sort(e, axis=1), axis=0)
-
     def euler_characteristic(self) -> int:
-        return self.n_vertices - len(self.edge_set()) + len(self.triangles)
+        # the adjacency lists each edge twice, once from either end
+        return self.n_vertices - self.adjacency().nnz // 2 + len(self.triangles)
+
+    def _derived(self, key, build):
+        """The topology item ``key``: ``build()`` on first use, then kept."""
+        items = self._topology.derived
+        if key not in items:
+            items[key] = build()
+        return items[key]
 
     def boundary_loop(self) -> np.ndarray:
         """Vertex indices of the single boundary loop, in orientation order."""
-        topo = self._topology
-        if topo.loop is None:
-            topo.loop = _build_boundary_loop(topo.triangles)
-        return topo.loop
+        return self._derived("loop", lambda: _build_boundary_loop(self.triangles))
 
     def wall_polylines(self) -> dict[int, np.ndarray]:
         """Ordered boundary vertex indices per wall, endpoints on edge lines."""
-        topo = self._topology
-        if topo.polylines is None:
-            topo.polylines = _build_wall_polylines(self.boundary_loop(),
-                                                   topo.tag_kind, topo.tag_id)
-        return dict(topo.polylines)
-
-    def one_ring(self) -> list[set]:
-        """A new neighbour set for each vertex, from the cached neighbour lists.
-
-        The lists, not the sets, are kept: a set costs over ten times the
-        memory of its CSR entries.
-        """
-        indptr, indices = (a.tolist() for a in self._neighbour_lists())
-        return [set(indices[i:j]) for i, j in zip(indptr[:-1], indptr[1:])]
+        return dict(self._derived("polylines", lambda: _build_wall_polylines(
+            self.boundary_loop(), self.tag_kind, self.tag_id)))
 
     def neighbourhood(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
         """Vertices within ``depth`` edges of each vertex, itself included.
 
-        Read-only CSR arrays ``(indptr, indices)``, each row sorted; built on
-        first use for each depth and kept with the topology.
+        Read-only CSR arrays ``(indptr, indices)``, each row sorted.
         """
-        topo = self._topology
-        if depth not in topo.neighbourhoods:
-            topo.neighbourhoods[depth] = _build_neighbourhood(self._neighbour_lists(), depth)
-        return topo.neighbourhoods[depth]
+        return self._derived(("neighbourhood", depth),
+                             lambda: _build_neighbourhood(self.adjacency(), depth))
 
-    def _neighbour_lists(self):
-        topo = self._topology
-        if topo.neighbours is None:
-            topo.neighbours = _build_neighbours(topo.triangles, len(topo.tag_kind))
-        return topo.neighbours
+    def adjacency(self) -> sp.csr_matrix:
+        """The (n, n) 0/1 one-ring adjacency, read-only."""
+        return self._derived("adjacency", lambda: _build_adjacency(
+            self.triangles, len(self.tag_kind)))
+
+    def corner_incidence(self) -> sp.csr_matrix:
+        """The (n, 3T) corner incidence ``C``, read-only.
+
+        ``C @ x`` sums per-corner rows ``x`` (corner k of triangle t at row
+        ``k*T + t``) onto the vertices.
+        """
+        return self._derived("corners", lambda: _build_corner_incidence(
+            self.triangles, len(self.tag_kind)))
+
+    def constraint_basis(self) -> sp.csr_matrix:
+        """The (n_dof, 3n) constraint basis ``R``, read-only.
+
+        Its rows are orthonormal per vertex, so ``R @ g.ravel()`` gives the
+        reduced coordinates of a vertex field ``g`` and ``R.T @ (R @ g.ravel())``
+        its projection onto the directions the constraints allow.
+        """
+        return self._derived("basis", lambda: _build_constraint_basis(
+            self.tag_kind, self.tag_id, self.support))
 
     # -- geometry ---------------------------------------------------------
 
@@ -350,9 +378,6 @@ class TriMeshDrop:
             e = self.support.edges[self.tag_id[i]]
             rel = self.vertices[i] - e.point
             self.vertices[i] = e.point + np.dot(rel, e.direction) * e.direction
-
-    def interior_mask(self) -> np.ndarray:
-        return self.tag_kind == FREE
 
 
 # -- seeding ---------------------------------------------------------------
@@ -635,9 +660,7 @@ def vertex_normals(mesh: TriMeshDrop) -> np.ndarray:
     """Area-weighted outward vertex normals."""
     v, t = mesh.vertices, mesh.triangles
     fn = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
-    out = np.zeros_like(v)
-    for k in range(3):
-        np.add.at(out, t[:, k], fn)
+    out = mesh.corner_incidence() @ np.tile(fn, (3, 1))
     norms = np.linalg.norm(out, axis=1)
     norms[norms < 1e-30] = 1.0
     return out / norms[:, None]

@@ -78,6 +78,8 @@ def test_evolve_scenario_small_octant(tmp_path):
     assert report["volume_error"] < 1e-8
     assert report["diagnostics"]["sphere_relative_rms"] < 1e-2
     assert (out / "evolved.obj").exists()
+    # one record per outer loop of the evolver
+    assert report["trace"] and sum(r["nit"] for r in report["trace"]) == report["iterations"]
 
 
 def test_malformed_json_exits_2_without_artifacts(tmp_path):
@@ -114,6 +116,23 @@ def test_verify_wente_suite_passes(tmp_path, capsys):
     assert rc == 0
     assert "[PASS]" in captured
     assert "[FAIL]" not in captured
+
+
+@pytest.mark.parametrize("suite", ["theorem1-wedge", "theorem3-trihedral",
+                                   "theorem4-cylinder"])
+def test_verify_outcomes_carry_the_state_of_their_evolve(tmp_path, suite):
+    cfg = _write_config(tmp_path, "v.json", {"kind": "verify", "suite": suite,
+                                             "refinement": 1, "max_iters": 20})
+    out = tmp_path / "o"
+    assert run(cfg, out) in (0, 1)
+    outcomes = json.loads((out / "report.json").read_text())["outcomes"]
+    for o in outcomes:
+        if o["criterion"] == "cap-contact-angles":      # closed form, no evolve
+            assert "converged" not in o
+            continue
+        assert isinstance(o["converged"], bool)
+        assert 1 <= o["iterations"] <= 20
+        assert math.isfinite(o["final_gradient_norm"]) and o["final_gradient_norm"] >= 0.0
 
 
 _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,

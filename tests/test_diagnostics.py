@@ -197,8 +197,12 @@ def test_neighbourhoods_match_ring_expansion(wedge_mesh):
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     grid = structured_surface(np.stack([X, Y, X * Y], axis=-1))
     for mesh in (wedge_mesh, grid):
-        nbrs = mesh.one_ring()
-        for depth in (2, 3):
+        nbrs = [set() for _ in range(mesh.n_vertices)]
+        for a, b, c in mesh.triangles.tolist():
+            nbrs[a].update((b, c))
+            nbrs[b].update((a, c))
+            nbrs[c].update((a, b))
+        for depth in (1, 2, 3):
             expected = []
             for i in range(mesh.n_vertices):
                 ring = {i}

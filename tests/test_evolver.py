@@ -3,7 +3,16 @@ import pytest
 
 from capvertex import evolver
 from capvertex.geometry import TrihedralConfig, WedgeConfig
-from capvertex.meshes import TriMeshDrop, seed_mesh, seed_planar_trihedral, perturb
+from capvertex.meshes import (
+    FREE,
+    ON_EDGE,
+    ON_PLANE,
+    TriMeshDrop,
+    perturb,
+    seed_mesh,
+    seed_planar_trihedral,
+    vertex_normals,
+)
 from capvertex.evolver import (
     energy,
     energy_gradient,
@@ -105,7 +114,6 @@ def test_evolve_traces_each_outer_loop():
     out, rep = evolve(m, max_iters=120, n_outer=4)
     assert 1 <= len(rep.trace) <= 4
     assert sum(r["nit"] for r in rep.trace) == rep.iterations
-    assert [r["energy"] for r in rep.trace] == rep.energy_history[1:]
     for r in rep.trace:
         assert set(r) == {"nit", "energy", "residual", "volume_error", "mu",
                           "multiplier", "min_area"}
@@ -153,3 +161,125 @@ def test_evolve_builds_wall_polygons_only_inside_the_single_pass(monkeypatch):
     evolve(m, max_iters=60, n_outer=3)
     assert calls["evaluate"] > 0
     assert calls["wall_polylines"] == calls["evaluate"]
+
+
+# -- the cached operators against the scatters they replaced -----------------
+
+
+@pytest.fixture(scope="module", params=["wedge", "orthant", "cylinder"])
+def drop(request):
+    if request.param == "wedge":
+        cfg, h = WedgeConfig.canonical(np.pi / 4, 2.0, 2.1), 1.0
+    elif request.param == "orthant":
+        cfg, h = TrihedralConfig.orthant((np.pi / 2,) * 3), 1.0
+    else:
+        cfg, h = TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3), None
+    return perturb(seed_mesh(cfg, h=h, refinement_level=2), 0.01, seed=1)
+
+
+def _scattered_gradients(mesh):
+    """Area, energy and volume gradients summed corner by corner with ``np.add.at``."""
+    sup, v, t = mesh.support, mesh.vertices, mesh.triangles
+    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    w = np.cross(b - a, c - a)
+    s = a + b + c
+    nhat = w / np.linalg.norm(w, axis=1)[:, None]
+    area_grad, flux_grad = np.zeros_like(v), np.zeros_like(v)
+    for k, edge in enumerate((c - b, a - c, b - a)):
+        np.add.at(area_grad, t[:, k], 0.5 * np.cross(nhat, edge))
+        np.add.at(flux_grad, t[:, k], (w - np.cross(edge, s)) / 6.0)
+    energy_grad = area_grad.copy()
+    for j, seg in mesh.wall_polylines().items():
+        pts = v[seg]
+        if sup.kind == "apex":
+            pts = np.vstack([pts, sup.config.apex])
+        elif sup.kind == "cylinder":
+            g, z0 = sup.base_normal, sup.base_offset
+            pts = np.vstack([pts] + [p - (np.dot(g, p) - z0) * g for p in pts[[-1, 0]]])
+        x, y = sup.wall_coords(j, pts).T
+        eu, ev = sup.wall_frame(j)
+        gx = 0.5 * (np.roll(y, -1) - np.roll(y, 1))
+        gy = 0.5 * (np.roll(x, 1) - np.roll(x, -1))
+        grad = np.zeros_like(v)
+        n = len(seg)
+        np.add.at(grad, seg, gx[:n, None] * eu + gy[:n, None] * ev)
+        energy_grad -= np.cos(sup.planes[j].gamma) * grad
+        flux_grad -= sup.planes[j].offset * grad
+    return area_grad, energy_grad, flux_grad / 3.0
+
+
+def test_corner_products_equal_the_scatters_bit_for_bit(drop):
+    ev = evolver._evaluate(drop)
+    area_grad, energy_grad, volume_grad = _scattered_gradients(drop)
+    assert np.array_equal(ev.area_gradient, area_grad)
+    assert np.array_equal(ev.energy_gradient, energy_grad)
+    assert np.array_equal(ev.volume_gradient, volume_grad)
+
+    t = drop.triangles
+    dual = np.zeros(drop.n_vertices)
+    for k in range(3):
+        np.add.at(dual, t[:, k], drop.triangle_areas() / 3.0)
+    assert np.array_equal(vertex_dual_areas(drop), dual)
+
+    v = drop.vertices
+    fn = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+    normals = np.zeros_like(v)
+    for k in range(3):
+        np.add.at(normals, t[:, k], fn)
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    assert np.array_equal(vertex_normals(drop), normals)
+
+
+def test_constraint_basis_rows_are_orthonormal_per_vertex(drop):
+    R = drop.constraint_basis().toarray()
+    sup = drop.support
+    # every row moves a single vertex, and the rows come in vertex order
+    owner = [set(np.nonzero(row)[0] // 3) for row in R]
+    assert all(len(o) == 1 for o in owner)
+    owner = np.array([o.pop() for o in owner])
+    assert np.all(np.diff(owner) >= 0)
+    for i in range(drop.n_vertices):
+        rows = R[owner == i, 3 * i:3 * i + 3]
+        kind = drop.tag_kind[i]
+        assert len(rows) == {FREE: 3, ON_PLANE: 2, ON_EDGE: 1}[kind]
+        assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-15
+        if kind == ON_PLANE:
+            assert np.abs(rows @ sup.planes[drop.tag_id[i]].normal).max() <= 1e-15
+        elif kind == ON_EDGE:
+            assert abs(abs(rows[0] @ sup.edges[drop.tag_id[i]].direction) - 1.0) <= 1e-15
+
+
+def test_project_tangent_matches_normal_subtraction(drop):
+    g = np.random.default_rng(2).standard_normal(drop.vertices.shape)
+    expected = g.copy()
+    for i in np.nonzero(drop.tag_kind == ON_PLANE)[0]:
+        n = drop.support.planes[drop.tag_id[i]].normal
+        expected[i] -= np.dot(expected[i], n) * n
+    for i in np.nonzero(drop.tag_kind == ON_EDGE)[0]:
+        d = drop.support.edges[drop.tag_id[i]].direction
+        expected[i] = np.dot(expected[i], d) * d
+    got = project_tangent(drop, g)
+    assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+
+
+def test_smooth_matches_per_vertex_mean(drop):
+    v = drop.vertices
+    nbrs = [set() for _ in range(drop.n_vertices)]
+    for a, b, c in drop.triangles.tolist():
+        nbrs[a].update((b, c))
+        nbrs[b].update((a, c))
+        nbrs[c].update((a, b))
+    weights, normals = vertex_dual_areas(drop), vertex_normals(drop)
+    disp = np.zeros_like(v)
+    for i, ring in enumerate(nbrs):
+        nb = sorted(ring)
+        w = weights[nb]
+        d = (w[:, None] * v[nb]).sum(axis=0) / w.sum() - v[i]
+        if drop.tag_kind[i] == FREE:
+            d -= np.dot(d, normals[i]) * normals[i]
+        disp[i] = d
+    expected = project_tangent(drop, disp)
+    smoothed = drop.copy()
+    evolver._smooth(smoothed, 1.0)
+    got = smoothed.vertices - v
+    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()

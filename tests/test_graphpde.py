@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capvertex.errors import DomainError, IncompatibleDataError
+from capvertex.errors import DomainError, IncompatibleDataError, NonConvergenceError
 from capvertex.graphpde import (
     GraphField,
     RectangleProblem,
@@ -11,6 +11,17 @@ from capvertex.graphpde import (
     exact_square_cap,
     solve_rectangle,
 )
+
+
+def test_stagnating_solve_fails_fast_with_its_trace():
+    # the residual of this 1 x 3 problem settles near 1.61 after four steps
+    p = RectangleProblem(1.0, 3.0, (0.1, 0.1, 3.0, 3.0), grid_n=16)
+    with pytest.raises(NonConvergenceError, match="stagnated") as err:
+        solve_rectangle(p)
+    trace = err.value.trace
+    assert len(trace) <= 11                     # at most 10 Newton steps
+    assert trace[-1] == pytest.approx(1.61, abs=0.01)
+    assert all(b < a for a, b in zip(trace, trace[1:]))
 
 
 def test_compatibility_h_equal_angles():

@@ -219,17 +219,3 @@ def test_evolve_builds_the_boundary_loop_once(monkeypatch, wedge_mesh):
     _, rep = evolve(mesh, max_iters=60)
     assert rep.iterations > 0
     assert len(calls) == 1
-
-
-def test_one_ring_iterates_like_sets_grown_triangle_by_triangle(wedge_mesh):
-    xs = np.linspace(0, 1, 40)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    grid = structured_surface(np.stack([X, Y, X * Y], axis=-1))
-    for mesh in (wedge_mesh, refine(wedge_mesh), grid):
-        grown = [set() for _ in range(mesh.n_vertices)]
-        for a, b, c in mesh.triangles:
-            grown[a].update((b, c))
-            grown[b].update((a, c))
-            grown[c].update((a, b))
-        # same iteration order, so ring expansions and fits see the same points
-        assert [list(s) for s in mesh.one_ring()] == [list(s) for s in grown]
