@@ -44,8 +44,6 @@ from .evolver import evolve, volume
 
 __all__ = ["main", "run", "verify_suite"]
 
-_SUITES = ("theorem1-wedge", "theorem3-trihedral", "theorem4-cylinder",
-           "counterexample-v4", "wente", "formulas")
 # amplitude of the random vertex displacement before each suite relaxation
 _SUITE_PERTURBATION = 0.01
 
@@ -398,10 +396,9 @@ def _suite_theorem4(opts) -> list:
     gam = 1.9
     config = TrihedralConfig.regular_cylinder(1.0, (gam,) * 3)
     cap = cylinder_cap(config)
-    worst = 0.0
-    for p in config.planes:
-        cosm = abs(p.signed_distance(np.asarray(cap.center))) / cap.radius
-        worst = max(worst, abs(cosm - abs(np.cos(p.gamma))))
+    # signed: the center sits at -R cos(gamma) from each wall
+    worst = max(abs(-p.signed_distance(cap.center) / cap.radius - np.cos(p.gamma))
+                for p in config.planes)
     evolved, rep = _evolve_sphere_check(config, None, refinement, opts["seed"],
                                         opts.get("max_iters", 800))
     diag = diagnostics_report(evolved)
@@ -410,19 +407,22 @@ def _suite_theorem4(opts) -> list:
                                         diag.sphere_relative_rms, 1e-3)])]
 
 
+_SUITE_RUNNERS = {
+    "theorem1-wedge": _suite_theorem1,
+    "theorem3-trihedral": _suite_theorem3,
+    "theorem4-cylinder": _suite_theorem4,
+    "counterexample-v4": _suite_counterexample,
+    "wente": _suite_wente,
+    "formulas": _suite_formulas,
+}
+_SUITES = tuple(_SUITE_RUNNERS)
+
+
 def verify_suite(name: str, seed: int = 0, **opts) -> list:
     """Run a named verification recipe; returns a list of outcome records."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite '{name}'; choose from {_SUITES}")
-    runner = {
-        "formulas": _suite_formulas,
-        "wente": _suite_wente,
-        "counterexample-v4": _suite_counterexample,
-        "theorem1-wedge": _suite_theorem1,
-        "theorem3-trihedral": _suite_theorem3,
-        "theorem4-cylinder": _suite_theorem4,
-    }[name]
-    return runner({"seed": seed, **opts})
+    return _SUITE_RUNNERS[name]({"seed": seed, **opts})
 
 
 def _run_verify(cfg, out: Path, seed: int, where: str) -> int:

@@ -284,7 +284,7 @@ def measure_contact_angles(mesh: TriMeshDrop) -> dict[int, np.ndarray]:
     outward surface normal dotted with the inward wall normal.
     """
     normals = vertex_normals(mesh)
-    wall_normals = np.array([p.normal for p in mesh.support.planes])
+    wall_normals = mesh.support.normals
     rows = np.nonzero(mesh.tag_kind == ON_PLANE)[0]
     angles = np.empty(mesh.n_vertices)
     for block, pts, mask in _neighbourhood_stacks(mesh, 2, rows):
@@ -311,11 +311,8 @@ def _polyline_tangent(mesh: TriMeshDrop, seg: np.ndarray, at_start: bool,
     """
     idx = seg[:k + 1] if at_start else seg[::-1][:k + 1]
     pts = mesh.vertices[idx]
-    sup = mesh.support
-    eu, ev = sup.wall_frame(wall)
-    p = sup.planes[wall]
-    ref = p.offset * p.normal
-    q = np.column_stack([(pts - ref) @ eu, (pts - ref) @ ev])
+    eu, ev = mesh.support.wall_frame(wall)
+    q = mesh.support.wall_coords(wall, pts)
     rel = q - q[0]
     A = np.column_stack([2.0 * rel, np.ones(len(q))])
     b = np.einsum("ij,ij->i", rel, rel)

@@ -2,8 +2,17 @@
 
 Vertices carry one of three constraint tags: free, confined to a support
 plane, or confined to an intersection line of two support planes. Seeds are
-sampled from the analytic spherical caps and refined by midpoint subdivision
-with constraint-respecting projection.
+sampled from the analytic spherical caps and refined by midpoint subdivision,
+all in array operations. One rule places a new vertex. Each round splits
+every triangle in four at its edge midpoints. A wall edge is an edge that
+occurs once; its wall is the one support plane its two ends share. The
+midpoint of a wall edge goes onto that wall's contact circle when the seed
+follows a cap, and onto the wall plane otherwise. The midpoint of any other
+edge goes onto the cap sphere, or stays where it is. Midpoints are numbered
+after the old vertices in the order their edges are first met, triangle by
+triangle and edge ab, bc, ca within a triangle. That is the numbering of an
+edge-by-edge walk, and the relaxations started from a seed depend on it: a
+different numbering changes the order of their sums and so their results.
 
 A ``TriMeshDrop`` keeps its topology apart from its geometry. The geometry is
 the ``vertices`` array, which the evolver moves freely. The topology is the
@@ -14,7 +23,7 @@ there is no scatter outside ``C``) and the constraint basis ``R`` (n_dof x 3n,
 whose rows are the directions a vertex may move in; it reads the support,
 which meshes sharing a topology share). Each is built on first use, at most
 once per triangulation, and no vertex move reaches it. Assignment to
-``triangles`` (the orientation flip in ``_orient_positive``) starts a fresh,
+``triangles`` (the orientation flip of a new seed) starts a fresh,
 empty topology; subdivision, OBJ reading and structured surfaces build new
 meshes.
 """
@@ -99,26 +108,32 @@ class SupportAdapter:
             self.base_offset = 0.0
         else:
             raise DomainError(f"unsupported configuration type {type(config)!r}")
-        self._frames = [_orthonormal_complement(p.normal) for p in self.planes]
+        # the same data stacked, to be indexed by a vertex's tag_id
+        self.normals = _frozen([p.normal for p in self.planes], float)
+        self.offsets = _frozen([p.offset for p in self.planes], float)
+        self.frames = _frozen([_orthonormal_complement(n) for n in self.normals], float)
+        self.edge_points = _frozen([e.point for e in self.edges], float)
+        self.edge_dirs = _frozen([e.direction for e in self.edges], float)
+        self.edge_planes = _frozen([e.plane_ids for e in self.edges], np.int64)
 
     def wall_frame(self, j):
-        return self._frames[j]
+        return self.frames[j]
 
     def wall_coords(self, j, pts):
-        eu, ev = self._frames[j]
-        ref = self.planes[j].offset * self.planes[j].normal
+        eu, ev = self.frames[j]
+        ref = self.offsets[j] * self.normals[j]
         rel = np.atleast_2d(pts) - ref
         return np.column_stack([rel @ eu, rel @ ev])
 
     def edge_for_planes(self, i, j) -> int:
-        for k, e in enumerate(self.edges):
-            if set(e.plane_ids) == {i, j}:
-                return k
-        raise DomainError(f"no support edge between planes {i} and {j}")
+        k = np.flatnonzero(np.isin(self.edge_planes, (i, j)).all(axis=1))
+        if k.size == 0:
+            raise DomainError(f"no support edge between planes {i} and {j}")
+        return int(k[0])
 
     def base_triangle_area(self) -> float:
         """Cross-section area of the cylinder base (cylinder kind only)."""
-        pts = np.stack([e.point for e in self.edges])
+        pts = self.edge_points
         return 0.5 * abs(float(np.linalg.norm(
             np.cross(pts[1] - pts[0], pts[2] - pts[0]))))
 
@@ -152,21 +167,21 @@ class _Topology:
 def _build_boundary_loop(triangles) -> np.ndarray:
     """Vertex indices of the single boundary loop of an oriented disk."""
     t = triangles
-    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    seen = set(map(tuple, directed))
-    nxt = {}
-    for a, b in directed:
-        if (b, a) not in seen:
-            nxt[int(a)] = int(b)
-    if not nxt:
+    a, b = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]).T
+    n = int(t.max(initial=0)) + 1
+    outer = ~np.isin(a * n + b, b * n + a)     # directed edges with no twin
+    if not outer.any():
         raise DomainError("mesh has no boundary")
-    start = next(iter(nxt))
-    loop = [start]
-    cur = nxt[start]
-    while cur != start:
-        loop.append(cur)
-        cur = nxt[cur]
-    if len(loop) != len(nxt):
+    a, b = a[outer], b[outer]
+    nxt = np.full(n, -1)
+    nxt[a] = b
+    nxt = nxt.tolist()
+    m = len(np.unique(a))
+    loop = [int(a[0])]
+    # the walk along the boundary; it also stops at a dead end or after m steps
+    while len(loop) <= m and nxt[loop[-1]] not in (-1, loop[0]):
+        loop.append(nxt[loop[-1]])
+    if len(loop) != m or nxt[loop[-1]] != loop[0]:
         raise DomainError("boundary is not a single loop")
     return _frozen(loop, np.int64)
 
@@ -185,11 +200,11 @@ def _build_wall_polylines(loop, tag_kind, tag_id) -> dict:
     for a, b in zip(corner_pos, np.append(corner_pos[1:], m)):
         seg = loop[a:b + 1] if b < m else np.append(loop[a:], loop[0])
         interior = seg[1:-1]
-        walls = set(tag_id[interior[tag_kind[interior] == ON_PLANE]])
+        walls = np.unique(tag_id[interior[tag_kind[interior] == ON_PLANE]])
         if len(walls) != 1:
             raise DomainError("open or inconsistent contact polyline")
         seg.flags.writeable = False
-        out[walls.pop()] = seg
+        out[walls[0]] = seg
     return out
 
 
@@ -236,9 +251,8 @@ def _build_constraint_basis(tag_kind, tag_id, support) -> sp.csr_matrix:
     free, plane, edge = (tag_kind == k for k in (FREE, ON_PLANE, ON_EDGE))
     dirs = np.zeros((n, 3, 3))
     dirs[free] = np.eye(3)
-    dirs[plane, :2] = np.array([support.wall_frame(j)
-                                for j in range(len(support.planes))])[tag_id[plane]]
-    dirs[edge, 0] = np.array([e.direction for e in support.edges])[tag_id[edge]]
+    dirs[plane, :2] = support.frames[tag_id[plane]]
+    dirs[edge, 0] = support.edge_dirs[tag_id[edge]]
     count = np.select([free, plane], [3, 2], default=1)
     vertex = np.repeat(np.arange(n), count)
     cols = 3 * vertex[:, None] + np.arange(3)
@@ -358,26 +372,37 @@ class TriMeshDrop:
         loop = self.boundary_loop()
         if np.any(self.tag_kind[loop] == FREE):
             raise DomainError("boundary vertices must carry a constraint tag")
-        for i in np.nonzero(self.tag_kind == ON_PLANE)[0]:
-            p = self.support.planes[self.tag_id[i]]
-            if abs(p.signed_distance(self.vertices[i])) > tol:
-                raise DomainError(f"vertex {i} violates its plane constraint")
-        for i in np.nonzero(self.tag_kind == ON_EDGE)[0]:
-            e = self.support.edges[self.tag_id[i]]
-            rel = self.vertices[i] - e.point
-            off = rel - np.dot(rel, e.direction) * e.direction
-            if np.linalg.norm(off) > tol:
-                raise DomainError(f"vertex {i} violates its line constraint")
+        sup, v = self.support, self.vertices
+        plane = np.flatnonzero(self.tag_kind == ON_PLANE)
+        bad = plane[np.abs(_plane_distance(sup, v[plane], self.tag_id[plane])) > tol]
+        if bad.size:
+            raise DomainError(f"vertex {bad[0]} violates its plane constraint")
+        edge = np.flatnonzero(self.tag_kind == ON_EDGE)
+        d = sup.edge_dirs[self.tag_id[edge]]
+        rel = v[edge] - sup.edge_points[self.tag_id[edge]]
+        off = rel - np.vecdot(rel, d)[:, None] * d
+        bad = edge[np.sqrt(np.vecdot(off, off)) > tol]
+        if bad.size:
+            raise DomainError(f"vertex {bad[0]} violates its line constraint")
 
     def project_constraints(self):
         """Snap tagged vertices exactly onto their planes / lines."""
-        for i in np.nonzero(self.tag_kind == ON_PLANE)[0]:
-            p = self.support.planes[self.tag_id[i]]
-            self.vertices[i] -= p.signed_distance(self.vertices[i]) * p.normal
-        for i in np.nonzero(self.tag_kind == ON_EDGE)[0]:
-            e = self.support.edges[self.tag_id[i]]
-            rel = self.vertices[i] - e.point
-            self.vertices[i] = e.point + np.dot(rel, e.direction) * e.direction
+        sup, v = self.support, self.vertices
+        plane = np.flatnonzero(self.tag_kind == ON_PLANE)
+        j = self.tag_id[plane]
+        v[plane] -= _plane_distance(sup, v[plane], j)[:, None] * sup.normals[j]
+        edge = np.flatnonzero(self.tag_kind == ON_EDGE)
+        p, d = sup.edge_points[self.tag_id[edge]], sup.edge_dirs[self.tag_id[edge]]
+        v[edge] = p + np.vecdot(v[edge] - p, d)[:, None] * d
+
+
+def _plane_distance(support, x, j) -> np.ndarray:
+    """Signed distances of the points ``x`` from the support planes ``j``.
+
+    ``np.vecdot`` rounds as the scalar ``np.dot`` of ``PlaneSupport.signed_distance``
+    does; ``x @ n`` and ``einsum`` may differ from it in the last bit.
+    """
+    return np.vecdot(x, support.normals[j]) - support.offsets[j]
 
 
 # -- seeding ---------------------------------------------------------------
@@ -413,77 +438,72 @@ def _choose_corner(cap: SphericalCap, support: SupportAdapter, k: int) -> np.nda
     return max(pts, key=lambda p: np.dot(p - e.point, e.direction))
 
 
-def _project_to_circle(x, plane, cap: SphericalCap):
-    o, r = cap.contact_circle(plane)
-    q = x - plane.signed_distance(x) * plane.normal
-    rel = q - o
-    nr = np.linalg.norm(rel)
-    if nr < 1e-14:
-        raise MeshDegenerationError("cannot project onto contact circle")
-    return o + r * rel / nr
+def _edge_walls(tag_kind, tag_id, a, b, support) -> np.ndarray:
+    """The one support plane that the two ends of each edge ``a[i] b[i]`` share."""
+    member = np.zeros((len(tag_kind), len(support.normals)), dtype=bool)
+    plane, edge = np.flatnonzero(tag_kind == ON_PLANE), np.flatnonzero(tag_kind == ON_EDGE)
+    member[plane, tag_id[plane]] = True
+    member[edge[:, None], support.edge_planes[tag_id[edge]]] = True
+    common = member[a] & member[b]
+    if np.any(common.sum(axis=1) != 1):
+        raise DomainError("cannot determine the wall of a boundary edge")
+    return common.argmax(axis=1)
 
 
-def _subdivide(vertices, triangles, tag_kind, tag_id, support,
-               project_free, project_wall):
-    """One 4-to-1 subdivision round with tag inheritance and projection."""
-    vertices = list(map(np.asarray, vertices))
-    tag_kind = list(tag_kind)
-    tag_id = list(tag_id)
-    tris = np.asarray(triangles)
-    directed = {}
-    for t in tris:
-        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            directed[(int(a), int(b))] = True
-    midpoint = {}
-
-    def boundary_edge(a, b):
-        return (b, a) not in directed
-
-    def planes_of(i):
-        if tag_kind[i] == ON_PLANE:
-            return {tag_id[i]}
-        if tag_kind[i] == ON_EDGE:
-            return set(support.edges[tag_id[i]].plane_ids)
-        return set()
-
-    def edge_wall(a, b):
-        common = planes_of(a) & planes_of(b)
-        if len(common) != 1:
-            raise DomainError("cannot determine the wall of a boundary edge")
-        return common.pop()
-
-    def get_mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key in midpoint:
-            return midpoint[key]
-        x = 0.5 * (vertices[a] + vertices[b])
-        if boundary_edge(a, b):
-            j = edge_wall(a, b)
-            x = project_wall(x, j)
-            tag_kind.append(ON_PLANE)
-            tag_id.append(j)
-        else:
-            x = project_free(x)
-            tag_kind.append(FREE)
-            tag_id.append(-1)
-        vertices.append(x)
-        idx = len(vertices) - 1
-        midpoint[key] = idx
-        return idx
-
-    new_tris = []
-    for t in tris:
-        a, b, c = map(int, t)
-        ab, bc, ca = get_mid(a, b), get_mid(b, c), get_mid(c, a)
-        new_tris += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-    return (np.array(vertices), np.array(new_tris),
-            np.array(tag_kind, dtype=np.int8), np.array(tag_id))
+def _subdivide(v, t, tk, ti, support, cap: SphericalCap | None = None):
+    """One 4-to-1 subdivision round; the module docstring states its rules."""
+    n = len(v)
+    ends = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)       # ab, bc, ca of each triangle
+    _, first, inverse, count = np.unique(
+        ends.min(axis=1) * n + ends.max(axis=1),
+        return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)                           # edges in first-meeting order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    a, b = ends[first[order]].T
+    x = 0.5 * (v[a] + v[b])
+    wall = count[order] == 1
+    j = _edge_walls(tk, ti, a[wall], b[wall], support)
+    on_plane = x[wall] - _plane_distance(support, x[wall], j)[:, None] * support.normals[j]
+    if cap is None:
+        x[wall] = on_plane
+    else:
+        circles = [cap.contact_circle(p) for p in support.planes]
+        o = np.array([c[0] for c in circles])[j]
+        r = np.array([c[1] for c in circles])[j]
+        rel = on_plane - o
+        nr = np.sqrt(np.vecdot(rel, rel))
+        if np.any(nr < 1e-14):
+            raise MeshDegenerationError("cannot project onto contact circle")
+        x[wall] = o + r[:, None] * rel / nr[:, None]
+        d = x[~wall] - cap.center
+        x[~wall] = cap.center + cap.radius * d / np.sqrt(np.vecdot(d, d))[:, None]
+    mid_id = np.full(len(x), -1)
+    mid_id[wall] = j
+    corners = np.column_stack([t, n + rank[inverse].reshape(-1, 3)])  # a b c ab bc ca
+    return (np.concatenate([v, x]),
+            corners[:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3),
+            np.concatenate([tk, np.where(wall, ON_PLANE, FREE)]),
+            np.concatenate([ti, mid_id]))
 
 
-def _orient_positive(mesh: TriMeshDrop):
+def _finish_seed(v, t, tk, ti, support, refinement_level, cap=None,
+                 target_volume=None) -> TriMeshDrop:
+    """Refine a coarse seed, orient it outward and give it its target volume."""
     from .evolver import volume  # cycle: evolver needs TriMeshDrop
+    for _ in range(refinement_level + 1):
+        v, t, tk, ti = _subdivide(v, t, tk, ti, support, cap)
+    mesh = TriMeshDrop(v, t, tk, ti, support)
     if volume(mesh) < 0:
         mesh.triangles = mesh.triangles[:, [0, 2, 1]]
+    mesh.target_volume = volume(mesh)
+    if target_volume is not None:
+        if support.kind != "cylinder":
+            lam = (target_volume / mesh.target_volume) ** (1.0 / 3.0)
+            mesh.vertices = support.reference + lam * (mesh.vertices - support.reference)
+        mesh.target_volume = target_volume
+    mesh.validate()
+    return mesh
 
 
 def seed_mesh(config, h: float | None = 1.0, target_volume: float | None = None,
@@ -511,71 +531,33 @@ def seed_mesh(config, h: float | None = 1.0, target_volume: float | None = None,
     if not isinstance(cap, SphericalCap):
         raise DomainError("configuration admits no spherical seed; use the planar seeder")
 
-    corners = [_choose_corner(cap, support, k) for k in range(len(support.edges))]
-    verts, kinds, ids = [], [], []
     if support.kind == "wedge":
         # two arcs between the two edge crossings
         e = support.edges[0]
         pts = edge_vertices(cap, e.point, e.direction)
         if len(pts) < 2:
             raise NoSolutionError("cap sphere does not cross the wedge edge twice")
-        vlo, vhi = pts[0], pts[-1]
-        arcs = [(0, vhi, vlo), (1, vlo, vhi)]
-        corner_pts = [vhi, vlo]
+        arcs = [(0, pts[-1], pts[0]), (1, pts[0], pts[-1])]
         corner_ids = [0, 0]
     else:
-        # wall j sits between the edges it shares; traverse walls in order
-        arcs = []
-        corner_pts = []
-        corner_ids = []
-        for j in range(3):
-            k_in = support.edge_for_planes((j - 1) % 3, j)
-            k_out = support.edge_for_planes(j, (j + 1) % 3)
-            arcs.append((j, corners[k_in], corners[k_out]))
-            corner_pts.append(corners[k_in])
-            corner_ids.append(k_in)
+        # wall j runs from the edge it shares with wall j-1 to the one with wall j+1
+        corners = [_choose_corner(cap, support, k) for k in range(3)]
+        corner_ids = [support.edge_for_planes((j - 1) % 3, j) for j in range(3)]
+        arcs = [(j, corners[k], corners[support.edge_for_planes(j, (j + 1) % 3)])
+                for j, k in enumerate(corner_ids)]
 
-    boundary_pts, boundary_tags = [], []
-    for (j, p0, p1), cpt, cid in zip(arcs, corner_pts, corner_ids):
-        samples = _arc_samples(cap, support, j, p0, p1, per_arc)
-        boundary_pts.append(samples[0])
-        boundary_tags.append((ON_EDGE, cid))
-        for s in samples[1:-1]:
-            boundary_pts.append(s)
-            boundary_tags.append((ON_PLANE, j))
-    m = len(boundary_pts)
-    center = np.mean(boundary_pts, axis=0)
-    center = cap.center + cap.radius * (center - cap.center) / np.linalg.norm(center - cap.center)
-    verts = [center] + boundary_pts
-    kinds = [FREE] + [t[0] for t in boundary_tags]
-    ids = [-1] + [t[1] for t in boundary_tags]
-    tris = [[0, 1 + i, 1 + (i + 1) % m] for i in range(m)]
-
-    def project_free(x):
-        return cap.surface_point(x - cap.center)
-
-    def project_wall(x, j):
-        return _project_to_circle(x, support.planes[j], cap)
-
-    v, t, tk, ti = np.array(verts), np.array(tris), np.array(kinds, dtype=np.int8), np.array(ids)
-    for _ in range(refinement_level + 1):
-        v, t, tk, ti = _subdivide(v, t, tk, ti, support, project_free, project_wall)
-
-    mesh = TriMeshDrop(v, t, tk, ti, support)
-    _orient_positive(mesh)
-    from .evolver import volume
-    vol = volume(mesh)
-    if target_volume is not None:
-        if support.kind == "cylinder":
-            mesh.target_volume = target_volume
-        else:
-            lam = (target_volume / vol) ** (1.0 / 3.0)
-            mesh.vertices = support.reference + lam * (mesh.vertices - support.reference)
-            mesh.target_volume = target_volume
-    else:
-        mesh.target_volume = vol
-    mesh.validate()
-    return mesh
+    # the boundary: each arc's start corner, then its interior samples
+    boundary = np.concatenate([_arc_samples(cap, support, j, p0, p1, per_arc)[:-1]
+                               for j, p0, p1 in arcs])
+    walls = [j for j, _, _ in arcs]
+    m = len(boundary)
+    i = np.arange(m)
+    return _finish_seed(
+        np.vstack([cap.surface_point(boundary.mean(axis=0) - cap.center), boundary]),
+        np.column_stack([np.zeros(m, dtype=np.int64), 1 + i, 1 + (i + 1) % m]),
+        np.append(FREE, np.tile([ON_EDGE] + [ON_PLANE] * per_arc, len(arcs))),
+        np.append(-1, np.repeat(np.column_stack([corner_ids, walls]), [1, per_arc], axis=1)),
+        support, refinement_level, cap, target_volume)
 
 
 def seed_planar_trihedral(config: TrihedralConfig, extent: float = 1.0,
@@ -584,46 +566,18 @@ def seed_planar_trihedral(config: TrihedralConfig, extent: float = 1.0,
     support = SupportAdapter(config)
     if support.kind != "apex":
         raise DomainError("planar seed requires an apex configuration")
-    corners = [support.edges[k].point + extent * support.edges[k].direction
-               for k in range(3)]
-    center = np.mean(corners, axis=0)
-    verts = [center] + corners
-    kinds = [FREE, ON_EDGE, ON_EDGE, ON_EDGE]
-    ids = [-1, 0, 1, 2]
-    tris = [[0, 1, 2], [0, 2, 3], [0, 3, 1]]
-
-    def project_free(x):
-        return x
-
-    def project_wall(x, j):
-        p = support.planes[j]
-        return x - p.signed_distance(x) * p.normal
-
-    v, t, tk, ti = np.array(verts), np.array(tris), np.array(kinds, dtype=np.int8), np.array(ids)
-    for _ in range(refinement_level + 1):
-        v, t, tk, ti = _subdivide(v, t, tk, ti, support, project_free, project_wall)
-    mesh = TriMeshDrop(v, t, tk, ti, support)
-    _orient_positive(mesh)
-    from .evolver import volume
-    mesh.target_volume = volume(mesh)
-    mesh.validate()
-    return mesh
+    corners = support.edge_points + extent * support.edge_dirs
+    return _finish_seed(np.vstack([corners.mean(axis=0), corners]),
+                        np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]),
+                        np.array([FREE, ON_EDGE, ON_EDGE, ON_EDGE]),
+                        np.array([-1, 0, 1, 2]), support, refinement_level)
 
 
 def refine(mesh: TriMeshDrop) -> TriMeshDrop:
-    """Uniform 4-to-1 subdivision; tagged midpoints are re-projected."""
-    support = mesh.support
-
-    def project_free(x):
-        return x
-
-    def project_wall(x, j):
-        p = support.planes[j]
-        return x - p.signed_distance(x) * p.normal
-
+    """Uniform 4-to-1 subdivision; wall midpoints are projected onto their walls."""
     v, t, tk, ti = _subdivide(mesh.vertices, mesh.triangles, mesh.tag_kind,
-                              mesh.tag_id, support, project_free, project_wall)
-    out = TriMeshDrop(v, t, tk, ti, support, mesh.target_volume, mesh.lagrange_h)
+                              mesh.tag_id, mesh.support)
+    out = TriMeshDrop(v, t, tk, ti, mesh.support, mesh.target_volume, mesh.lagrange_h)
     out.validate()
     return out
 
@@ -631,27 +585,22 @@ def refine(mesh: TriMeshDrop) -> TriMeshDrop:
 def perturb(mesh: TriMeshDrop, amplitude: float, seed: int = 0) -> TriMeshDrop:
     """Constraint-respecting random perturbation, relative to the mesh diameter.
 
-    Free vertices move along their normals; plane vertices within the plane;
-    edge vertices along their lines.
+    Free vertices move along their normals; plane vertices within the plane,
+    in a direction drawn per vertex; edge vertices along their lines.
     """
     rng = np.random.default_rng(seed)
     out = mesh.copy()
+    v, sup = out.vertices, mesh.support
+    free, plane, edge = (np.flatnonzero(mesh.tag_kind == k) for k in (FREE, ON_PLANE, ON_EDGE))
     diam = float(np.ptp(mesh.vertices, axis=0).max())
-    scale = amplitude * diam
-    normals = vertex_normals(mesh)
-    noise = rng.standard_normal(mesh.n_vertices)
-    for i in range(mesh.n_vertices):
-        if out.tag_kind[i] == FREE:
-            out.vertices[i] += scale * noise[i] * normals[i]
-        elif out.tag_kind[i] == ON_PLANE:
-            p = mesh.support.planes[out.tag_id[i]]
-            d = rng.standard_normal(3)
-            d -= np.dot(d, p.normal) * p.normal
-            d /= max(np.linalg.norm(d), 1e-30)
-            out.vertices[i] += scale * noise[i] * d
-        else:
-            e = mesh.support.edges[out.tag_id[i]]
-            out.vertices[i] += scale * noise[i] * e.direction
+    step = amplitude * diam * rng.standard_normal(mesh.n_vertices)
+    v[free] += step[free, None] * vertex_normals(mesh)[free]
+    n = sup.normals[mesh.tag_id[plane]]
+    d = rng.standard_normal((len(plane), 3))
+    d -= np.vecdot(d, n)[:, None] * n
+    d /= np.maximum(np.sqrt(np.vecdot(d, d)), 1e-30)[:, None]
+    v[plane] += step[plane, None] * d
+    v[edge] += step[edge, None] * sup.edge_dirs[mesh.tag_id[edge]]
     out.project_constraints()
     return out
 

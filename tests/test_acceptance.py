@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from capvertex.analytic import (
-    cylinder_cap,
     edge_vertices,
     spherical_cmc_residual,
     SphericalGraphField,
@@ -211,19 +210,14 @@ def test_criterion_09_trihedral_planar_and_spherical_modes():
 
 def test_criterion_10_cylinder_drop_and_cap_angles():
     t0 = time.perf_counter()
-    gamma = 1.9
-    cfg = TrihedralConfig.regular_cylinder(1.0, (gamma,) * 3)
-    cap = cylinder_cap(cfg)
-    worst_cos = max(abs(-p.signed_distance(cap.center) / cap.radius - np.cos(gamma))
-                    for p in cfg.planes)
-    mesh = seed_mesh(cfg, h=None, refinement_level=2)
-    mesh = perturb(mesh, 0.01, seed=10)
-    out, _ = evolve(mesh, max_iters=1200)
-    rel_rms = fit_sphere(out.vertices).relative_rms
+    by_name = {o["criterion"]: o for o in verify_suite(
+        "theorem4-cylinder", seed=10, refinement=2, max_iters=1200)}
+    cos_err, sphere = by_name["cap-contact-angles"], by_name["sphere-fit"]
     elapsed = time.perf_counter() - t0
     _verdict("criterion-10 cylinder drop",
-             worst_cos < 1e-12 and rel_rms < 1e-3 and elapsed < 120.0,
-             f"cos err {worst_cos:.2e}, sphere rms {rel_rms:.2e}, {elapsed:.1f}s",
+             cos_err["pass"] and sphere["pass"] and elapsed < 120.0,
+             f"cos err {cos_err['measured']:.2e}, sphere rms {sphere['measured']:.2e}, "
+             f"{elapsed:.1f}s",
              "cos err < 1e-12, rms < 1e-3, < 120 s", t0)
 
 

@@ -17,6 +17,7 @@ from capvertex.meshes import (
     seed_mesh,
     seed_planar_trihedral,
     structured_surface,
+    vertex_normals,
     write_obj,
 )
 
@@ -155,7 +156,14 @@ def test_validate_rejects_constraint_violation(octant_mesh):
     bad = octant_mesh.copy()
     i = int(np.nonzero(bad.tag_kind == ON_PLANE)[0][0])
     bad.vertices[i] += 1e-3 * bad.support.planes[bad.tag_id[i]].normal
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=f"vertex {i} violates its plane"):
+        bad.validate()
+    # an edge vertex moved off its line, within one of its two planes
+    bad = octant_mesh.copy()
+    i = int(np.nonzero(bad.tag_kind == ON_EDGE)[0][0])
+    e = bad.support.edges[bad.tag_id[i]]
+    bad.vertices[i] += 1e-3 * np.cross(bad.support.planes[e.plane_ids[0]].normal, e.direction)
+    with pytest.raises(DomainError, match=f"vertex {i} violates its line"):
         bad.validate()
 
 
@@ -219,3 +227,155 @@ def test_evolve_builds_the_boundary_loop_once(monkeypatch, wedge_mesh):
     _, rep = evolve(mesh, max_iters=60)
     assert rep.iterations > 0
     assert len(calls) == 1
+
+
+# -- array construction against per-edge and per-vertex references ----------
+
+
+def _subdivide_reference(v, t, tk, ti, support, cap=None):
+    """``meshes._subdivide`` one edge at a time, with dicts of edges and midpoints."""
+    v, tk, ti = list(v), list(tk), list(ti)
+    directed = {(a, b) for a, b in t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).tolist()}
+    midpoint = {}
+
+    def planes_of(i):
+        if tk[i] == ON_PLANE:
+            return {ti[i]}
+        return set(support.edges[ti[i]].plane_ids) if tk[i] == ON_EDGE else set()
+
+    def get_mid(a, b):
+        if (min(a, b), max(a, b)) not in midpoint:
+            x = 0.5 * (v[a] + v[b])
+            if (b, a) in directed:
+                tk.append(FREE)
+                ti.append(-1)
+                if cap is not None:
+                    x = cap.surface_point(x - cap.center)
+            else:
+                common = planes_of(a) & planes_of(b)
+                if len(common) != 1:
+                    raise DomainError("cannot determine the wall of a boundary edge")
+                j = common.pop()
+                p = support.planes[j]
+                x = x - p.signed_distance(x) * p.normal
+                if cap is not None:
+                    o, r = cap.contact_circle(p)
+                    x = o + r * (x - o) / np.linalg.norm(x - o)
+                tk.append(ON_PLANE)
+                ti.append(j)
+            midpoint[min(a, b), max(a, b)] = len(v)
+            v.append(x)
+        return midpoint[min(a, b), max(a, b)]
+
+    tris = []
+    for a, b, c in t.tolist():
+        ab, bc, ca = get_mid(a, b), get_mid(b, c), get_mid(c, a)
+        tris += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
+    return np.array(v), np.array(tris), np.array(tk, dtype=np.int8), np.array(ti)
+
+
+def _boundary_loop_reference(triangles):
+    directed = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).tolist()
+    seen = set(map(tuple, directed))
+    nxt = {a: b for a, b in directed if (b, a) not in seen}
+    loop = [next(iter(nxt))]
+    while nxt[loop[-1]] != loop[0]:
+        loop.append(nxt[loop[-1]])
+    return np.array(loop)
+
+
+def _project_reference(mesh):
+    for i in np.nonzero(mesh.tag_kind == ON_PLANE)[0]:
+        p = mesh.support.planes[mesh.tag_id[i]]
+        mesh.vertices[i] -= p.signed_distance(mesh.vertices[i]) * p.normal
+    for i in np.nonzero(mesh.tag_kind == ON_EDGE)[0]:
+        e = mesh.support.edges[mesh.tag_id[i]]
+        rel = mesh.vertices[i] - e.point
+        mesh.vertices[i] = e.point + np.dot(rel, e.direction) * e.direction
+
+
+def _perturb_reference(mesh, amplitude, seed):
+    rng = np.random.default_rng(seed)
+    out = mesh.copy()
+    scale = amplitude * float(np.ptp(mesh.vertices, axis=0).max())
+    normals = vertex_normals(mesh)
+    noise = rng.standard_normal(mesh.n_vertices)
+    for i in range(mesh.n_vertices):
+        if mesh.tag_kind[i] == FREE:
+            out.vertices[i] += scale * noise[i] * normals[i]
+        elif mesh.tag_kind[i] == ON_PLANE:
+            n = mesh.support.planes[mesh.tag_id[i]].normal
+            d = rng.standard_normal(3)
+            d -= np.dot(d, n) * n
+            d /= max(np.linalg.norm(d), 1e-30)
+            out.vertices[i] += scale * noise[i] * d
+        else:
+            out.vertices[i] += scale * noise[i] * mesh.support.edges[mesh.tag_id[i]].direction
+    _project_reference(out)
+    return out
+
+
+def _assert_same_mesh(got, want):
+    for name in ("vertices", "triangles", "tag_kind", "tag_id"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert got.target_volume == want.target_volume
+    assert np.array_equal(got.boundary_loop(), want.boundary_loop())
+
+
+_WEDGE = WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3)
+_ORTHANT = TrihedralConfig.orthant((np.pi / 2,) * 3)
+_CYLINDER = TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3)
+_FLAT = TrihedralConfig.orthant((float(np.arccos(np.sqrt(3.0) / 3.0)),) * 3)
+_SEEDS = {
+    "wedge": lambda r: seed_mesh(_WEDGE, h=1.0, refinement_level=r),
+    "orthant": lambda r: seed_mesh(_ORTHANT, h=1.0, refinement_level=r, target_volume=0.3),
+    "cylinder": lambda r: seed_mesh(_CYLINDER, h=None, refinement_level=r),
+    "planar": lambda r: seed_planar_trihedral(_FLAT, refinement_level=r),
+}
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("name", sorted(_SEEDS))
+def test_array_construction_matches_references(name, level, monkeypatch):
+    got = _SEEDS[name](level)
+    assert np.array_equal(got.boundary_loop(), _boundary_loop_reference(got.triangles))
+    fine = refine(got)
+    noisy = perturb(got, 0.01, seed=level)
+    _assert_same_mesh(noisy, _perturb_reference(got, 0.01, level))
+
+    monkeypatch.setattr(meshes, "_subdivide", _subdivide_reference)
+    _assert_same_mesh(got, _SEEDS[name](level))
+    _assert_same_mesh(fine, refine(got))
+
+
+def test_project_constraints_matches_reference(octant_mesh):
+    moved = octant_mesh.copy()
+    moved.vertices += 1e-3 * np.random.default_rng(7).standard_normal(moved.vertices.shape)
+    want = moved.copy()
+    _project_reference(want)
+    moved.project_constraints()
+    assert np.array_equal(moved.vertices, want.vertices)
+    moved.validate()
+
+
+def test_subdivision_rejects_a_wall_edge_without_a_common_wall():
+    m = seed_mesh(_ORTHANT, h=1.0, refinement_level=0)
+    loop = m.boundary_loop()
+    k = next(k for k in range(len(loop)) if m.tag_kind[loop[k]] == ON_PLANE
+             and m.tag_kind[loop[k - 1]] == ON_PLANE)
+    tag_id = m.tag_id.copy()
+    tag_id[loop[k]] = (tag_id[loop[k]] + 1) % 3      # ends now on two different walls
+    bad = TriMeshDrop(m.vertices, m.triangles, m.tag_kind, tag_id, m.support)
+    with pytest.raises(DomainError, match="cannot determine the wall of a boundary edge"):
+        refine(bad)
+
+
+@pytest.mark.parametrize("triangles", [
+    [[0, 1, 2], [3, 4, 5]],                          # two boundary loops
+    [[0, 1, 2], [0, 2, 3], [0, 3, 1], [1, 3, 2]],    # closed: no boundary
+])
+def test_boundary_loop_rejects_other_than_one_loop(triangles):
+    with pytest.raises(DomainError):
+        meshes._build_boundary_loop(np.array(triangles))
