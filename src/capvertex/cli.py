@@ -10,9 +10,9 @@ writes at the end.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,9 @@ __all__ = ["main", "run", "verify_suite"]
 
 # amplitude of the random vertex displacement before each suite relaxation
 _SUITE_PERTURBATION = 0.01
+# CSV rows formatted per write: a whole 181^2 grid as one string would raise
+# the peak memory by megabytes
+_CSV_CHUNK = 1024
 
 
 class ConfigError(ValueError):
@@ -114,11 +117,19 @@ def _angles(cfg, key, n, where):
     return [float(v) for v in vals]
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, row_format, columns):
+    """CSV with CRLF row ends: the bytes ``csv.writer`` writes for cells needing no quotes.
+
+    Row i is ``row_format % (columns[0][i], columns[1][i], ...)``; ``columns``
+    are equal-length arrays.
+    """
+    line, n = row_format + "\r\n", len(columns[0])
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+        f.write(",".join(header) + "\r\n")
+        for start in range(0, n, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, n)
+            cells = chain.from_iterable(zip(*(c[start:stop].tolist() for c in columns)))
+            f.write((line * (stop - start)) % tuple(cells))
 
 
 def _support_from_config(cfg, where):
@@ -144,13 +155,12 @@ def _run_classify(cfg, out: Path, seed: int, where: str) -> int:
     g = np.linspace(0.0, np.pi, n)
     g1, g2 = np.meshgrid(g, g, indexing="ij")
     codes, numer = classify_grid(alpha, g1, g2)
-    names = {v: k.name for k, v in TAG_CODES.items()}
-    rows = ((f"{g1[i, j]:.12g}", f"{g2[i, j]:.12g}", names[int(codes[i, j])],
-             f"{numer[i, j]:.17g}")
-            for i in range(n) for j in range(n))
+    # the codes number the tags 0, 1, ...
+    names = np.array([tag.name for tag in sorted(TAG_CODES, key=TAG_CODES.get)], dtype=object)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "classification.csv",
-               ["gamma1", "gamma2", "class", "numerator"], rows)
+    _write_csv(out / "classification.csv", ["gamma1", "gamma2", "class", "numerator"],
+               "%.12g,%.12g,%s,%.17g",
+               [g1.ravel(), g2.ravel(), names[codes.ravel()], numer.ravel()])
     report = {"scenario": "classify", "alpha": alpha, "grid": n, "seed": seed,
               "version": __version__}
     (out / "report.json").write_text(json.dumps(report, indent=2))
@@ -203,14 +213,13 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
     field = solve_rectangle(prob)
     pts = field.points()
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "field.csv", ["x", "y", "u"],
-               ((f"{x:.17g}", f"{y:.17g}", f"{u:.17g}") for x, y, u in pts))
+    _write_csv(out / "field.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", pts.T)
     fit = fit_sphere(pts)
     report = {
         "scenario": "solve-graph", "seed": seed, "version": __version__,
         "a": a, "b": b, "gammas": list(gammas), "grid_n": grid_n,
         "h": prob.h, "iterations": field.iterations,
-        "final_residual": field.final_residual,
+        "final_residual": field.final_residual, "trace": field.trace,
         "sphere_fit_relative_rms": (fit.relative_rms
                                     if isinstance(fit, SphereFit) else None),
     }
@@ -337,8 +346,11 @@ def _suite_counterexample(opts) -> list:
     fit_ref = fit_sphere(ref.points())
     fit_odd = fit_sphere(odd.points())
     ratio = fit_odd.relative_rms / fit_ref.relative_rms
-    return [_outcome("non-sphericity-ratio", ratio >= 20.0, float(ratio), 20.0,
-                     "elongated-rectangle solution vs square cap")]
+    solves = {"square": ref, "rectangle": odd}
+    return [{**_outcome("non-sphericity-ratio", ratio >= 20.0, float(ratio), 20.0,
+                        "elongated-rectangle solution vs square cap"),
+             "iterations": {k: f.iterations for k, f in solves.items()},
+             "final_residual": {k: f.final_residual for k, f in solves.items()}}]
 
 
 def _evolve_sphere_check(config, h, refinement, seed, max_iters, planar=False):

@@ -5,14 +5,17 @@ contact-angle flux condition ``nu . Tu = cos(gamma)`` on each wall. Cell
 centered, with face fluxes and a damped Newton iteration; the mean-zero gauge
 fixes the additive constant.
 
-The face slopes and the divergence are constant sparse operators, built once
-per discretization from 1-D difference, average and gradient matrices. The
-residual and the Jacobian read the same operators, so they share one stencil.
+The stacked face operator ``slopes`` and the divergence ``div``, built once,
+serve both residual and Jacobian. Newton steps pin the last cell's step at 0,
+which is exact: the Jacobian kills constants and its columns sum to zero, as
+the residual does for any field, so the last equation is minus the sum of the
+others. The step differs from the mean-zero one by a constant that the line
+search's re-centring removes; a bordered gauge row spoils the LU's ordering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,9 +24,6 @@ import scipy.sparse.linalg as spla
 from .errors import DomainError, IncompatibleDataError, NonConvergenceError
 
 __all__ = ["RectangleProblem", "GraphField", "compatibility_h", "solve_rectangle"]
-
-# wall order used throughout: left (x=0), right (x=a), bottom (y=0), top (y=b)
-WALLS = ("left", "right", "bottom", "top")
 
 # a solve stagnates when this many Newton steps in a row each leave more than
 # this fraction of the residual
@@ -101,7 +101,8 @@ class RectangleProblem:
 
 @dataclass(frozen=True)
 class GraphField:
-    """Cell-centered height samples with solver provenance."""
+    """Cell-centered height samples with solver provenance; ``trace`` holds the max-norm
+    residual before each Newton step and the final one, and the accepted step lengths."""
 
     u: np.ndarray
     hx: float
@@ -110,6 +111,7 @@ class GraphField:
     b: float
     iterations: int = 0
     final_residual: float = 0.0
+    trace: dict = field(default_factory=dict)
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -160,9 +162,9 @@ class _Discretization:
     """Residual and Jacobian of the finite-volume system for one problem.
 
     Cells are flattened row-major, cell (i, j) at ``i * ny + j``. East faces
-    lie between columns i and i+1, north faces between rows j and j+1; on
-    each face the primary slope crosses it and the transverse slope is the
-    face mean of the cell-centre slopes along it.
+    (between columns i and i+1) come before north faces (between rows j and
+    j+1). Row 2k of ``slopes`` is the primary slope across face k, row 2k+1
+    its transverse slope: the face mean of the cell-centre slopes along it.
     """
 
     def __init__(self, prob: RectangleProblem):
@@ -171,12 +173,12 @@ class _Discretization:
         self.hy = hy = prob.b / ny
         ix, iy = sp.identity(nx), sp.identity(ny)
         dx, dy = _difference(nx), _difference(ny)
-        self.east_p = sp.kron(dx, iy, format="csr") / hx
-        self.east_t = sp.kron(_average(nx), _gradient(ny), format="csr") / hy
-        self.north_p = sp.kron(ix, dy, format="csr") / hy
-        self.north_t = sp.kron(_gradient(nx), _average(ny), format="csr") / hx
-        self.east_div = -sp.kron(dx.T, iy, format="csr") / hx
-        self.north_div = -sp.kron(ix, dy.T, format="csr") / hy
+        primary = sp.vstack([sp.kron(dx, iy) / hx, sp.kron(ix, dy) / hy])
+        transverse = sp.vstack([sp.kron(_average(nx), _gradient(ny)) / hy,
+                                sp.kron(_gradient(nx), _average(ny)) / hx])
+        interleave = np.arange(2 * primary.shape[0]).reshape(2, -1).T.ravel()
+        self.slopes = sp.vstack([primary, transverse], format="csr")[interleave]
+        self.div = -sp.hstack([sp.kron(dx.T, iy) / hx, sp.kron(ix, dy.T) / hy], format="csr")
         # the walls carry the prescribed fluxes cos(gamma); the uniform defect
         # keeps the singular system consistent
         cl, cr, cb, ct = np.cos(prob.gammas)
@@ -190,19 +192,19 @@ class _Discretization:
         self.source = source.ravel()
 
     def residual(self, u):
-        u = np.ravel(u)
-        fe, _, _ = _flux(self.east_p @ u, self.east_t @ u)
-        fn, _, _ = _flux(self.north_p @ u, self.north_t @ u)
-        res = self.east_div @ fe + self.north_div @ fn + self.source
-        return res.reshape(self.nx, self.ny)
+        s = self.slopes @ np.ravel(u)
+        f, _, _ = _flux(s[0::2], s[1::2])
+        return (self.div @ f + self.source).reshape(self.nx, self.ny)
 
     def jacobian(self, u):
-        u = np.ravel(u)
-        _, de_p, de_t = _flux(self.east_p @ u, self.east_t @ u)
-        _, dn_p, dn_t = _flux(self.north_p @ u, self.north_t @ u)
-        east = sp.diags(de_p) @ self.east_p + sp.diags(de_t) @ self.east_t
-        north = sp.diags(dn_p) @ self.north_p + sp.diags(dn_t) @ self.north_t
-        return (self.east_div @ east + self.north_div @ north).tocsr()
+        s = self.slopes @ np.ravel(u)
+        _, dp, dt = _flux(s[0::2], s[1::2])
+        # rows scaled by their flux partials; every other row pointer joins a
+        # face's two rows into one, whose repeated columns the product sums
+        S = self.slopes
+        scaled = S.data * np.repeat(np.column_stack([dp, dt]).ravel(), np.diff(S.indptr))
+        return self.div @ sp.csr_matrix((scaled, S.indices, S.indptr[::2]),
+                                        shape=(dp.size, S.shape[1]))
 
 
 def _initial_guess(prob: RectangleProblem) -> np.ndarray:
@@ -231,34 +233,31 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
                     max_iters: int = 60, initial: np.ndarray | None = None) -> GraphField:
     """Damped Newton solve of the discrete CMC system.
 
-    Returns the mean-zero height field. Raises ``NonConvergenceError`` with the
-    trace of residuals if the residual stagnates: the line search finds no
-    decrease, or ``_STALL_STEPS`` steps in a row each cut it by less than
-    ``1 - _STALL_RATIO``.
+    Returns the mean-zero height field with its Newton trace. Raises
+    ``NonConvergenceError`` with the trace of residuals if the residual
+    stagnates: the line search finds no decrease, or ``_STALL_STEPS`` steps in
+    a row each cut it by less than ``1 - _STALL_RATIO``.
     """
     disc = _Discretization(prob)
     u = _initial_guess(prob) if initial is None else np.array(initial, dtype=float)
     u -= u.mean()
-    trace = []
+    trace, steps = [], []
     res = disc.residual(u)
     rnorm = float(np.abs(res).max())
-    n = u.size
-    ones = np.ones(n)
     for it in range(max_iters):
         trace.append(rnorm)
         if rnorm < tol:
             return GraphField(u=u, hx=disc.hx, hy=disc.hy, a=prob.a, b=prob.b,
-                              iterations=it, final_residual=rnorm)
+                              iterations=it, final_residual=rnorm,
+                              trace={"residuals": tuple(trace), "steps": tuple(steps)})
         recent = trace[-_STALL_STEPS - 1:]
         if len(recent) > _STALL_STEPS and all(
                 new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
             raise NonConvergenceError(
                 f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
         J = disc.jacobian(u)
-        # mean-zero gauge via a bordered system (J has the constant nullspace)
-        A = sp.bmat([[J, ones[:, None]], [ones[None, :], None]], format="csc")
-        rhs = np.concatenate([-res.ravel(), [0.0]])
-        delta = spla.spsolve(A, rhs)[:n].reshape(u.shape)
+        pinned = spla.spsolve(J[:-1, :-1], -res.ravel()[:-1], permc_spec="MMD_AT_PLUS_A")
+        delta = np.append(pinned, 0.0).reshape(u.shape)     # the pinned cell's step is 0
         step = 1.0
         for _ in range(30):
             cand = u + step * delta
@@ -272,6 +271,7 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
             raise NonConvergenceError(
                 f"line search stagnated at residual {rnorm:.3e}", trace=trace)
         u, res, rnorm = cand, cres, cnorm
+        steps.append(step)
     raise NonConvergenceError(
         f"no convergence in {max_iters} iterations (residual {rnorm:.3e})",
         trace=trace)

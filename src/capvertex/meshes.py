@@ -650,14 +650,14 @@ def _tag_token(kind: int, tid: int) -> str:
 
 def write_obj(mesh: TriMeshDrop, path):
     """Wavefront OBJ with constraint tags carried in comment records."""
+    vertices = mesh.vertices.ravel().tolist()
+    faces = (mesh.triangles + 1).ravel().tolist()
+    tags = enumerate(zip(mesh.tag_kind.tolist(), mesh.tag_id.tolist()), 1)
     with open(path, "w") as f:
         f.write("# capvertex drop mesh\n")
-        for x, y, z in mesh.vertices:
-            f.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for i in range(mesh.n_vertices):
-            f.write(f"# tag {i + 1} {_tag_token(mesh.tag_kind[i], mesh.tag_id[i])}\n")
-        for a, b, c in mesh.triangles + 1:
-            f.write(f"f {a} {b} {c}\n")
+        f.write(("v %.17g %.17g %.17g\n" * mesh.n_vertices) % tuple(vertices))
+        f.write("".join(f"# tag {i} {_tag_token(k, t)}\n" for i, (k, t) in tags))
+        f.write(("f %d %d %d\n" * len(mesh.triangles)) % tuple(faces))
 
 
 def read_obj(path, support: SupportAdapter,

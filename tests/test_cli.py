@@ -1,11 +1,15 @@
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from capvertex import cli
+from capvertex import cli, meshes
 from capvertex.cli import main, run, verify_suite
 from capvertex.errors import DomainError, MeshDegenerationError, NonConvergenceError
+from capvertex.geometry import TAG_CODES, WedgeConfig, classify_grid
+from capvertex.graphpde import RectangleProblem, solve_rectangle
 
 
 def _write_config(tmp_path, name, payload):
@@ -64,6 +68,94 @@ def test_solve_graph_scenario_reports_sphere_fit(tmp_path):
     assert report["sphere_fit_relative_rms"] < 1e-2
     header = (out / "field.csv").read_text().splitlines()[0]
     assert header == "x,y,u"
+
+
+# cells whose shortest round-trip text is unusual: signed zero, the smallest
+# subnormal, and a power of ten that %g and format() could write differently
+_EDGE_VALUES = [-0.0, 5e-324, 1e22, -1e22, 1e16, 0.1, 1.0 / 3.0, -2.5e-300]
+
+
+def _reference_csv(path, header, rows):
+    """The writer the chunked one replaced: ``csv.writer`` over string cells."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    return path.read_bytes()
+
+
+def test_chunked_csv_writer_matches_csv_module(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2 * cli._CSV_CHUNK + 37                    # two full chunks and a part
+    cols = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-30, 30, (3, n))
+    cols[:, :len(_EDGE_VALUES)] = _EDGE_VALUES
+    cols[:, -len(_EDGE_VALUES):] = _EDGE_VALUES[::-1]
+    names = np.array(["INTERIOR_Q", "D1", "CORNER"], dtype=object)[rng.integers(0, 3, n)]
+    cli._write_csv(tmp_path / "a.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", cols)
+    assert (tmp_path / "a.csv").read_bytes() == _reference_csv(
+        tmp_path / "a_ref.csv", ["x", "y", "u"],
+        ((f"{x:.17g}", f"{y:.17g}", f"{u:.17g}") for x, y, u in cols.T))
+    cli._write_csv(tmp_path / "b.csv", ["g1", "g2", "class", "v"], "%.12g,%.12g,%s,%.17g",
+                   [cols[0], cols[1], names, cols[2]])
+    assert (tmp_path / "b.csv").read_bytes() == _reference_csv(
+        tmp_path / "b_ref.csv", ["g1", "g2", "class", "v"],
+        ((f"{x:.12g}", f"{y:.12g}", c, f"{u:.17g}") for x, y, c, u in zip(*cols[:2], names,
+                                                                          cols[2])))
+
+
+def test_solve_graph_writes_field_and_newton_trace(tmp_path):
+    cfg = _write_config(tmp_path, "g.json", {
+        "kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2] * 4, "grid_n": 24,
+    })
+    out = tmp_path / "out"
+    assert run(cfg, out) == 0
+    field = solve_rectangle(RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24))
+    assert (out / "field.csv").read_bytes() == _reference_csv(
+        tmp_path / "field_ref.csv", ["x", "y", "u"],
+        ((f"{x:.17g}", f"{y:.17g}", f"{u:.17g}") for x, y, u in field.points()))
+    report = json.loads((out / "report.json").read_text())
+    residuals, steps = report["trace"]["residuals"], report["trace"]["steps"]
+    assert len(residuals) == report["iterations"] + 1
+    assert residuals[-1] == report["final_residual"]
+    assert len(steps) == report["iterations"] and all(0.0 < s <= 1.0 for s in steps)
+
+
+def test_classification_csv_matches_the_per_cell_reference(tmp_path):
+    n, alpha = 41, math.pi / 3                    # 1,681 rows: more than one chunk
+    cfg = _write_config(tmp_path, "c.json", {"kind": "classify", "alpha": alpha, "grid": n})
+    assert run(cfg, tmp_path / "out") == 0
+    g = np.linspace(0.0, np.pi, n)
+    g1, g2 = np.meshgrid(g, g, indexing="ij")
+    codes, numer = classify_grid(alpha, g1, g2)
+    names = {v: k.name for k, v in TAG_CODES.items()}
+    rows = ((f"{g1[i, j]:.12g}", f"{g2[i, j]:.12g}", names[int(codes[i, j])],
+             f"{numer[i, j]:.17g}") for i in range(n) for j in range(n))
+    assert (tmp_path / "out" / "classification.csv").read_bytes() == _reference_csv(
+        tmp_path / "ref.csv", ["gamma1", "gamma2", "class", "numerator"], rows)
+
+
+def test_write_obj_matches_the_per_line_reference(tmp_path):
+    mesh = meshes.seed_mesh(WedgeConfig.canonical(math.pi / 4, 2 * math.pi / 3,
+                                                  2 * math.pi / 3), h=1.0, refinement_level=2)
+    mesh = mesh.copy()
+    mesh.vertices[:3] = np.reshape(_EDGE_VALUES + [-0.0], (3, 3))
+    assert len(set(mesh.tag_kind.tolist())) == 3   # free, wall and edge vertices
+    meshes.write_obj(mesh, tmp_path / "a.obj")
+    with open(tmp_path / "ref.obj", "w") as f:
+        f.write("# capvertex drop mesh\n")
+        for x, y, z in mesh.vertices:
+            f.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
+        for i in range(mesh.n_vertices):
+            f.write(f"# tag {i + 1} {meshes._tag_token(mesh.tag_kind[i], mesh.tag_id[i])}\n")
+        for a, b, c in mesh.triangles + 1:
+            f.write(f"f {a} {b} {c}\n")
+    assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
+
+
+def test_counterexample_outcome_carries_both_solves():
+    (outcome,) = verify_suite("counterexample-v4", grid_n=32)
+    assert outcome["iterations"] == {"square": 2, "rectangle": 4}
+    assert all(r < 1e-10 for r in outcome["final_residual"].values())
 
 
 def test_evolve_scenario_small_octant(tmp_path):

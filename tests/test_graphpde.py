@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from capvertex.errors import DomainError, IncompatibleDataError, NonConvergenceError
 from capvertex.graphpde import (
     GraphField,
     RectangleProblem,
+    _average,
+    _difference,
     _Discretization,
+    _flux,
+    _gradient,
+    _initial_guess,
     compatibility_h,
     exact_square_cap,
     solve_rectangle,
@@ -126,17 +133,24 @@ def test_side_lengths_must_be_positive_and_finite(a, b):
         RectangleProblem(a, b, (1.0,) * 4, grid_n=16)
 
 
-@pytest.mark.parametrize("a, b, gammas, grid_n", [
+_JACOBIAN_CASES = [
     (1.0, 2.0, (1.2, 1.2, 1.3, 1.3), 16),
     (1.3, 0.7, (1.1, 0.9, 1.4, 1.0), 20),
-])
+]
+
+
+def _smooth_field(disc, seed=7):
+    rng = np.random.default_rng(seed)
+    x, y = np.meshgrid((np.arange(disc.nx) + 0.5) * disc.hx,
+                       (np.arange(disc.ny) + 0.5) * disc.hy, indexing="ij")
+    return 0.3 * np.sin(2.0 * x) * np.cos(3.0 * y) + 0.01 * rng.standard_normal(x.shape), rng
+
+
+@pytest.mark.parametrize("a, b, gammas, grid_n", _JACOBIAN_CASES)
 def test_jacobian_matches_residual_differences_and_flux_is_conserved(a, b, gammas, grid_n):
     p = RectangleProblem(a, b, gammas, grid_n=grid_n)
     disc = _Discretization(p)
-    rng = np.random.default_rng(7)
-    x, y = np.meshgrid((np.arange(disc.nx) + 0.5) * disc.hx,
-                       (np.arange(disc.ny) + 0.5) * disc.hy, indexing="ij")
-    u = 0.3 * np.sin(2.0 * x) * np.cos(3.0 * y) + 0.01 * rng.standard_normal(x.shape)
+    u, rng = _smooth_field(disc)
     v = rng.standard_normal(u.shape)
     eps = 1e-6
     fd = (disc.residual(u + eps * v) - disc.residual(u - eps * v)).ravel() / (2.0 * eps)
@@ -144,3 +158,100 @@ def test_jacobian_matches_residual_differences_and_flux_is_conserved(a, b, gamma
     assert np.abs(jv - fd).max() <= 1e-6 * np.abs(jv).max()
     # the wall fluxes and the defect balance 2h exactly: no net source
     assert abs(disc.residual(u).sum() * disc.hx * disc.hy) < 1e-12
+
+
+def _four_product_jacobian(disc, u):
+    """Reference: one slope operator per face family and slope, each scaled by its partial."""
+    nx, ny, hx, hy = disc.nx, disc.ny, disc.hx, disc.hy
+    ix, iy = sp.identity(nx), sp.identity(ny)
+    dx, dy = _difference(nx), _difference(ny)
+    east_p = sp.kron(dx, iy, format="csr") / hx
+    east_t = sp.kron(_average(nx), _gradient(ny), format="csr") / hy
+    north_p = sp.kron(ix, dy, format="csr") / hy
+    north_t = sp.kron(_gradient(nx), _average(ny), format="csr") / hx
+    east_div = -sp.kron(dx.T, iy, format="csr") / hx
+    north_div = -sp.kron(ix, dy.T, format="csr") / hy
+    u = np.ravel(u)
+    _, de_p, de_t = _flux(east_p @ u, east_t @ u)
+    _, dn_p, dn_t = _flux(north_p @ u, north_t @ u)
+    east = sp.diags(de_p) @ east_p + sp.diags(de_t) @ east_t
+    north = sp.diags(dn_p) @ north_p + sp.diags(dn_t) @ north_t
+    return (east_div @ east + north_div @ north).tocsr()
+
+
+@pytest.mark.parametrize("a, b, gammas, grid_n", _JACOBIAN_CASES)
+def test_stacked_jacobian_matches_four_product_reference(a, b, gammas, grid_n):
+    disc = _Discretization(RectangleProblem(a, b, gammas, grid_n=grid_n))
+    u, _ = _smooth_field(disc)
+    J = disc.jacobian(u)
+    ref = _four_product_jacobian(disc, u)
+    assert J.shape == ref.shape
+    assert abs(J - ref).max() <= 1e-15 * abs(ref).max()
+
+
+def _bordered_step(disc, u):
+    """Reference: the mean-zero Newton step from the system bordered by a row of ones."""
+    J = disc.jacobian(u)
+    ones = np.ones(J.shape[0])
+    A = sp.bmat([[J, ones[:, None]], [ones[None, :], None]], format="csc")
+    return spla.spsolve(A, np.concatenate([-disc.residual(u).ravel(), [0.0]]))[:-1]
+
+
+@pytest.mark.parametrize("a, b, gammas, grid_n", [
+    (1.0, 1.0, (np.pi / 3,) * 4, 32),
+    (1.0, 2.0, (1.2, 1.2, 1.3, 1.3), 24),
+])
+def test_pinned_step_is_the_bordered_step_up_to_a_constant(monkeypatch, a, b, gammas, grid_n):
+    p = RectangleProblem(a, b, gammas, grid_n=grid_n)
+    disc = _Discretization(p)
+    u, _ = _smooth_field(disc, seed=3)
+    u -= u.mean()
+    solves = []
+    spsolve = spla.spsolve
+
+    def recording_spsolve(A, rhs, **kwargs):
+        x = spsolve(A, rhs, **kwargs)
+        solves.append((A.shape, x))
+        return x
+
+    monkeypatch.setattr(spla, "spsolve", recording_spsolve)
+    with pytest.raises(NonConvergenceError):
+        solve_rectangle(p, max_iters=1, initial=u)
+    (shape, x), = solves
+    assert shape == (u.size - 1, u.size - 1)
+    pinned = np.append(x, 0.0)
+    ref = _bordered_step(disc, u)
+    assert np.abs(pinned - pinned.mean() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# the problems of criteria 05 and 06, the benchmark's graph solves and the
+# counterexample suite's default grid, with the Newton steps each took before
+# the pinned-cell gauge; the mixed-angle problems above follow
+@pytest.mark.parametrize("a, b, gammas, grid_n, iterations", [
+    (1.0, 1.0, (np.pi / 3,) * 4, 32, 2),
+    (1.0, 1.0, (np.pi / 3,) * 4, 64, 2),
+    (1.0, 1.0, (np.pi / 3,) * 4, 128, 2),
+    (1.0, 2.0, (1.2,) * 4, 64, 4),
+    (1.0, 2.0, (1.2,) * 4, 96, 4),
+    (1.0, 2.0, (1.2,) * 4, 128, 4),
+    (1.0, 1.0, (np.pi / 3,) * 4, 96, 2),
+    (1.0, 2.0, (1.2, 1.2, 1.3, 1.3), 24, 4),
+    (1.3, 0.7, (1.1, 0.9, 1.4, 1.0), 20, 5),
+])
+def test_newton_iteration_counts_and_trace(a, b, gammas, grid_n, iterations):
+    f = solve_rectangle(RectangleProblem(a, b, gammas, grid_n=grid_n))
+    assert f.iterations == iterations
+    residuals, steps = f.trace["residuals"], f.trace["steps"]
+    assert len(residuals) == iterations + 1 and residuals[-1] == f.final_residual < 1e-10
+    assert len(steps) == iterations and all(0.0 < s <= 1.0 for s in steps)
+
+
+def test_trace_records_the_damped_steps_of_a_far_start():
+    p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24)
+    f = solve_rectangle(p, initial=3.0 * _initial_guess(p))
+    assert f.trace["steps"] == (0.25, 1.0, 1.0, 1.0, 1.0, 1.0)
+    residuals = f.trace["residuals"]
+    assert len(residuals) == 7 and residuals[-1] == f.final_residual
+    # each accepted step passed the line search's sufficient-decrease test
+    assert all(new < old * (1.0 - 1e-4 * s)
+               for old, new, s in zip(residuals, residuals[1:], f.trace["steps"]))
