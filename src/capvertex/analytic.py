@@ -70,6 +70,10 @@ class SphericalCap:
         object.__setattr__(self, "h_signed", float(self.h_signed))
         if self.radius <= 0:
             raise DomainError("cap radius must be positive")
+        # the curvature 1/radius and the volume, of order radius**3, must be
+        # normal doubles
+        if not 1e-100 <= self.radius <= 1e100:
+            raise DomainError(f"cap radius {self.radius:.3e} outside [1e-100, 1e100]")
         if abs(abs(self.h_signed) * self.radius - 1.0) > 1e-12:
             raise ConsistencyError("|h| * radius must equal 1")
         for p in getattr(self.config_ref, "planes", ()):
@@ -250,6 +254,8 @@ def cylinder_cap(config: TrihedralConfig, h: float | None = None):
         if radius <= 0:
             raise NoSolutionError("contact angles force a non-positive radius")
         h_signed = 1.0 / radius
+    elif h == 0.0:
+        raise NoSolutionError("h = 0 gives a flat surface, which needs all-orthogonal data")
     else:
         radius = 1.0 / abs(h)
         sol, *_ = np.linalg.lstsq(N2, offs - radius * betas, rcond=None)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evolver import vertex_dual_areas
-from .meshes import FREE, ON_EDGE, ON_PLANE, TriMeshDrop, vertex_normals
+from .meshes import FREE, ON_EDGE, ON_PLANE, TriMeshDrop, _cross, vertex_normals
 
 __all__ = [
     "SphereFit", "PlaneFit", "fit_sphere", "fit_plane",
@@ -184,7 +184,7 @@ def mean_curvature_field(mesh: TriMeshDrop) -> np.ndarray:
     # the edges from corner k to corners k+1 and k+2, and the cotangent at k
     u, w = np.roll(p, -1, axis=0) - p, np.roll(p, -2, axis=0) - p
     cot = np.einsum("kti,kti->kt", u, w) / np.maximum(
-        np.linalg.norm(np.cross(u, w), axis=2), 1e-30)
+        np.linalg.norm(_cross(u, w), axis=2), 1e-30)
     # the cotangent at a corner weighs the opposite edge, so corner k takes
     # its edge to k+1 with the cotangent at k+2, and its edge to k+2 with k+1's
     corner = np.roll(cot, -2, axis=0)[..., None] * u + np.roll(cot, -1, axis=0)[..., None] * w

@@ -17,6 +17,14 @@ constraint. The corner incidence ``C`` sums per-corner values onto vertices;
 there is no scatter outside ``C``. The constraint basis ``R`` maps a vertex
 field to the coordinates its constraints allow: the projection is
 ``R^T R g``, and the descent runs on ``q`` with vertices ``x0 + R^T q``.
+``R^T`` is cached as a CSR matrix beside ``R``, so no product rebuilds it.
+
+The rest of an evaluation's fixed cost is cached with the topology too: the
+wall layout, each wetted polygon's polyline with the cyclic next/previous
+indices of its closed polygon, is built once per triangulation. Cross products
+are written out by components (``meshes._cross``), so there is no
+``np.cross``/``np.roll`` per evaluation, and every result is the same to the
+bit as with them.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import MeshDegenerationError, NonConvergenceError
-from .meshes import FREE, TriMeshDrop, vertex_normals
+from .meshes import FREE, TriMeshDrop, _cross, vertex_normals
 
 __all__ = [
     "EnergyBreakdown", "ConvergenceReport",
@@ -67,6 +75,24 @@ class _Evaluation(NamedTuple):
     volume_gradient: np.ndarray
 
 
+def _build_wall_layout(mesh: TriMeshDrop) -> tuple:
+    """Index arrays of each wetted wall polygon, in wall-polyline order.
+
+    A record per wall: the wall, its polyline ``seg`` (n vertices), the cyclic
+    successor of each of the closed polygon's m corners (the polyline, then
+    the apex or the two base corners) and the cyclic predecessor of each
+    polyline vertex.
+    """
+    closure = {"wedge": 0, "apex": 1, "cylinder": 2}[mesh.support.kind]
+    out = []
+    for j, seg in mesh.wall_polylines().items():
+        n, m = len(seg), len(seg) + closure
+        nxt, prv = np.arange(1, m + 1) % m, np.arange(-1, n - 1) % m
+        nxt.flags.writeable = prv.flags.writeable = False
+        out.append((j, seg, nxt, prv))
+    return tuple(out)
+
+
 def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
     """Energy, volume and their gradients from one walk over triangles and walls.
 
@@ -79,44 +105,45 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
     edge crossings, which lies in the wall (wedge); only the polyline
     vertices move, so only they carry shoelace gradients.
     """
-    sup, v, t = mesh.support, mesh.vertices, mesh.triangles
-    a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    w = np.cross(b - a, c - a)
+    sup, v = mesh.support, mesh.vertices
+    a, b, c = v[mesh.triangles.T]
+    w = _cross(b - a, c - a)
     s = a + b + c
     norms = np.linalg.norm(w, axis=1)
     area = float((0.5 * norms).sum())
     nhat = w / norms[:, None]
     edges = np.stack((c - b, a - c, b - a))           # edge opposite corner k
-    corner = np.concatenate([0.5 * np.cross(nhat, edges), (w - np.cross(edges, s)) / 6.0],
+    corner = np.concatenate([0.5 * _cross(nhat, edges), (w - _cross(edges, s)) / 6.0],
                             axis=2)
     grads = mesh.corner_incidence() @ corner.reshape(-1, 6)
     area_grad, flux_grad = grads[:, :3], grads[:, 3:]
 
     energy_grad = area_grad.copy()
     wet = {}
-    for j, seg in mesh.wall_polylines().items():
+    for j, seg, nxt, prv in mesh._derived("wall_layout", lambda: _build_wall_layout(mesh)):
         pts = v[seg]
         if sup.kind == "apex":
-            pts = np.vstack([pts, sup.config.apex])
+            pts = np.concatenate((pts, sup.config.apex[None]))
         elif sup.kind == "cylinder":  # drop both ends onto the base plane
-            g, z0 = sup.base_normal, sup.base_offset
-            pts = np.vstack([pts] + [p - (np.dot(g, p) - z0) * g for p in pts[[-1, 0]]])
+            g, ends = sup.base_normal, pts[[-1, 0]]
+            pts = np.concatenate((pts, ends - (np.vecdot(ends, g) - sup.base_offset)[:, None] * g))
+        # x and y stay strided columns of one array: contiguous copies would
+        # change the summation order of np.dot
         x, y = sup.wall_coords(j, pts).T
-        wet[j] = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-        eu, ev = sup.wall_frame(j)
-        gx = 0.5 * (np.roll(y, -1) - np.roll(y, 1))
-        gy = 0.5 * (np.roll(x, 1) - np.roll(x, -1))
+        xn, yn = x[nxt], y[nxt]
+        wet[j] = 0.5 * float(np.dot(x, yn) - np.dot(y, xn))
+        eu, ev = sup.frames[j]
         n = len(seg)                    # a polyline visits each vertex once
-        grad = gx[:n, None] * eu + gy[:n, None] * ev
-        energy_grad[seg] -= np.cos(sup.planes[j].gamma) * grad
-        flux_grad[seg] -= sup.planes[j].offset * grad
+        grad = (0.5 * (yn[:n] - y[prv]))[:, None] * eu + (0.5 * (x[prv] - xn[:n]))[:, None] * ev
+        energy_grad[seg] -= sup.cos_gammas[j] * grad
+        flux_grad[seg] -= sup.offsets[j] * grad
 
     vol = float(np.einsum("ij,ij->", s, w)) / 6.0
-    for j, p in enumerate(sup.planes):
-        vol -= p.offset * wet[j]
+    for j, offset in enumerate(sup.offsets):
+        vol -= offset * wet[j]
     if sup.kind == "cylinder":
-        vol -= sup.base_offset * sup.base_triangle_area()
-    total = area - sum(np.cos(sup.planes[j].gamma) * wet[j] for j in wet)
+        vol -= sup.base_offset * sup.base_area
+    total = area - sum(sup.cos_gammas[j] * wet[j] for j in wet)
     breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
     return _Evaluation(breakdown, wet, area_grad, energy_grad, flux_grad / 3.0)
 
@@ -156,8 +183,8 @@ def energy_gradient(mesh: TriMeshDrop) -> np.ndarray:
 
 def project_tangent(mesh: TriMeshDrop, grad: np.ndarray) -> np.ndarray:
     """Project a vertex vector field onto the constraint-tangent directions."""
-    R = mesh.constraint_basis()
-    return (R.T @ (R @ np.ravel(grad))).reshape(-1, 3)
+    R, Rt = mesh.constraint_basis(), mesh.constraint_basis_transpose()
+    return (Rt @ (R @ np.ravel(grad))).reshape(-1, 3)
 
 
 def vertex_dual_areas(mesh: TriMeshDrop) -> np.ndarray:
@@ -183,7 +210,7 @@ def _restore_volume(mesh: TriMeshDrop, target: float, rel_tol: float = 1e-10,
             raise MeshDegenerationError("volume gradient vanished during restoration")
         mesh.vertices -= (err / denom) * m
     err = volume(mesh) - target
-    if abs(err) > 1e-8 * scale:
+    if not abs(err) <= 1e-8 * scale:    # a NaN error fails too
         raise NonConvergenceError("volume restoration stalled", trace=[err])
     return err
 
@@ -239,13 +266,13 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
     work.target_volume = target
     report = ConvergenceReport()
 
-    R = work.constraint_basis()
+    R, Rt = work.constraint_basis(), work.constraint_basis_transpose()
     scale = max(abs(target), 1e-30)
     mu = 1e3 * max(1.0, abs(state.total)) / scale ** 2
     inner_budget = max_iters
 
     def set_q(q):
-        work.vertices = x0 + (R.T @ q).reshape(-1, 3)
+        work.vertices = x0 + (Rt @ q).reshape(-1, 3)
 
     def reduce_grad(g):
         return R @ g.ravel()
@@ -308,6 +335,8 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
     if fixed_volume:
         _restore_volume(work, target)
     gnorm, lam, state = _residual_norm(work, fixed_volume)
+    if not (np.isfinite(work.vertices).all() and np.isfinite(state.total)):
+        raise MeshDegenerationError("evolution reached non-finite vertices or energy")
     report.final_gradient_norm = gnorm
     report.converged = report.converged or gnorm < grad_tol
     report.lagrange_h = 0.5 * lam

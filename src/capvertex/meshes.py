@@ -19,9 +19,10 @@ the ``vertices`` array, which the evolver moves freely. The topology is the
 read-only ``triangles``, ``tag_kind`` and ``tag_id`` arrays and all that is
 derived from them: the boundary loop, the wall polylines, the one-ring
 adjacency, the depth-k neighbourhoods, the corner incidence ``C`` (n x 3T;
-there is no scatter outside ``C``) and the constraint basis ``R`` (n_dof x 3n,
+there is no scatter outside ``C``), the constraint basis ``R`` (n_dof x 3n,
 whose rows are the directions a vertex may move in; it reads the support,
-which meshes sharing a topology share). Each is built on first use, at most
+which meshes sharing a topology share) with its CSR transpose, and the
+evolver's wall layout. Each is built on first use, at most
 once per triangulation, and no vertex move reaches it. Assignment to
 ``triangles`` (the orientation flip of a new seed) starts a fresh,
 empty topology; subdivision, OBJ reading and structured surfaces build new
@@ -106,11 +107,16 @@ class SupportAdapter:
             # generator coordinate 0 (the gauge used by the cylinder builders)
             self.base_normal = g
             self.base_offset = 0.0
+            # cross-section area of the base, a constant of the support
+            p = [e.point for e in self.edges]
+            self.base_area = 0.5 * abs(float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))))
         else:
             raise DomainError(f"unsupported configuration type {type(config)!r}")
         # the same data stacked, to be indexed by a vertex's tag_id
         self.normals = _frozen([p.normal for p in self.planes], float)
         self.offsets = _frozen([p.offset for p in self.planes], float)
+        self.cos_gammas = _frozen([np.cos(p.gamma) for p in self.planes], float)
+        self.origins = _frozen(self.offsets[:, None] * self.normals, float)
         self.frames = _frozen([_orthonormal_complement(n) for n in self.normals], float)
         self.edge_points = _frozen([e.point for e in self.edges], float)
         self.edge_dirs = _frozen([e.direction for e in self.edges], float)
@@ -120,10 +126,12 @@ class SupportAdapter:
         return self.frames[j]
 
     def wall_coords(self, j, pts):
-        eu, ev = self.frames[j]
-        ref = self.offsets[j] * self.normals[j]
-        rel = np.atleast_2d(pts) - ref
-        return np.column_stack([rel @ eu, rel @ ev])
+        """In-plane coordinates of the points ``pts`` (k, 3) of wall j, as one (k, 2) array."""
+        rel = pts - self.origins[j]
+        out = np.empty((len(rel), 2))
+        out[:, 0] = rel @ self.frames[j, 0]
+        out[:, 1] = rel @ self.frames[j, 1]
+        return out
 
     def edge_for_planes(self, i, j) -> int:
         k = np.flatnonzero(np.isin(self.edge_planes, (i, j)).all(axis=1))
@@ -131,11 +139,17 @@ class SupportAdapter:
             raise DomainError(f"no support edge between planes {i} and {j}")
         return int(k[0])
 
-    def base_triangle_area(self) -> float:
-        """Cross-section area of the cylinder base (cylinder kind only)."""
-        pts = self.edge_points
-        return 0.5 * abs(float(np.linalg.norm(
-            np.cross(pts[1] - pts[0], pts[2] - pts[0]))))
+
+def _cross(a, b) -> np.ndarray:
+    """Cross products over the last axis of two broadcastable arrays of 3-vectors.
+
+    The products and differences of ``np.cross``, so the results are the same
+    to the bit, without its axis handling, which costs more than the
+    arithmetic on the few hundred triangles of a drop.
+    """
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -261,6 +275,15 @@ def _build_constraint_basis(tag_kind, tag_id, support) -> sp.csr_matrix:
          np.arange(0, cols.size + 1, 3)), shape=(len(vertex), 3 * n)))
 
 
+def _build_transpose(m: sp.csr_matrix) -> sp.csr_matrix:
+    """``m.T`` as a read-only CSR matrix.
+
+    Its products sum each row in column order, the order in which products
+    with the CSC matrix ``m.T`` accumulate, so both give the same bits.
+    """
+    return _frozen_csr(m.T.tocsr())
+
+
 class TriMeshDrop:
     """Oriented triangulated disk with per-vertex constraint tags."""
 
@@ -353,12 +376,16 @@ class TriMeshDrop:
         return self._derived("basis", lambda: _build_constraint_basis(
             self.tag_kind, self.tag_id, self.support))
 
+    def constraint_basis_transpose(self) -> sp.csr_matrix:
+        """``R.T`` as a read-only CSR matrix, so that ``R.T`` is not rebuilt per product."""
+        return self._derived("basis_t", lambda: _build_transpose(self.constraint_basis()))
+
     # -- geometry ---------------------------------------------------------
 
     def triangle_areas(self) -> np.ndarray:
         v = self.vertices
         t = self.triangles
-        cross = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+        cross = _cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
         return 0.5 * np.linalg.norm(cross, axis=1)
 
     def validate(self, tol: float = 1e-9):
@@ -515,6 +542,8 @@ def seed_mesh(config, h: float | None = 1.0, target_volume: float | None = None,
     trihedral angle), the seed is rescaled about the support's reference point
     to enclose it exactly.
     """
+    if target_volume is not None and not target_volume > 0.0:
+        raise DomainError(f"target volume must be positive, got {target_volume}")
     support = SupportAdapter(config)
     if support.kind == "cylinder":
         # the walls fix the sphere radius, so the curvature is not a free input
@@ -608,7 +637,7 @@ def perturb(mesh: TriMeshDrop, amplitude: float, seed: int = 0) -> TriMeshDrop:
 def vertex_normals(mesh: TriMeshDrop) -> np.ndarray:
     """Area-weighted outward vertex normals."""
     v, t = mesh.vertices, mesh.triangles
-    fn = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+    fn = _cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
     out = mesh.corner_incidence() @ np.tile(fn, (3, 1))
     norms = np.linalg.norm(out, axis=1)
     norms[norms < 1e-30] = 1.0

@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capvertex import cli, meshes
 from capvertex.cli import main, run, verify_suite
@@ -245,11 +248,17 @@ _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
      "grid_n": "32"},
     {"kind": "solve-graph", "a": 0.1, "b": 1.0, "gammas": [math.pi / 3] * 4, "grid_n": 16},
     {"kind": "cap", "support": "cylinder", "gammas": [1.9] * 3, "inradius": math.nan},
+    {"kind": "cap", "support": "cylinder", "gammas": [2.0] * 3, "h": 0.0},
+    {"kind": "cap", "support": "cylinder", "gammas": [2.0] * 3, "inradius": 2e-313},
     {"kind": "cap", "support": "wedge", "alpha": math.pi / 4,
      "gammas": [math.nan, 2.0], "h": 1.0},
     {**_ORTHANT, "refinement": "1"},
     {**_ORTHANT, "max_iters": 0},
     {**_ORTHANT, "perturbation": math.inf},
+    {**_ORTHANT, "target_volume": -1.0},
+    {**_ORTHANT, "perturbation": 1e100, "max_iters": 1, "fixed_volume": False},
+    {"kind": "evolve", "support": "wedge", "alpha": 0.40625, "gammas": [1.5, 2.0],
+     "perturbation": 8.5e101, "target_volume": 2.0, "max_iters": 1},
     {**_ORTHANT, "planar": "no"},
     {"kind": "verify", "suite": "wente", "grid_n": False},
 ], ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items() if k != "gammas"))
@@ -276,3 +285,68 @@ def test_solver_failure_exits_2_with_one_line_and_no_artifacts(
     assert run(cfg, out) == 2
     assert capsys.readouterr().err.strip() == f"error: {exc}"
     assert not out.exists()
+
+
+# -- the exit-code contract over arbitrary configs ----------------------------
+
+# any JSON value but an integer, so that every key has the wrong type some of
+# the time; an unbounded integer as a size would ask for gigabytes
+_OTHER = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                   st.lists(st.floats(), max_size=4))
+
+
+def _mostly(strategy, other=_OTHER):
+    """``strategy`` in most draws, ``other`` in about one of five."""
+    return st.integers(0, 4).flatmap(lambda k: other if k == 4 else strategy)
+
+
+# sizes bounded so that no example runs long; refinement r seeds 32 * 4**(r + 1)
+# triangles, so it stops at 3
+_SIZE = _mostly(st.integers(-3, 12))
+# mostly positive: every number the scenarios read is valid there
+_NUMBER = _mostly(st.floats(0.0, 3.0), st.one_of(_OTHER, st.integers(), st.floats(-3.0, 0.0)))
+_SUPPORTS = {"wedge": 2, "orthant": 3, "cylinder": 3}      # support: its wall count
+# the keys each kind reads, present in most examples; grid_n and max_iters
+# always: an absent grid_n means 32 cells per unit of the unbounded sides a
+# and b, an absent max_iters 1000 evolve iterations
+_REQUIRED = {
+    "classify": {"alpha": _NUMBER},
+    "cap": {"alpha": _NUMBER},
+    "solve-graph": {"a": _NUMBER, "b": _NUMBER, "grid_n": _SIZE},
+    "evolve": {"alpha": _NUMBER, "max_iters": _SIZE},
+    "verify": {"suite": _mostly(st.sampled_from(["formulas", "wente"]))},
+}
+_OPTIONAL = {
+    "grid": _SIZE, "grid_n": _SIZE, "refinement": _mostly(st.integers(-3, 3)),
+    "planar": _mostly(st.booleans()), "fixed_volume": _mostly(st.booleans()),
+    **{key: _NUMBER for key in ("h", "inradius", "perturbation", "grad_tol", "target_volume")},
+}
+
+
+@st.composite
+def _configs(draw):
+    kind = draw(st.sampled_from(sorted(_REQUIRED)))
+    keys = _REQUIRED[kind]
+    cfg = draw(st.fixed_dictionaries(keys, optional={k: v for k, v in _OPTIONAL.items()
+                                                     if k not in keys}))
+    walls = 4
+    if kind in ("cap", "evolve"):
+        cfg["support"] = draw(_mostly(st.sampled_from(sorted(_SUPPORTS))))
+        walls = _SUPPORTS.get(cfg["support"], 3) if isinstance(cfg["support"], str) else 3
+    if kind in ("cap", "evolve", "solve-graph"):
+        # mostly near the right angle, where most supports admit a drop
+        angle = _mostly(st.floats(1.2, 2.0), st.floats(0.0, math.pi))
+        cfg["gammas"] = draw(_mostly(st.lists(angle, min_size=walls, max_size=walls)))
+    return {"kind": kind, **cfg}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_configs())
+def test_any_config_exits_0_1_or_2_and_exit_2_writes_nothing(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        code = run(path, out)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert not out.exists()

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from capvertex import evolver
+from capvertex import diagnostics, evolver, meshes
+from capvertex.errors import NonConvergenceError
 from capvertex.geometry import TrihedralConfig, WedgeConfig
 from capvertex.meshes import (
     FREE,
@@ -14,6 +15,7 @@ from capvertex.meshes import (
     vertex_normals,
 )
 from capvertex.evolver import (
+    EnergyBreakdown,
     energy,
     energy_gradient,
     evolve,
@@ -128,6 +130,13 @@ def test_evolve_keeps_volume_through_iterations():
     assert volume(out) == pytest.approx(target, abs=1e-8 * target)
 
 
+def test_volume_restoration_fails_on_a_non_finite_volume(octant):
+    broken = octant.copy()
+    broken.vertices[0] = np.nan
+    with pytest.raises(NonConvergenceError, match="volume restoration stalled"):
+        evolver._restore_volume(broken, octant.target_volume)
+
+
 def test_planar_mode_stays_planar():
     g = float(np.arccos(np.sqrt(3.0) / 3.0))
     m = seed_planar_trihedral(TrihedralConfig.orthant((g,) * 3),
@@ -142,10 +151,11 @@ def test_planar_mode_stays_planar():
     assert abs(rep.lagrange_h) < 1e-6
 
 
-def test_evolve_builds_wall_polygons_only_inside_the_single_pass(monkeypatch):
+def test_evolve_builds_the_wall_layout_and_basis_transpose_once(monkeypatch):
     # every objective, residual and volume-restoration step reads one
-    # evaluation pass, and only that pass walks the wall polylines
-    calls = {"evaluate": 0, "wall_polylines": 0}
+    # evaluation pass; the wall polygons' index arrays and R^T belong to the
+    # triangulation, so the evolve builds each once however often it evaluates
+    calls = {"evaluate": 0, "wall_polylines": 0, "layout": 0, "transpose": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -155,19 +165,28 @@ def test_evolve_builds_wall_polygons_only_inside_the_single_pass(monkeypatch):
 
     cfg = WedgeConfig.canonical(np.pi / 3, 1.2, 2.0)
     m = perturb(seed_mesh(cfg, h=1.0, refinement_level=2), 0.01, seed=4)
+    # a fresh topology, with nothing cached by the seeding
+    m = TriMeshDrop(m.vertices, m.triangles, m.tag_kind, m.tag_id, m.support, m.target_volume)
     monkeypatch.setattr(evolver, "_evaluate", counted("evaluate", evolver._evaluate))
     monkeypatch.setattr(TriMeshDrop, "wall_polylines",
                         counted("wall_polylines", TriMeshDrop.wall_polylines))
+    monkeypatch.setattr(evolver, "_build_wall_layout",
+                        counted("layout", evolver._build_wall_layout))
+    monkeypatch.setattr(meshes, "_build_transpose", counted("transpose", meshes._build_transpose))
     evolve(m, max_iters=60, n_outer=3)
     assert calls["evaluate"] > 0
-    assert calls["wall_polylines"] == calls["evaluate"]
+    assert calls["wall_polylines"] == calls["layout"] == calls["transpose"] == 1
 
 
 # -- the cached operators against the scatters they replaced -----------------
 
 
-@pytest.fixture(scope="module", params=["wedge", "orthant", "cylinder"])
+@pytest.fixture(scope="module", params=["wedge", "orthant", "planar", "cylinder"])
 def drop(request):
+    if request.param == "planar":
+        flat = float(np.arccos(np.sqrt(3.0) / 3.0))
+        seed = seed_planar_trihedral(TrihedralConfig.orthant((flat,) * 3), refinement_level=2)
+        return perturb(seed, 0.01, seed=1)
     if request.param == "wedge":
         cfg, h = WedgeConfig.canonical(np.pi / 4, 2.0, 2.1), 1.0
     elif request.param == "orthant":
@@ -177,18 +196,28 @@ def drop(request):
     return perturb(seed_mesh(cfg, h=h, refinement_level=2), 0.01, seed=1)
 
 
-def _scattered_gradients(mesh):
-    """Area, energy and volume gradients summed corner by corner with ``np.add.at``."""
+def _reference_evaluation(mesh):
+    """The evaluation pass with every wall polygon rebuilt per call.
+
+    Cross products by ``np.cross``, corner sums by ``np.add.at``; per wall the
+    polyline with its closure, in-plane coordinates from the wall frame and
+    cyclic neighbours by ``np.roll``; the cylinder base area from its corners.
+    Returns the breakdown, the wetted areas and the area, energy and volume
+    gradients.
+    """
     sup, v, t = mesh.support, mesh.vertices, mesh.triangles
     a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     w = np.cross(b - a, c - a)
     s = a + b + c
-    nhat = w / np.linalg.norm(w, axis=1)[:, None]
+    norms = np.linalg.norm(w, axis=1)
+    area = float((0.5 * norms).sum())
+    nhat = w / norms[:, None]
     area_grad, flux_grad = np.zeros_like(v), np.zeros_like(v)
     for k, edge in enumerate((c - b, a - c, b - a)):
         np.add.at(area_grad, t[:, k], 0.5 * np.cross(nhat, edge))
         np.add.at(flux_grad, t[:, k], (w - np.cross(edge, s)) / 6.0)
     energy_grad = area_grad.copy()
+    wet = {}
     for j, seg in mesh.wall_polylines().items():
         pts = v[seg]
         if sup.kind == "apex":
@@ -196,8 +225,10 @@ def _scattered_gradients(mesh):
         elif sup.kind == "cylinder":
             g, z0 = sup.base_normal, sup.base_offset
             pts = np.vstack([pts] + [p - (np.dot(g, p) - z0) * g for p in pts[[-1, 0]]])
-        x, y = sup.wall_coords(j, pts).T
-        eu, ev = sup.wall_frame(j)
+        eu, ev = sup.frames[j]
+        rel = np.atleast_2d(pts) - sup.planes[j].offset * sup.planes[j].normal
+        x, y = np.column_stack([rel @ eu, rel @ ev]).T
+        wet[j] = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         gx = 0.5 * (np.roll(y, -1) - np.roll(y, 1))
         gy = 0.5 * (np.roll(x, 1) - np.roll(x, -1))
         grad = np.zeros_like(v)
@@ -205,12 +236,28 @@ def _scattered_gradients(mesh):
         np.add.at(grad, seg, gx[:n, None] * eu + gy[:n, None] * ev)
         energy_grad -= np.cos(sup.planes[j].gamma) * grad
         flux_grad -= sup.planes[j].offset * grad
-    return area_grad, energy_grad, flux_grad / 3.0
+    vol = float(np.einsum("ij,ij->", s, w)) / 6.0
+    for j, p in enumerate(sup.planes):
+        vol -= p.offset * wet[j]
+    if sup.kind == "cylinder":
+        e = sup.edge_points
+        base = 0.5 * abs(float(np.linalg.norm(np.cross(e[1] - e[0], e[2] - e[0]))))
+        vol -= sup.base_offset * base
+    total = area - sum(np.cos(sup.planes[j].gamma) * wet[j] for j in wet)
+    breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
+    return breakdown, wet, area_grad, energy_grad, flux_grad / 3.0
+
+
+def test_evaluation_equals_the_per_call_reference_bit_for_bit(drop):
+    ev = evolver._evaluate(drop)
+    breakdown, wet, _, _, _ = _reference_evaluation(drop)
+    assert ev.breakdown == breakdown
+    assert list(ev.wetted.items()) == list(wet.items())
 
 
 def test_corner_products_equal_the_scatters_bit_for_bit(drop):
     ev = evolver._evaluate(drop)
-    area_grad, energy_grad, volume_grad = _scattered_gradients(drop)
+    _, _, area_grad, energy_grad, volume_grad = _reference_evaluation(drop)
     assert np.array_equal(ev.area_gradient, area_grad)
     assert np.array_equal(ev.energy_gradient, energy_grad)
     assert np.array_equal(ev.volume_gradient, volume_grad)
@@ -228,6 +275,18 @@ def test_corner_products_equal_the_scatters_bit_for_bit(drop):
         np.add.at(normals, t[:, k], fn)
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     assert np.array_equal(vertex_normals(drop), normals)
+
+
+def test_cross_helper_equals_np_cross_bit_for_bit(drop, monkeypatch):
+    def fields():
+        return (drop.triangle_areas(), vertex_normals(drop),
+                diagnostics.mean_curvature_field(drop))
+
+    got = fields()
+    for module in (meshes, diagnostics):
+        monkeypatch.setattr(module, "_cross", np.cross)
+    for field, expected in zip(got, fields()):
+        assert np.array_equal(field, expected, equal_nan=True)
 
 
 def test_constraint_basis_rows_are_orthonormal_per_vertex(drop):
@@ -260,6 +319,11 @@ def test_project_tangent_matches_normal_subtraction(drop):
         expected[i] = np.dot(expected[i], d) * d
     got = project_tangent(drop, g)
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+    # the cached CSR transpose sums in the order of the CSC R.T
+    R = drop.constraint_basis()
+    assert np.array_equal(got, (R.T @ (R @ g.ravel())).reshape(-1, 3))
+    q = R @ g.ravel()
+    assert np.array_equal(drop.constraint_basis_transpose() @ q, R.T @ q)
 
 
 def test_smooth_matches_per_vertex_mean(drop):
