@@ -49,6 +49,11 @@ _SUITE_PERTURBATION = 0.01
 # CSV rows formatted per write: a whole 181^2 grid as one string would raise
 # the peak memory by megabytes
 _CSV_CHUNK = 1024
+# size ceilings of a config, past which its arrays would take gigabytes: a
+# classify grid of n points per side has n^2 cells, and refinement r seeds
+# 32 * 4**(r + 1) triangles (the graph solver bounds its own cell count)
+_MAX_GRID = 2049
+_MAX_REFINEMENT = 5
 
 
 class ConfigError(ValueError):
@@ -91,12 +96,14 @@ def _number(cfg: dict, key, where, default=_REQUIRED):
     return value
 
 
-def _integer(cfg: dict, key, where, default, minimum=1):
+def _integer(cfg: dict, key, where, default, minimum=1, maximum=None):
     if key not in cfg:
         return default
     value = _require(cfg, key, int, where)
     if value < minimum:
         raise ConfigError(f"{where}: key '{key}' must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where}: key '{key}' must be at most {maximum}, got {value}")
     return value
 
 
@@ -151,16 +158,16 @@ def _support_from_config(cfg, where):
 
 def _run_classify(cfg, out: Path, seed: int, where: str) -> int:
     alpha = _number(cfg, "alpha", where)
-    n = _integer(cfg, "grid", where, 181)
+    n = _integer(cfg, "grid", where, 181, maximum=_MAX_GRID)
     g = np.linspace(0.0, np.pi, n)
-    g1, g2 = np.meshgrid(g, g, indexing="ij")
-    codes, numer = classify_grid(alpha, g1, g2)
+    # a broadcast grid: classify_grid checks alpha before any n^2 array exists
+    codes, numer = classify_grid(alpha, g[:, None], g[None, :])
     # the codes number the tags 0, 1, ...
     names = np.array([tag.name for tag in sorted(TAG_CODES, key=TAG_CODES.get)], dtype=object)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "classification.csv", ["gamma1", "gamma2", "class", "numerator"],
                "%.12g,%.12g,%s,%.17g",
-               [g1.ravel(), g2.ravel(), names[codes.ravel()], numer.ravel()])
+               [np.repeat(g, n), np.tile(g, n), names[codes.ravel()], numer.ravel()])
     report = {"scenario": "classify", "alpha": alpha, "grid": n, "seed": seed,
               "version": __version__}
     (out / "report.json").write_text(json.dumps(report, indent=2))
@@ -170,7 +177,7 @@ def _run_classify(cfg, out: Path, seed: int, where: str) -> int:
 def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
     h = _number(cfg, "h", where, None)
-    refinement = _integer(cfg, "refinement", where, 2, minimum=0)
+    refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
     if isinstance(config, WedgeConfig):
         cap = wedge_cap(config, h if h is not None else 1.0)
     elif config.kind.name == "APEX":
@@ -230,7 +237,7 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
 def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
     h = _number(cfg, "h", where, 1.0)
-    refinement = _integer(cfg, "refinement", where, 2, minimum=0)
+    refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
     if _flag(cfg, "planar", where, False):
         mesh = seed_planar_trihedral(config, refinement_level=refinement)
     else:
@@ -295,13 +302,15 @@ def _suite_formulas(opts) -> list:
     outcomes.append(_outcome("numerator-sign-vs-rectangle", worst == 0,
                              worst, 0, "disagreements outside 1e-6 band"))
 
-    # rejection sampling of (alpha, g1, g2) rows in small chunks, which keep
-    # memory flat; the sample ends at its 10,000th interior row
+    # rejection sampling of (alpha, g1, g2) rows in chunks of 8192 (196 KB),
+    # which keep memory flat; the sample ends at its 10,000th interior row.
+    # rng.random fills rows in stream order, so the chunk size leaves the
+    # sample unchanged
     lo = np.array([0.05, 0.0, 0.0])
     hi = np.array([np.pi / 2 - 0.05, np.pi, np.pi])
     n_found, worst_id = 0, 0.0
     while n_found < 10000:
-        draws = lo + (hi - lo) * rng.random((1024, 3))
+        draws = lo + (hi - lo) * rng.random((8192, 3))
         codes, numer = classify_grid(*draws.T)
         inside = codes == interior
         n = np.searchsorted(np.cumsum(inside), 10000 - n_found) + 1
@@ -441,8 +450,8 @@ def _run_verify(cfg, out: Path, seed: int, where: str) -> int:
     suite = _require(cfg, "suite", str, where)
     if suite not in _SUITES:
         raise ConfigError(f"{where}: unknown suite '{suite}'")
-    opts = {k: _integer(cfg, k, where, None, minimum=0 if k == "refinement" else 1)
-            for k in ("refinement", "grid_n", "max_iters") if k in cfg}
+    bounds = {"refinement": (0, _MAX_REFINEMENT), "grid_n": (1, None), "max_iters": (1, None)}
+    opts = {k: _integer(cfg, k, where, None, *bounds[k]) for k in bounds if k in cfg}
     outcomes = verify_suite(suite, seed=seed, **opts)
     out.mkdir(parents=True, exist_ok=True)
     report = {"scenario": "verify", "suite": suite, "seed": seed,

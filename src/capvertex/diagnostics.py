@@ -6,9 +6,13 @@ separates spherical surfaces from genuinely anisotropic ones.
 
 The local fits behind the curvature fields and the contact angles are
 stacked: every vertex's neighbourhood (from ``TriMeshDrop.neighbourhood``,
-built once per triangulation) is zero-padded into one array, and all sphere,
-plane and quadric fits of a block of vertices are solved by one batched SVD.
-``fit_sphere`` and ``fit_plane`` are the same fitters applied to one cloud.
+built once per triangulation) is zero-padded into one array. The sphere and
+quadric fits of a block of vertices factor their augmented systems
+``[A | b]`` by one batched Householder QR and back-substitute; singular
+values are taken from the small triangular factors, and only where a rule
+reads them (the sphere seed's plane test, the quadric's rank). The plane
+fits need a right singular vector and run one batched SVD. ``fit_sphere``
+and ``fit_plane`` are the same fitters applied to one cloud.
 """
 
 from __future__ import annotations
@@ -51,25 +55,42 @@ class PlaneFit:
 
 
 # Local fits run on stacks of neighbourhoods, at most this many per stack, so
-# that the padded arrays and the SVD workspace stay small on large meshes.
+# that the padded arrays and the QR workspace stay small on large meshes.
 _BLOCK_ROWS = 256
 
 
-def _lstsq(A, b, n):
-    """Stacked ``np.linalg.lstsq(A[i], b[i])`` through one batched SVD.
+def _lstsq(Ab):
+    """Stacked least squares through one batched Householder QR.
 
-    ``A`` is (k, m, p) and ``b`` is (k, m), zero-padded below the ``n[i]``
-    true rows of each stack; zero rows change neither the solution nor the
-    singular values. As in ``lstsq``, singular values at or below
-    ``eps * max(n, p) * s[0]`` count as zero. Returns the minimum-norm
-    solutions (k, p), the singular values (k, p) and the ranks (k,).
+    ``Ab`` is (k, m, p + 1): each fit matrix ``A`` with its right-hand side
+    ``b`` as the last column, zero-padded below the true rows; zero rows
+    change neither the solution nor the factor. Returns the solutions (k, p)
+    of ``R x = Q^T b`` and the triangular factors ``R`` (k, p, p) of the fit
+    matrices, whose singular values are those of ``A``. A rank-deficient
+    fit gets a meaningless, possibly non-finite, solution in its own row.
     """
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    cutoff = np.finfo(float).eps * np.maximum(n, A.shape[2]) * s[:, 0]
-    keep = s > cutoff[:, None]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    utb = np.einsum("kmj,km->kj", u, b)
-    return np.einsum("kji,kj->ki", vt, inv * utb), s, keep.sum(axis=1)
+    k, m, q = Ab.shape
+    if m < q:
+        Ab = np.concatenate([Ab, np.zeros((k, q - m, q))], axis=1)
+    R = np.linalg.qr(Ab, mode="r")
+    p = q - 1
+    x = R[:, :p, p].copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(p - 1, -1, -1):
+            x[:, i] -= np.einsum("kj,kj->k", R[:, i, i + 1:p], x[:, i + 1:])
+            x[:, i] /= R[:, i, i]
+    return x, R[:, :p, :p]
+
+
+def _rank(R, n):
+    """Ranks of the fit matrices behind ``R`` (k, p, p) with ``n`` (k,) true rows.
+
+    As in ``np.linalg.lstsq``, singular values at or below
+    ``eps * max(n, p) * s[0]`` count as zero.
+    """
+    s = np.linalg.svd(R, compute_uv=False)
+    cutoff = np.finfo(float).eps * np.maximum(n, R.shape[2]) * s[:, 0]
+    return (s > cutoff[:, None]).sum(axis=1)
 
 
 def _fit_planes(pts, mask):
@@ -101,9 +122,9 @@ def _fit_spheres(pts, mask, max_newton=10):
     centroid = pts.sum(axis=1) / n[:, None]
     rel = np.where(rows, pts - centroid[:, None], 0.0)
     # algebraic stage: |x|^2 = 2 c.x + k is linear in (c, k)
-    A = np.concatenate([2.0 * rel, rows.astype(float)], axis=2)
-    b = np.einsum("kmj,kmj->km", rel, rel)
-    sol, sv, _ = _lstsq(A, b, n)
+    sol, R = _lstsq(np.concatenate(
+        [2.0 * rel, rows, np.einsum("kmj,kmj->km", rel, rel)[..., None]], axis=2))
+    sv = np.linalg.svd(R, compute_uv=False)
     c = sol[:, :3]
     r2 = sol[:, 3] + np.einsum("kj,kj->k", c, c)
     plane = (sv[:, -1] < 1e-9 * np.maximum(sv[:, 0], 1e-30)) | (r2 <= 0)
@@ -115,20 +136,25 @@ def _fit_spheres(pts, mask, max_newton=10):
     for _ in range(max_newton):
         if not live.size:
             break
-        d = pts[live] - (centroid[live] + c[live])[:, None]
+        # one system [J | -res] per fit: J = -[(x - c) / |x - c|, 1], res = |x - c| - r
+        Jr = np.empty((len(live), pts.shape[1], 5))
+        d = Jr[..., :3]
+        np.subtract((centroid[live] + c[live])[:, None], pts[live], out=d)
         dist = np.linalg.norm(d, axis=2)
-        on = mask[live]
         with np.errstate(divide="ignore", invalid="ignore"):
-            J = np.where(on[..., None], np.concatenate(
-                [-d / dist[..., None], -np.ones_like(dist)[..., None]], axis=2), 0.0)
-        res = np.where(on, dist - r[live, None], 0.0)
-        # a point on the centre makes the step undefined: that fit stops here
-        ok = np.isfinite(J).all(axis=(1, 2))
-        live, J, res = live[ok], J[ok], res[ok]
-        delta, _, _ = _lstsq(J, -res, n[live])
+            d /= dist[..., None]
+        Jr[..., 3] = -1.0
+        np.subtract(r[live, None], dist, out=Jr[..., 4])
+        Jr[~mask[live]] = 0.0
+        delta = _lstsq(Jr)[0]
+        # an undefined step (a point on the centre, or a singular J) stops
+        # that fit where it is
+        step = np.linalg.norm(delta, axis=1)
+        finite = np.isfinite(step)
+        live, delta, step = live[finite], delta[finite], step[finite]
         c[live] += delta[:, :3]
         r[live] += delta[:, 3]
-        live = live[np.linalg.norm(delta, axis=1) >= 1e-14 * np.maximum(r[live], 1.0)]
+        live = live[step >= 1e-14 * np.maximum(r[live], 1.0)]
     center = centroid + c
     res = np.where(mask, np.linalg.norm(pts - center[:, None], axis=2) - r[:, None], 0.0)
     return center, r, np.sqrt(np.einsum("km,km->k", res, res) / n), plane
@@ -235,11 +261,11 @@ def principal_curvatures(mesh: TriMeshDrop) -> np.ndarray:
         # the vertex itself gives a zero row, which changes nothing
         rel = np.where(mask[..., None], pts - mesh.vertices[block][:, None], 0.0)
         x, y, z = (np.einsum("kmj,kj->km", rel, e) for e in (e1, e2, n))
-        A = np.stack([0.5 * x * x, x * y, 0.5 * y * y, x, y], axis=2)
+        Az = np.stack([0.5 * x * x, x * y, 0.5 * y * y, x, y, z], axis=2)
         # a non-finite fit matrix (a vertex without a normal) gets no fit
-        finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(z).all(axis=1)
-        coef, _, rank = _lstsq(A[finite], z[finite], mask[finite].sum(axis=1) - 1)
-        full = rank == 5
+        finite = np.isfinite(Az).all(axis=(1, 2))
+        coef, R = _lstsq(Az[finite])
+        full = _rank(R, mask[finite].sum(axis=1) - 1) == 5
         L, M, N, p, q = coef[full].T
         # shape operator of z = f(x, y) at the origin with slope (p, q)
         w = np.sqrt(1 + p * p + q * q)

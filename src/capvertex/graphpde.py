@@ -29,6 +29,9 @@ __all__ = ["RectangleProblem", "GraphField", "compatibility_h", "solve_rectangle
 # this fraction of the residual
 _STALL_STEPS = 5
 _STALL_RATIO = 0.9
+# the largest grid a problem may ask for; its sparse operators and LU grow
+# with the cell count, and a side of 9036 at 32 cells per unit asks for a TiB
+_MAX_CELLS = 512 * 512
 
 
 def compatibility_h(a: float, b: float, gammas) -> float:
@@ -73,6 +76,10 @@ class RectangleProblem:
             # the second-order one-sided wall slopes span three cells
             raise DomainError(
                 f"grid of {self.shape[0]} x {self.shape[1]} cells: each side needs at least 3"
+            )
+        if self.shape[0] * self.shape[1] > _MAX_CELLS:
+            raise DomainError(
+                f"grid of {self.shape[0]} x {self.shape[1]} cells: at most {_MAX_CELLS} allowed"
             )
         h0 = compatibility_h(self.a, self.b, self.gammas)
         if self.h is None:

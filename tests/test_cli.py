@@ -247,6 +247,15 @@ _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
     {"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [math.pi / 3] * 4,
      "grid_n": "32"},
     {"kind": "solve-graph", "a": 0.1, "b": 1.0, "gammas": [math.pi / 3] * 4, "grid_n": 16},
+    # sizes past their ceilings; the first two would ask for 11 GiB and 1.2 TiB
+    {"kind": "classify", "alpha": 0.0, "grid": 38452},
+    {"kind": "solve-graph", "a": 9036.0, "b": 9036.0, "gammas": [0, 0, 0, 1.42]},
+    {"kind": "solve-graph", "a": 2.0, "b": 1.0, "gammas": [math.pi / 3] * 4, "grid_n": 363},
+    {"kind": "classify", "alpha": math.pi / 4, "grid": 2050},
+    {**_ORTHANT, "refinement": 6},
+    {"kind": "verify", "suite": "theorem1-wedge", "refinement": 6},
+    # a bad alpha on the largest grid is rejected before the grid is built
+    {"kind": "classify", "alpha": 0.0, "grid": 2049},
     {"kind": "cap", "support": "cylinder", "gammas": [1.9] * 3, "inradius": math.nan},
     {"kind": "cap", "support": "cylinder", "gammas": [2.0] * 3, "h": 0.0},
     {"kind": "cap", "support": "cylinder", "gammas": [2.0] * 3, "inradius": 2e-313},
