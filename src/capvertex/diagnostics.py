@@ -147,8 +147,11 @@ def _fit_spheres(pts, mask, max_newton=10):
         np.subtract(r[live, None], dist, out=Jr[..., 4])
         Jr[~mask[live]] = 0.0
         delta = _lstsq(Jr)[0]
-        # an undefined step (a point on the centre, or a singular J) stops
-        # that fit where it is
+        # a step that is not finite (a point on the centre, or an exactly zero
+        # pivot of R) stops that fit where it is. A nearly singular J gives a
+        # huge finite step, which is applied; J is singular only for points on
+        # a circle about c, which are coplanar, so the seed's 1e-9 plane test
+        # is what keeps J away from singularity
         step = np.linalg.norm(delta, axis=1)
         finite = np.isfinite(step)
         live, delta, step = live[finite], delta[finite], step[finite]
