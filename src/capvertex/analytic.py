@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _ADMISSIBLE = (QTag.INTERIOR_Q, QTag.BOUNDARY_Q_D1)
+# a radius at or below this has a curvature 1/R that overflows; the next
+# float up has a finite one
+_OVERFLOW_RADIUS = 1.0 / np.finfo(float).max
 
 
 def _orthonormal_complement(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,6 +256,8 @@ def cylinder_cap(config: TrihedralConfig, h: float | None = None):
         c1, c2, radius = sol
         if radius <= 0:
             raise NoSolutionError("contact angles force a non-positive radius")
+        if radius <= _OVERFLOW_RADIUS:
+            raise NoSolutionError(f"cap radius {radius:.3g} has no finite curvature")
         h_signed = 1.0 / radius
     elif h == 0.0:
         raise NoSolutionError("h = 0 gives a flat surface, which needs all-orthogonal data")

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -54,6 +56,8 @@ _CSV_CHUNK = 1024
 # 32 * 4**(r + 1) triangles (the graph solver bounds its own cell count)
 _MAX_GRID = 2049
 _MAX_REFINEMENT = 5
+# the largest vertex displacement, as a fraction of the drop's diameter
+_MAX_PERTURBATION = 1.0
 
 
 class ConfigError(ValueError):
@@ -124,6 +128,14 @@ def _angles(cfg, key, n, where):
     return [float(v) for v in vals]
 
 
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Record the block's wall time as ``timings[name]``, in ``time.perf_counter`` seconds."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start
+
+
 def _write_csv(path, header, row_format, columns):
     """CSV with CRLF row ends: the bytes ``csv.writer`` writes for cells needing no quotes.
 
@@ -159,17 +171,23 @@ def _support_from_config(cfg, where):
 def _run_classify(cfg, out: Path, seed: int, where: str) -> int:
     alpha = _number(cfg, "alpha", where)
     n = _integer(cfg, "grid", where, 181, maximum=_MAX_GRID)
-    g = np.linspace(0.0, np.pi, n)
-    # a broadcast grid: classify_grid checks alpha before any n^2 array exists
-    codes, numer = classify_grid(alpha, g[:, None], g[None, :])
+    timings = {}
+    with _stage(timings, "classify"):
+        g = np.linspace(0.0, np.pi, n)
+        # a broadcast grid: classify_grid checks alpha before any n^2 array exists
+        codes, numer = classify_grid(alpha, g[:, None], g[None, :])
     # the codes number the tags 0, 1, ...
     names = np.array([tag.name for tag in sorted(TAG_CODES, key=TAG_CODES.get)], dtype=object)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "classification.csv", ["gamma1", "gamma2", "class", "numerator"],
-               "%.12g,%.12g,%s,%.17g",
-               [np.repeat(g, n), np.tile(g, n), names[codes.ravel()], numer.ravel()])
+    with _stage(timings, "write"):
+        # each grid angle is formatted once; the two angle columns repeat it
+        angles = np.array(["%.12g" % x for x in g.tolist()], dtype=object)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(out / "classification.csv", ["gamma1", "gamma2", "class", "numerator"],
+                   "%s,%s,%s,%.17g",
+                   [np.repeat(angles, n), np.tile(angles, n), names[codes.ravel()],
+                    numer.ravel()])
     report = {"scenario": "classify", "alpha": alpha, "grid": n, "seed": seed,
-              "version": __version__}
+              "version": __version__, "timings": timings}
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
 
@@ -178,12 +196,14 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
     h = _number(cfg, "h", where, None)
     refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
-    if isinstance(config, WedgeConfig):
-        cap = wedge_cap(config, h if h is not None else 1.0)
-    elif config.kind.name == "APEX":
-        cap = trihedral_cap(config, h if h is not None else 1.0)
-    else:
-        cap = cylinder_cap(config, h)
+    timings = {}
+    with _stage(timings, "cap"):
+        if isinstance(config, WedgeConfig):
+            cap = wedge_cap(config, h if h is not None else 1.0)
+        elif config.kind.name == "APEX":
+            cap = trihedral_cap(config, h if h is not None else 1.0)
+        else:
+            cap = cylinder_cap(config, h)
     mesh = None
     if isinstance(cap, SphericalCap):
         report = {
@@ -195,8 +215,9 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
             "degenerate": bool(cap.degenerate),
         }
         is_cyl = isinstance(config, TrihedralConfig) and config.kind.name == "CYLINDER"
-        mesh = seed_mesh(config, h=None if is_cyl else (h if h is not None else 1.0),
-                         refinement_level=refinement)
+        with _stage(timings, "seed"):
+            mesh = seed_mesh(config, h=None if is_cyl else (h if h is not None else 1.0),
+                             refinement_level=refinement)
     else:
         report = {
             "scenario": "cap", "seed": seed, "version": __version__,
@@ -204,9 +225,11 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
             "normal": list(map(float, cap.normal)),
             "point": list(map(float, cap.point)),
         }
-    out.mkdir(parents=True, exist_ok=True)
-    if mesh is not None:
-        write_obj(mesh, out / "cap.obj")
+    with _stage(timings, "write"):
+        out.mkdir(parents=True, exist_ok=True)
+        if mesh is not None:
+            write_obj(mesh, out / "cap.obj")
+    report["timings"] = timings
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
 
@@ -216,12 +239,16 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
     b = _number(cfg, "b", where)
     gammas = tuple(_angles(cfg, "gammas", 4, where))
     grid_n = _integer(cfg, "grid_n", where, 32)
-    prob = RectangleProblem(a, b, gammas, grid_n=grid_n)
-    field = solve_rectangle(prob)
-    pts = field.points()
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "field.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", pts.T)
-    fit = fit_sphere(pts)
+    timings = {}
+    with _stage(timings, "solve"):
+        prob = RectangleProblem(a, b, gammas, grid_n=grid_n)
+        field = solve_rectangle(prob)
+        pts = field.points()
+    with _stage(timings, "fit"):
+        fit = fit_sphere(pts)
+    with _stage(timings, "write"):
+        out.mkdir(parents=True, exist_ok=True)
+        _write_csv(out / "field.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", pts.T)
     report = {
         "scenario": "solve-graph", "seed": seed, "version": __version__,
         "a": a, "b": b, "gammas": list(gammas), "grid_n": grid_n,
@@ -229,6 +256,7 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
         "final_residual": field.final_residual, "trace": field.trace,
         "sphere_fit_relative_rms": (fit.relative_rms
                                     if isinstance(fit, SphereFit) else None),
+        "timings": timings,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
@@ -238,23 +266,33 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
     h = _number(cfg, "h", where, 1.0)
     refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
-    if _flag(cfg, "planar", where, False):
-        mesh = seed_planar_trihedral(config, refinement_level=refinement)
-    else:
-        hv = None if isinstance(config, TrihedralConfig) and config.kind.name == "CYLINDER" \
-            else h
-        mesh = seed_mesh(config, h=hv, refinement_level=refinement,
-                         target_volume=_number(cfg, "target_volume", where, None))
+    planar = _flag(cfg, "planar", where, False)
+    target_volume = _number(cfg, "target_volume", where, None)
     amp = _number(cfg, "perturbation", where, 0.0)
-    if amp > 0.0:
-        mesh = perturb(mesh, amp, seed=seed)
-    evolved, rep = evolve(mesh,
-                          max_iters=_integer(cfg, "max_iters", where, 1000),
-                          grad_tol=_number(cfg, "grad_tol", where, 1e-6),
-                          fixed_volume=_flag(cfg, "fixed_volume", where, True))
-    diag = diagnostics_report(evolved)
-    out.mkdir(parents=True, exist_ok=True)
-    write_obj(evolved, out / "evolved.obj")
+    if not 0.0 <= amp <= _MAX_PERTURBATION:
+        raise ConfigError(f"{where}: key 'perturbation' must lie in [0, "
+                          f"{_MAX_PERTURBATION:g}], got {amp}")
+    options = {"max_iters": _integer(cfg, "max_iters", where, 1000),
+               "grad_tol": _number(cfg, "grad_tol", where, 1e-6),
+               "fixed_volume": _flag(cfg, "fixed_volume", where, True)}
+    timings = {}
+    with _stage(timings, "seed"):
+        if planar:
+            mesh = seed_planar_trihedral(config, refinement_level=refinement)
+        else:
+            hv = None if isinstance(config, TrihedralConfig) and config.kind.name == "CYLINDER" \
+                else h
+            mesh = seed_mesh(config, h=hv, refinement_level=refinement,
+                             target_volume=target_volume)
+        if amp > 0.0:
+            mesh = perturb(mesh, amp, seed=seed)
+    with _stage(timings, "evolve"):
+        evolved, rep = evolve(mesh, **options)
+    with _stage(timings, "diagnostics"):
+        diag = diagnostics_report(evolved)
+    with _stage(timings, "write"):
+        out.mkdir(parents=True, exist_ok=True)
+        write_obj(evolved, out / "evolved.obj")
     report = {
         "scenario": "evolve", "seed": seed, "version": __version__,
         "iterations": rep.iterations, "converged": rep.converged,
@@ -264,6 +302,7 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
         "lagrange_h": rep.lagrange_h,
         "trace": rep.trace,
         "diagnostics": json.loads(diag.to_json()),
+        "timings": timings,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
@@ -452,11 +491,13 @@ def _run_verify(cfg, out: Path, seed: int, where: str) -> int:
         raise ConfigError(f"{where}: unknown suite '{suite}'")
     bounds = {"refinement": (0, _MAX_REFINEMENT), "grid_n": (1, None), "max_iters": (1, None)}
     opts = {k: _integer(cfg, k, where, None, *bounds[k]) for k in bounds if k in cfg}
-    outcomes = verify_suite(suite, seed=seed, **opts)
+    timings = {}
+    with _stage(timings, "suite"):
+        outcomes = verify_suite(suite, seed=seed, **opts)
     out.mkdir(parents=True, exist_ok=True)
     report = {"scenario": "verify", "suite": suite, "seed": seed,
               "version": __version__, "outcomes": outcomes,
-              "pass": all(o["pass"] for o in outcomes)}
+              "pass": all(o["pass"] for o in outcomes), "timings": timings}
     (out / "report.json").write_text(json.dumps(report, indent=2))
     for o in outcomes:
         status = "PASS" if o["pass"] else "FAIL"

@@ -8,11 +8,18 @@ The local fits behind the curvature fields and the contact angles are
 stacked: every vertex's neighbourhood (from ``TriMeshDrop.neighbourhood``,
 built once per triangulation) is zero-padded into one array. The sphere and
 quadric fits of a block of vertices factor their augmented systems
-``[A | b]`` by one batched Householder QR and back-substitute; singular
-values are taken from the small triangular factors, and only where a rule
-reads them (the sphere seed's plane test, the quadric's rank). The plane
-fits need a right singular vector and run one batched SVD. ``fit_sphere``
-and ``fit_plane`` are the same fitters applied to one cloud.
+``[A | b]`` by one batched Householder QR and back-substitute. Two rules read
+the singular values of the small triangular factors ``R``: the sphere seed's
+plane test (``s_min < 1e-9 s_max``) and the quadric's rank (``lstsq``'s
+cutoff). Each row is first decided by a certified bound,
+``1 / kappa <= s_min / s_max <= p / kappa`` with
+``kappa = ||R||_F ||R^-1||_F`` and ``R^-1`` from a back-substitution over
+the stack; only the rows the bound leaves undecided (near a threshold, or
+with a zero or non-finite pivot) go to an SVD, so every decision is the
+SVD rule's. The plane fits need a right singular vector and run one batched
+SVD. The sphere fits' distances are written out by components
+(``_norm3``), which is ``np.linalg.norm`` over three components to the bit.
+``fit_sphere`` and ``fit_plane`` are the same fitters applied to one cloud.
 """
 
 from __future__ import annotations
@@ -82,15 +89,81 @@ def _lstsq(Ab):
     return x, R[:, :p, :p]
 
 
+# A row whose certified ratio bound clears a threshold by this factor is
+# decided without an SVD; the factor covers the rounding of the bound and of
+# the SVD the rule was defined by.
+_SAFETY = 100.0
+
+
+def _ratio_bounds(R):
+    """Bounds ``lo <= s_min / s_max <= hi`` for each triangular factor in ``R`` (k, p, p).
+
+    With ``kappa = ||R||_F ||R^-1||_F``, ``s_max <= ||R||_F <= sqrt(p) s_max``
+    and the same for ``R^-1``, whose largest singular value is ``1 / s_min``;
+    so ``1 / kappa <= s_min / s_max <= p / kappa``. ``R^-1`` comes from one
+    back-substitution vectorized over the stack. Also returns ``||R||_F``. A
+    row with a zero or non-finite pivot gets NaN bounds.
+    """
+    k, p, _ = R.shape
+    inv = np.zeros_like(R)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(p - 1, -1, -1):
+            inv[:, i, i] = 1.0
+            inv[:, i, i + 1:] = -np.einsum("kj,kjl->kl", R[:, i, i + 1:], inv[:, i + 1:, i + 1:])
+            inv[:, i, i:] /= R[:, i, i, None]
+        norm = np.sqrt(np.einsum("kij,kij->k", R, R))
+        kappa = norm * np.sqrt(np.einsum("kij,kij->k", inv, inv))
+    kappa[~np.isfinite(kappa)] = np.nan
+    return 1.0 / kappa, p / kappa, norm
+
+
 def _rank(R, n):
     """Ranks of the fit matrices behind ``R`` (k, p, p) with ``n`` (k,) true rows.
 
     As in ``np.linalg.lstsq``, singular values at or below
-    ``eps * max(n, p) * s[0]`` count as zero.
+    ``eps * max(n, p) * s[0]`` count as zero. A row whose certified lower
+    bound on ``s_min / s_max`` (``_ratio_bounds``) clears that cutoff by
+    ``_SAFETY`` has full rank; only the other rows, with a zero or non-finite
+    pivot or nearly deficient, are counted from their singular values, so
+    every rank is the one the SVD rule gives.
     """
-    s = np.linalg.svd(R, compute_uv=False)
-    cutoff = np.finfo(float).eps * np.maximum(n, R.shape[2]) * s[:, 0]
-    return (s > cutoff[:, None]).sum(axis=1)
+    p = R.shape[2]
+    tol = np.finfo(float).eps * np.maximum(n, p)
+    rank = np.full(len(R), p)
+    svd = ~(_ratio_bounds(R)[0] >= _SAFETY * tol)     # NaN bounds go to the SVD
+    if svd.any():
+        s = np.linalg.svd(R[svd], compute_uv=False)
+        rank[svd] = (s > (tol[svd] * s[:, 0])[:, None]).sum(axis=1)
+    return rank
+
+
+def _nearly_planar(R):
+    """The sphere seed's plane test ``s_min < 1e-9 * max(s_max, 1e-30)`` per factor.
+
+    ``R`` (k, 4, 4) are the factors of the algebraic fits. Rows whose
+    certified bounds (``_ratio_bounds``) lie a factor ``_SAFETY`` above or
+    below the 1e-9 threshold are decided by them; the rest, and rows with
+    ``||R||_F`` so small that the 1e-30 floor could bind, by the SVD.
+    """
+    p = R.shape[2]
+    lo, hi, norm = _ratio_bounds(R)
+    plane = hi <= 1e-9 / _SAFETY
+    # s_max >= ||R||_F / sqrt(p), so past this norm the floor never binds
+    svd = ~((lo >= _SAFETY * 1e-9) | plane) | ~(norm >= np.sqrt(p) * 1e-30)
+    if svd.any():
+        s = np.linalg.svd(R[svd], compute_uv=False)
+        plane[svd] = s[:, -1] < 1e-9 * np.maximum(s[:, 0], 1e-30)
+    return plane
+
+
+def _norm3(d):
+    """Lengths of the 3-vectors along the last axis of ``d``, written by components.
+
+    The bits of ``np.linalg.norm(d, axis=-1)``, whose reduction over three
+    values costs more than its arithmetic.
+    """
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _fit_planes(pts, mask):
@@ -124,13 +197,12 @@ def _fit_spheres(pts, mask, max_newton=10):
     # algebraic stage: |x|^2 = 2 c.x + k is linear in (c, k)
     sol, R = _lstsq(np.concatenate(
         [2.0 * rel, rows, np.einsum("kmj,kmj->km", rel, rel)[..., None]], axis=2))
-    sv = np.linalg.svd(R, compute_uv=False)
     c = sol[:, :3]
     r2 = sol[:, 3] + np.einsum("kj,kj->k", c, c)
-    plane = (sv[:, -1] < 1e-9 * np.maximum(sv[:, 0], 1e-30)) | (r2 <= 0)
+    plane = _nearly_planar(R) | (r2 <= 0)
     r = np.sqrt(np.where(plane, 1.0, r2))
     # scale-aware planarity guard: curvature too small to resolve
-    extent = np.linalg.norm(rel, axis=2).max(axis=1)
+    extent = _norm3(rel).max(axis=1)
     plane |= r > 1e6 * extent
     live = np.nonzero(~plane)[0]
     for _ in range(max_newton):
@@ -140,7 +212,7 @@ def _fit_spheres(pts, mask, max_newton=10):
         Jr = np.empty((len(live), pts.shape[1], 5))
         d = Jr[..., :3]
         np.subtract((centroid[live] + c[live])[:, None], pts[live], out=d)
-        dist = np.linalg.norm(d, axis=2)
+        dist = _norm3(d)
         with np.errstate(divide="ignore", invalid="ignore"):
             d /= dist[..., None]
         Jr[..., 3] = -1.0
@@ -159,7 +231,7 @@ def _fit_spheres(pts, mask, max_newton=10):
         r[live] += delta[:, 3]
         live = live[step >= 1e-14 * np.maximum(r[live], 1.0)]
     center = centroid + c
-    res = np.where(mask, np.linalg.norm(pts - center[:, None], axis=2) - r[:, None], 0.0)
+    res = np.where(mask, _norm3(pts - center[:, None]) - r[:, None], 0.0)
     return center, r, np.sqrt(np.einsum("km,km->k", res, res) / n), plane
 
 

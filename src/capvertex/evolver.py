@@ -21,10 +21,16 @@ field to the coordinates its constraints allow: the projection is
 
 The rest of an evaluation's fixed cost is cached with the topology too: the
 wall layout, each wetted polygon's polyline with the cyclic next/previous
-indices of its closed polygon, is built once per triangulation. Cross products
-are written out by components (``meshes._cross``), so there is no
-``np.cross``/``np.roll`` per evaluation, and every result is the same to the
-bit as with them.
+indices of its closed polygon, is built once per triangulation, and so are
+the (3, T) corner indices. The triangle stage runs component-major: one
+gather gives the corner positions as a (coordinate, corner, T) array, so
+every product, cross product (``meshes._cross``, in ``np.cross``'s operation
+order) and norm runs on contiguous rows of T values, and the edges opposite
+the corners are one subtraction of two corner permutations. The per-corner
+gradients are written into the (3, T, 6) rows that ``C`` sums. The volume is
+summed over triangle-major copies, the layout its summation order was
+defined on. Every result is the same to the bit as the (T, 3)
+array-of-triangles pass with ``np.cross`` and ``np.linalg.norm``.
 """
 
 from __future__ import annotations
@@ -106,15 +112,28 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
     vertices move, so only they carry shoelace gradients.
     """
     sup, v = mesh.support, mesh.vertices
-    a, b, c = v[mesh.triangles.T]
-    w = _cross(b - a, c - a)
+    p = np.take(v.T, mesh.corners(), axis=1)         # (coordinate, corner, T)
+    a, b, c = p[:, 0], p[:, 1], p[:, 2]
+    w = _cross(b - a, c - a, axis=0)
     s = a + b + c
-    norms = np.linalg.norm(w, axis=1)
+    norms = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2])
     area = float((0.5 * norms).sum())
-    nhat = w / norms[:, None]
-    edges = np.stack((c - b, a - c, b - a))           # edge opposite corner k
-    corner = np.concatenate([0.5 * _cross(nhat, edges), (w - _cross(edges, s)) / 6.0],
-                            axis=2)
+    # n and s broadcast over the corner axis of the edges, edge k opposite corner k
+    n, sc = (w / norms)[:, None], s[:, None]
+    e = np.take(p, [2, 0, 1], axis=1) - np.take(p, [1, 2, 0], axis=1)
+    # per corner, the area gradient 0.5 n x e and the flux gradient
+    # (w - e x s) / 6: each component is formed on contiguous rows, then
+    # written once into the (3, T, 6) rows that C sums onto the vertices
+    corner = np.empty((3, len(norms), 6))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        x = n[i] * e[j]
+        x -= n[j] * e[i]
+        np.multiply(x, 0.5, out=corner[..., k])
+        x = e[i] * sc[j]
+        x -= e[j] * sc[i]
+        np.subtract(w[k], x, out=x)
+        np.divide(x, 6.0, out=corner[..., 3 + k])
     grads = mesh.corner_incidence() @ corner.reshape(-1, 6)
     area_grad, flux_grad = grads[:, :3], grads[:, 3:]
 
@@ -138,7 +157,8 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
         energy_grad[seg] -= sup.cos_gammas[j] * grad
         flux_grad[seg] -= sup.offsets[j] * grad
 
-    vol = float(np.einsum("ij,ij->", s, w)) / 6.0
+    # summed over triangle-major (T, 3) copies: einsum's order depends on the layout
+    vol = float(np.einsum("ij,ij->", s.T.copy(), w.T.copy())) / 6.0
     for j, offset in enumerate(sup.offsets):
         vol -= offset * wet[j]
     if sup.kind == "cylinder":

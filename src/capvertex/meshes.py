@@ -18,12 +18,12 @@ A ``TriMeshDrop`` keeps its topology apart from its geometry. The geometry is
 the ``vertices`` array, which the evolver moves freely. The topology is the
 read-only ``triangles``, ``tag_kind`` and ``tag_id`` arrays and all that is
 derived from them: the boundary loop, the wall polylines, the one-ring
-adjacency, the depth-k neighbourhoods, the corner incidence ``C`` (n x 3T;
-there is no scatter outside ``C``), the constraint basis ``R`` (n_dof x 3n,
-whose rows are the directions a vertex may move in; it reads the support,
-which meshes sharing a topology share) with its CSR transpose, and the
-evolver's wall layout. Each is built on first use, at most
-once per triangulation, and no vertex move reaches it. Assignment to
+adjacency, the depth-k neighbourhoods, the (3, T) corner indices, the corner
+incidence ``C`` (n x 3T; there is no scatter outside ``C``), the constraint
+basis ``R`` (n_dof x 3n, whose rows are the directions a vertex may move in;
+it reads the support, which meshes sharing a topology share) with its CSR
+transpose, and the evolver's wall layout. Each is built on first use, at
+most once per triangulation, and no vertex move reaches it. Assignment to
 ``triangles`` (the orientation flip of a new seed) starts a fresh,
 empty topology; subdivision, OBJ reading and structured surfaces build new
 meshes.
@@ -140,16 +140,21 @@ class SupportAdapter:
         return int(k[0])
 
 
-def _cross(a, b) -> np.ndarray:
-    """Cross products over the last axis of two broadcastable arrays of 3-vectors.
+def _cross(a, b, axis=-1) -> np.ndarray:
+    """Cross products of two broadcastable arrays of 3-vectors over their last axis,
+    or with ``axis=0`` over their first: component-major arrays, (3, ...),
+    whose products run on contiguous rows.
 
     The products and differences of ``np.cross``, so the results are the same
     to the bit, without its axis handling, which costs more than the
     arithmetic on the few hundred triangles of a drop.
     """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+    if axis == 0:
+        (a0, a1, a2), (b0, b1, b2) = a, b
+    else:
+        a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+        b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=axis)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -356,6 +361,10 @@ class TriMeshDrop:
         """The (n, n) 0/1 one-ring adjacency, read-only."""
         return self._derived("adjacency", lambda: _build_adjacency(
             self.triangles, len(self.tag_kind)))
+
+    def corners(self) -> np.ndarray:
+        """The (3, T) corner indices, read-only: row k is corner k of every triangle."""
+        return self._derived("corner_rows", lambda: _frozen(self.triangles.T.copy(), np.int64))
 
     def corner_incidence(self) -> sp.csr_matrix:
         """The (n, 3T) corner incidence ``C``, read-only.

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,10 @@ def test_classify_repeat_runs_are_byte_identical(tmp_path):
     assert run(cfg, out2, seed=42) == 0
     assert (out1 / "classification.csv").read_bytes() == \
         (out2 / "classification.csv").read_bytes()
-    assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+    # the reports agree but for the stage timings, which are wall times
+    reports = [json.loads((out / "report.json").read_text()) for out in (out1, out2)]
+    assert [r.pop("timings").keys() for r in reports] == [{"classify", "write"}] * 2
+    assert reports[0] == reports[1]
 
 
 def test_cap_scenario_emits_mesh_and_geometry(tmp_path):
@@ -265,18 +269,45 @@ _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
     {**_ORTHANT, "max_iters": 0},
     {**_ORTHANT, "perturbation": math.inf},
     {**_ORTHANT, "target_volume": -1.0},
+    # a perturbation is a fraction of the drop's diameter, at most 1
     {**_ORTHANT, "perturbation": 1e100, "max_iters": 1, "fixed_volume": False},
     {"kind": "evolve", "support": "wedge", "alpha": 0.40625, "gammas": [1.5, 2.0],
      "perturbation": 8.5e101, "target_volume": 2.0, "max_iters": 1},
+    {**_ORTHANT, "perturbation": 1.0000001},
+    {**_ORTHANT, "perturbation": -0.01},
     {**_ORTHANT, "planar": "no"},
     {"kind": "verify", "suite": "wente", "grid_n": False},
 ], ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items() if k != "gammas"))
 def test_bad_config_exits_2_with_one_line_and_no_artifacts(tmp_path, capsys, payload):
     cfg = _write_config(tmp_path, "bad.json", payload)
     out = tmp_path / "out"
-    assert run(cfg, out) == 2
+    # a bad config is refused before it reaches arithmetic that could warn
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg, out) == 2
+    assert [str(w.message) for w in caught] == []
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, stages", [
+    ({"kind": "classify", "alpha": math.pi / 4, "grid": 9}, {"classify", "write"}),
+    ({"kind": "cap", "support": "orthant", "gammas": [math.pi / 2] * 3, "refinement": 0},
+     {"cap", "seed", "write"}),
+    ({"kind": "cap", "support": "cylinder", "gammas": [math.pi / 2] * 3}, {"cap", "write"}),
+    ({"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [math.pi / 3] * 4, "grid_n": 16},
+     {"solve", "fit", "write"}),
+    ({**_ORTHANT, "refinement": 0, "perturbation": 0.01, "max_iters": 5},
+     {"seed", "evolve", "diagnostics", "write"}),
+    ({"kind": "verify", "suite": "wente"}, {"suite"}),
+], ids=lambda p: p["kind"] if isinstance(p, dict) else None)
+def test_reports_carry_stage_timings(tmp_path, payload, stages):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out) == 0
+    timings = json.loads((out / "report.json").read_text())["timings"]
+    assert set(timings) == stages
+    assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
 
 
 @pytest.mark.parametrize("solver, exc, payload", [

@@ -17,7 +17,8 @@ from capvertex.diagnostics import (
     sphere_curvature_field,
     umbilicity_rms,
 )
-from capvertex.diagnostics import _fit_spheres, _lstsq, _neighbourhood_stacks, _rank
+from capvertex.diagnostics import (_SAFETY, _fit_spheres, _lstsq, _nearly_planar,
+                                   _neighbourhood_stacks, _rank, _ratio_bounds)
 from capvertex.errors import DomainError
 from capvertex.evolver import evolve
 from capvertex.geometry import TrihedralConfig, WedgeConfig, vertex_angle
@@ -405,8 +406,9 @@ def test_gauss_newton_steps_take_no_singular_values(monkeypatch):
     for max_newton in (0, 10):
         calls.update(svd=0, qr=0)
         radii.append(_fit_spheres(pts, mask, max_newton)[1])
-        # the algebraic seed's plane test is the one singular-value call
-        assert calls["svd"] == 1
+        # the certified bound decides the seed's plane test on these
+        # well-conditioned clouds
+        assert calls["svd"] == 0
     assert calls["qr"] > 2
     assert np.abs(radii[1] - radii[0]).min() > 1e-6
 
@@ -415,8 +417,9 @@ def _lstsq_svd(Ab):
     """The batched-SVD kernel that ``_lstsq`` replaced, as a reference.
 
     Minimum-norm solutions with ``lstsq``'s cutoff, over the nonzero rows of
-    each stack; the factor returned, ``diag(s) V^T``, has the singular values
-    of ``A``.
+    each stack. The factor returned is triangular, as ``_lstsq``'s, for the
+    certified tests' back-substitution: the QR factor of ``diag(s) V^T``,
+    which has the singular values of ``A``.
     """
     A, b = Ab[..., :-1], Ab[..., -1]
     n = np.count_nonzero(Ab.any(axis=2), axis=1)
@@ -425,7 +428,8 @@ def _lstsq_svd(Ab):
     keep = s > cutoff[:, None]
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     utb = np.einsum("kmj,km->kj", u, b)
-    return np.einsum("kji,kj->ki", vt, inv * utb), s[:, :, None] * vt
+    return (np.einsum("kji,kj->ki", vt, inv * utb),
+            np.linalg.qr(s[:, :, None] * vt, mode="r"))
 
 
 def test_planar_mode_drop_fits_move_by_rounding_only(monkeypatch):
@@ -519,3 +523,110 @@ def test_rank_deficient_quadric_fit_gives_nan():
     fan = TriMeshDrop(v, [(0, 1, 2), (0, 2, 3), (0, 3, 1)], kind, np.zeros(4, dtype=np.int64),
                       support=None)
     assert np.isnan(principal_curvatures(fan)).all()
+
+
+# -- the certified rank and plane tests against the SVD rules ----------------
+
+
+_EPS = np.finfo(float).eps
+
+
+def _svd_rank(R, n):
+    s = np.linalg.svd(R, compute_uv=False)
+    return (s > (_EPS * np.maximum(n, R.shape[2]) * s[:, 0])[:, None]).sum(axis=1)
+
+
+def _svd_plane(R):
+    s = np.linalg.svd(R, compute_uv=False)
+    return s[:, -1] < 1e-9 * np.maximum(s[:, 0], 1e-30)
+
+
+def _factors(rng, p, ratios):
+    """Triangular QR factors of random (p + 3, p) matrices, one per entry of
+    ``ratios``, with singular values spaced geometrically from 1 down to it,
+    scaled by a random power of ten."""
+    out = []
+    for ratio in ratios:
+        q1 = np.linalg.qr(rng.standard_normal((p + 3, p)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        s = np.geomspace(1.0, ratio, p) * 10.0 ** rng.uniform(-3, 3)
+        out.append(np.linalg.qr((q1 * s) @ q2, mode="r"))
+    return np.array(out)
+
+
+def _test_stack(rng, p, threshold):
+    """Factors with condition numbers from 1 to 1e17, within 1e-3 relative of
+    ``threshold`` and of it times and over ``_SAFETY``, with exact zero pivots,
+    and tiny enough that ``_nearly_planar``'s 1e-30 floor binds."""
+    near = threshold * (1.0 + rng.uniform(-1e-3, 1e-3, 24))
+    near *= np.repeat([1.0, _SAFETY, 1.0 / _SAFETY], 8)
+    R = _factors(rng, p, np.concatenate([10.0 ** -rng.uniform(0, 17, 64), near,
+                                         np.ones(8)]))
+    R[-8:-4, np.arange(4) % p, np.arange(4) % p] = 0.0
+    R[-4:] *= 1e-32
+    return R
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_tests_decide_as_the_svd_rules(seed):
+    rng = np.random.default_rng(seed)
+    R = _test_stack(rng, 4, 1e-9)
+    assert np.array_equal(_nearly_planar(R), _svd_plane(R))
+    # an exact zero pivot leaves its row to the SVD
+    assert np.isnan(_ratio_bounds(R)[0][-8:-4]).all()
+    for rows in (2, 23):                  # fewer and more true rows than columns
+        R = _test_stack(rng, 5, _EPS * max(rows, 5))
+        n = np.full(len(R), rows)
+        assert np.array_equal(_rank(R, n), _svd_rank(R, n))
+    # padded stacks with fewer true rows than columns: zero pivots in R
+    A = rng.standard_normal((16, 8, 6))
+    n = rng.integers(1, 9, 16)
+    A[np.arange(8) >= n[:, None]] = 0.0
+    R = _lstsq(A)[1]
+    assert np.array_equal(_rank(R, n), _svd_rank(R, n))
+    assert np.array_equal(_rank(R, n), np.minimum(n, 5))
+    # a NaN row leaves its bound undecided, so the SVD rejects it as the rule does
+    R[3, 1, 2] = np.nan
+    assert np.isnan(_ratio_bounds(R)[0][3])
+    with pytest.raises(np.linalg.LinAlgError):
+        _rank(R, n)
+    with pytest.raises(np.linalg.LinAlgError):
+        _svd_rank(R, n)
+
+
+def test_singular_values_only_for_undecided_rows(monkeypatch):
+    rows = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if not kwargs.get("compute_uv", True):
+            rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(11)
+    n = np.full(96, 20)
+    R = _test_stack(rng, 5, _EPS * 20)
+    lo, hi, norm = _ratio_bounds(R)
+    _rank(R, n)
+    assert rows == [np.count_nonzero(~(lo >= _SAFETY * _EPS * 20))] and 0 < rows[0] < len(R)
+    rows.clear()
+    R = _test_stack(rng, 4, 1e-9)
+    lo, hi, norm = _ratio_bounds(R)
+    _nearly_planar(R)
+    # near the threshold, a zero pivot, or so small that the floor could bind
+    undecided = ~((lo >= _SAFETY * 1e-9) | (hi <= 1e-9 / _SAFETY)) | (norm < 2e-30)
+    assert rows == [np.count_nonzero(undecided)] and 0 < rows[0] < len(R)
+    # the closed-form drops need no singular values at all
+    rows.clear()
+    for config, h in ((WedgeConfig.canonical(np.pi / 3, 1.2, 2.0), 1.0),
+                      (TrihedralConfig.orthant((np.pi / 2,) * 3), 1.0),
+                      (TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3), None)):
+        diagnostics_report(seed_mesh(config, h=h, refinement_level=2))
+    n = 33
+    ys = np.linspace(0.05, 0.95, n)
+    grid = np.empty((n, n, 3))
+    grid[..., 0], grid[..., 1] = np.linspace(0.0, 2.0, n)[:, None], ys[None, :]
+    grid[..., 2] = wente_halfcylinder(2.0, 1.0).height(ys)[None, :]
+    umbilicity_rms(structured_surface(grid))
+    assert sum(rows) == 0

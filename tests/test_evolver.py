@@ -248,6 +248,60 @@ def _reference_evaluation(mesh):
     return breakdown, wet, area_grad, energy_grad, flux_grad / 3.0
 
 
+def _aos_evaluation(mesh):
+    """The evaluation pass as it was written on (T, 3) arrays of triangles,
+    before the component-major layout; every field must match it to the bit."""
+    sup, v = mesh.support, mesh.vertices
+    a, b, c = v[mesh.triangles.T]
+    w = meshes._cross(b - a, c - a)
+    s = a + b + c
+    norms = np.linalg.norm(w, axis=1)
+    area = float((0.5 * norms).sum())
+    nhat = w / norms[:, None]
+    edges = np.stack((c - b, a - c, b - a))
+    corner = np.concatenate([0.5 * meshes._cross(nhat, edges),
+                             (w - meshes._cross(edges, s)) / 6.0], axis=2)
+    grads = mesh.corner_incidence() @ corner.reshape(-1, 6)
+    area_grad, flux_grad = grads[:, :3], grads[:, 3:]
+    energy_grad = area_grad.copy()
+    wet = {}
+    for j, seg, nxt, prv in evolver._build_wall_layout(mesh):
+        pts = v[seg]
+        if sup.kind == "apex":
+            pts = np.concatenate((pts, sup.config.apex[None]))
+        elif sup.kind == "cylinder":
+            g, ends = sup.base_normal, pts[[-1, 0]]
+            pts = np.concatenate((pts, ends - (np.vecdot(ends, g) - sup.base_offset)[:, None] * g))
+        x, y = sup.wall_coords(j, pts).T
+        xn, yn = x[nxt], y[nxt]
+        wet[j] = 0.5 * float(np.dot(x, yn) - np.dot(y, xn))
+        eu, ev = sup.frames[j]
+        n = len(seg)
+        grad = (0.5 * (yn[:n] - y[prv]))[:, None] * eu + (0.5 * (x[prv] - xn[:n]))[:, None] * ev
+        energy_grad[seg] -= sup.cos_gammas[j] * grad
+        flux_grad[seg] -= sup.offsets[j] * grad
+    vol = float(np.einsum("ij,ij->", s, w)) / 6.0
+    for j, offset in enumerate(sup.offsets):
+        vol -= offset * wet[j]
+    if sup.kind == "cylinder":
+        vol -= sup.base_offset * sup.base_area
+    total = area - sum(sup.cos_gammas[j] * wet[j] for j in wet)
+    breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
+    return breakdown, wet, area_grad, energy_grad, flux_grad / 3.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_component_major_evaluation_equals_the_aos_pass_bit_for_bit(drop, seed):
+    mesh = drop.copy()
+    mesh.vertices = perturb(drop, 0.01, seed=seed).vertices
+    ev = evolver._evaluate(mesh)
+    breakdown, wet, area_grad, energy_grad, volume_grad = _aos_evaluation(mesh)
+    assert ev.breakdown == breakdown
+    assert list(ev.wetted.items()) == list(wet.items())
+    for got, want in zip(ev[2:], (area_grad, energy_grad, volume_grad)):
+        assert np.array_equal(got, want)
+
+
 def test_evaluation_equals_the_per_call_reference_bit_for_bit(drop):
     ev = evolver._evaluate(drop)
     breakdown, wet, _, _, _ = _reference_evaluation(drop)
