@@ -171,6 +171,8 @@ def wedge_cap(config: WedgeConfig, h: float) -> SphericalCap:
     if tag not in _ADMISSIBLE:
         raise NoSolutionError(f"no wedge cap for data of class {tag.value}")
     radius = 1.0 / abs(h)
+    if not np.isfinite(radius):
+        raise DomainError(f"wedge cap curvature {h} is too small: its radius overflows")
     b1, b2 = _orthonormal_complement(config.edge_dir)
     A = np.array([[np.dot(config.plane1.normal, b1), np.dot(config.plane1.normal, b2)],
                   [np.dot(config.plane2.normal, b1), np.dot(config.plane2.normal, b2)]])
@@ -299,14 +301,6 @@ class HalfCylinderSolution:
     @property
     def h(self) -> float:
         return 1.0 / self.b
-
-    @property
-    def axis_point(self) -> np.ndarray:
-        return np.array([0.0, self.radius, 0.0])
-
-    @property
-    def axis_dir(self) -> np.ndarray:
-        return np.array([1.0, 0.0, 0.0])
 
     def height(self, y):
         y = np.asarray(y, dtype=float)

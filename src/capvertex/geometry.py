@@ -281,7 +281,11 @@ def eq_numerator(alpha, gamma1, gamma2):
     Positive exactly for data interior to the admissible rectangle.
     Accepts scalars or broadcastable arrays.
     """
-    alpha, gamma1, gamma2 = _check_angles(alpha, gamma1, gamma2)
+    return _numerator(*_check_angles(alpha, gamma1, gamma2))
+
+
+def _numerator(alpha, gamma1, gamma2):
+    """``eq_numerator`` of angles that ``_check_angles`` has passed."""
     b1, b2 = np.cos(gamma1), np.cos(gamma2)
     return np.sin(2.0 * alpha) ** 2 - (b1 * b1 + b2 * b2 + 2.0 * b1 * b2 * np.cos(2.0 * alpha))
 
@@ -307,7 +311,7 @@ def classify_grid(alpha, gamma1, gamma2, band: float = 1e-9):
     alpha, gamma1, gamma2 = _check_angles(alpha, gamma1, gamma2)
     s_excess = np.abs(gamma1 + gamma2 - np.pi) - 2.0 * alpha
     d_excess = np.abs(gamma1 - gamma2) - (np.pi - 2.0 * alpha)
-    numerator = eq_numerator(alpha, gamma1, gamma2)
+    numerator = _numerator(alpha, gamma1, gamma2)
 
     code = np.full(np.broadcast(s_excess, d_excess).shape, 0, dtype=np.int8)
     on_s = np.abs(s_excess) <= band

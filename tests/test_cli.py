@@ -159,10 +159,30 @@ def test_write_obj_matches_the_per_line_reference(tmp_path):
     assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
 
 
-def test_counterexample_outcome_carries_both_solves():
-    (outcome,) = verify_suite("counterexample-v4", grid_n=32)
-    assert outcome["iterations"] == {"square": 2, "rectangle": 4}
-    assert all(r < 1e-10 for r in outcome["final_residual"].values())
+def test_counterexample_solves_each_problem_once(monkeypatch):
+    solved = []
+
+    def recording(prob):
+        solved.append((prob, solve_rectangle(prob)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(cli, "solve_rectangle", recording)
+    outcomes = verify_suite("counterexample-v4", grid_n=128)
+    # the coarse square, the fine square and the rectangle: the fine square is
+    # both the oracle's and the non-sphericity ratio's
+    assert [(p.a, p.b, p.grid_n) for p, _ in solved] == [(1.0, 1.0, 32), (1.0, 1.0, 128),
+                                                         (1.0, 2.0, 128)]
+    assert [o["criterion"] for o in outcomes] == ["square-error", "square-order",
+                                                  "non-sphericity-ratio"]
+    iterations = {"coarse-square": 2, "square": 2, "rectangle": 4}
+    for (_, f), n in zip(solved, iterations.values()):
+        residuals, steps = f.trace["residuals"], f.trace["steps"]
+        assert len(residuals) == n + 1 and residuals[-1] == f.final_residual < 1e-10
+        assert len(steps) == n and all(0.0 < s <= 1.0 for s in steps)
+    for o in outcomes:
+        assert o["iterations"] == iterations
+        assert o["final_residual"] == {k: f.final_residual
+                                       for k, (_, f) in zip(iterations, solved)}
 
 
 def test_evolve_scenario_small_octant(tmp_path):
@@ -208,13 +228,16 @@ def test_unknown_suite_raises():
         verify_suite("no-such-suite")
 
 
-def test_verify_wente_suite_passes(tmp_path, capsys):
-    cfg = _write_config(tmp_path, "v.json", {"kind": "verify", "suite": "wente"})
+@pytest.mark.parametrize("suite", ["formulas", "wente", "caps", "umbilicity", "gradient"])
+def test_verify_closed_form_suites_pass(tmp_path, capsys, suite):
+    cfg = _write_config(tmp_path, "v.json", {"kind": "verify", "suite": suite})
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr().out
     assert rc == 0
     assert "[PASS]" in captured
     assert "[FAIL]" not in captured
+    outcomes = json.loads((tmp_path / "o" / "report.json").read_text())["outcomes"]
+    assert outcomes and all(o["threshold"] is not None for o in outcomes)
 
 
 @pytest.mark.parametrize("suite", ["theorem1-wedge", "theorem3-trihedral",
@@ -265,6 +288,8 @@ _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
     {"kind": "cap", "support": "cylinder", "gammas": [2.0] * 3, "inradius": 2e-313},
     {"kind": "cap", "support": "wedge", "alpha": math.pi / 4,
      "gammas": [math.nan, 2.0], "h": 1.0},
+    # a subnormal curvature, whose radius 1/|h| overflows
+    {"kind": "cap", "support": "wedge", "alpha": 0.7, "gammas": [2.0, 2.0], "h": 1e-320},
     {**_ORTHANT, "refinement": "1"},
     {**_ORTHANT, "max_iters": 0},
     {**_ORTHANT, "perturbation": math.inf},
@@ -354,7 +379,7 @@ _REQUIRED = {
     "cap": {"alpha": _NUMBER},
     "solve-graph": {"a": _NUMBER, "b": _NUMBER, "grid_n": _SIZE},
     "evolve": {"alpha": _NUMBER, "max_iters": _SIZE},
-    "verify": {"suite": _mostly(st.sampled_from(["formulas", "wente"]))},
+    "verify": {"suite": _mostly(st.sampled_from(["formulas", "wente", "caps"]))},
 }
 _OPTIONAL = {
     "grid": _SIZE, "grid_n": _SIZE, "refinement": _mostly(st.integers(-3, 3)),
