@@ -159,6 +159,15 @@ def test_write_obj_matches_the_per_line_reference(tmp_path):
     assert (tmp_path / "a.obj").read_bytes() == (tmp_path / "ref.obj").read_bytes()
 
 
+def test_counterexample_outcome_carries_both_solves():
+    error, order, ratio = verify_suite("counterexample-v4", grid_n=32)
+    assert [o["criterion"] for o in (error, order, ratio)] == [
+        "square-error", "square-order", "non-sphericity-ratio"]
+    for o in (error, order, ratio):
+        assert o["iterations"] == {"coarse-square": 3, "square": 2, "rectangle": 4}
+        assert all(r < 1e-10 for r in o["final_residual"].values())
+
+
 def test_counterexample_solves_each_problem_once(monkeypatch):
     solved = []
 
@@ -228,8 +237,7 @@ def test_unknown_suite_raises():
         verify_suite("no-such-suite")
 
 
-@pytest.mark.parametrize("suite", ["formulas", "wente", "caps", "umbilicity", "gradient"])
-def test_verify_closed_form_suites_pass(tmp_path, capsys, suite):
+def _verify_passes(tmp_path, capsys, suite):
     cfg = _write_config(tmp_path, "v.json", {"kind": "verify", "suite": suite})
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
     captured = capsys.readouterr().out
@@ -238,6 +246,15 @@ def test_verify_closed_form_suites_pass(tmp_path, capsys, suite):
     assert "[FAIL]" not in captured
     outcomes = json.loads((tmp_path / "o" / "report.json").read_text())["outcomes"]
     assert outcomes and all(o["threshold"] is not None for o in outcomes)
+
+
+def test_verify_wente_suite_passes(tmp_path, capsys):
+    _verify_passes(tmp_path, capsys, "wente")
+
+
+@pytest.mark.parametrize("suite", ["formulas", "caps", "umbilicity", "gradient"])
+def test_verify_closed_form_suites_pass(tmp_path, capsys, suite):
+    _verify_passes(tmp_path, capsys, suite)
 
 
 @pytest.mark.parametrize("suite", ["theorem1-wedge", "theorem3-trihedral",

@@ -224,15 +224,16 @@ def test_pinned_step_is_the_bordered_step_up_to_a_constant(monkeypatch, a, b, ga
     assert np.abs(pinned - pinned.mean() - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-# the benchmark's graph solves and the counterexample suite's default grid,
-# with the Newton steps each took before the pinned-cell gauge; the
-# mixed-angle problems above follow. The three solves of criteria 05 and 06
-# (the 32^2 and 128^2 squares, the 128^2 1x2 rectangle) are checked the same
-# way through the counterexample-v4 suite, in test_cli.py
+# the problems of criteria 05 and 06, the benchmark's graph solves and the
+# counterexample suite's default grid, with the Newton steps each took before
+# the pinned-cell gauge; the mixed-angle problems above follow
 @pytest.mark.parametrize("a, b, gammas, grid_n, iterations", [
+    (1.0, 1.0, (np.pi / 3,) * 4, 32, 2),
     (1.0, 1.0, (np.pi / 3,) * 4, 64, 2),
+    (1.0, 1.0, (np.pi / 3,) * 4, 128, 2),
     (1.0, 2.0, (1.2,) * 4, 64, 4),
     (1.0, 2.0, (1.2,) * 4, 96, 4),
+    (1.0, 2.0, (1.2,) * 4, 128, 4),
     (1.0, 1.0, (np.pi / 3,) * 4, 96, 2),
     (1.0, 2.0, (1.2, 1.2, 1.3, 1.3), 24, 4),
     (1.3, 0.7, (1.1, 0.9, 1.4, 1.0), 20, 5),
