@@ -370,6 +370,11 @@ def vertex_angle_grid(alpha, gamma1, gamma2):
     codes, _ = classify_grid(alpha, gamma1, gamma2)
     if np.any(codes != TAG_CODES[QTag.INTERIOR_Q]):
         raise DomainError("vertex angle requires InteriorQ data everywhere")
+    return _vertex_angle_formulas(alpha, gamma1, gamma2)
+
+
+def _vertex_angle_formulas(alpha, gamma1, gamma2):
+    """``vertex_angle_grid`` of data already classified InteriorQ."""
     b1, b2 = np.cos(gamma1), np.cos(gamma2)
     d1, d2 = 1.0 - b1 * b1, 1.0 - b2 * b2
     if np.any(np.minimum(d1, d2) < 1e-14):
@@ -396,6 +401,6 @@ def vertex_angle(alpha: float, gamma1: float, gamma2: float) -> VertexAngleResul
     cls = classify_data(alpha, gamma1, gamma2)
     if cls.tag is not QTag.INTERIOR_Q:
         raise DomainError(f"vertex angle requires InteriorQ data, got {cls.tag.value}")
-    two_beta, cos_two_beta, sin_sq = vertex_angle_grid(alpha, gamma1, gamma2)
+    two_beta, cos_two_beta, sin_sq = _vertex_angle_formulas(alpha, gamma1, gamma2)
     return VertexAngleResult(two_beta=float(two_beta), cos_two_beta=float(cos_two_beta),
                              sin_sq_two_beta=float(sin_sq))

@@ -6,11 +6,18 @@ centered, with face fluxes and a damped Newton iteration; the mean-zero gauge
 fixes the additive constant.
 
 The stacked face operator ``slopes`` and the divergence ``div``, built once,
-serve both residual and Jacobian. Newton steps pin the last cell's step at 0,
-which is exact: the Jacobian kills constants and its columns sum to zero, as
-the residual does for any field, so the last equation is minus the sum of the
-others. The step differs from the mean-zero one by a constant that the line
-search's re-centring removes; a bordered gauge row spoils the LU's ordering.
+serve both residual and Jacobian. The Jacobian kills constants and its columns
+sum to zero, as the residual does for any field, so each Newton system
+``J delta = -F`` is singular but consistent. GMRES solves it, preconditioned by
+the exact inverse of the constant-coefficient 5-point Neumann Laplacian on
+mean-zero fields: a type-II cosine transform, a division by the Laplacian's
+eigenvalues and the inverse transform (Concus & Golub, SIAM J. Numer. Anal. 10,
+1973). A Krylov step is accepted by its own true linear residual (an inexact
+Newton forcing term, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996); a step
+that fails the test is solved directly, by a sparse LU of the Jacobian with the
+last cell's step pinned at 0, which is exact because the last equation is minus
+the sum of the others. Either step differs from the mean-zero one by a constant
+that the line search's re-centring removes.
 """
 
 from __future__ import annotations
@@ -32,6 +39,14 @@ _STALL_RATIO = 0.9
 # the largest grid a problem may ask for; its sparse operators and LU grow
 # with the cell count, and a side of 9036 at 32 cells per unit asks for a TiB
 _MAX_CELLS = 512 * 512
+# GMRES for a Newton step: restart length, restart cycles and relative
+# tolerance; the step is kept when its true linear residual is at most
+# _FORCING times the Newton residual's 2-norm, or _FORCING_FLOOR times tol
+_GMRES_RESTART = 40
+_GMRES_CYCLES = 2
+_GMRES_RTOL = 1e-8
+_FORCING = 1e-6
+_FORCING_FLOOR = 1e-3
 
 
 def compatibility_h(a: float, b: float, gammas) -> float:
@@ -108,8 +123,12 @@ class RectangleProblem:
 
 @dataclass(frozen=True)
 class GraphField:
-    """Cell-centered height samples with solver provenance; ``trace`` holds the max-norm
-    residual before each Newton step and the final one, and the accepted step lengths."""
+    """Cell-centered height samples with solver provenance.
+
+    ``trace`` holds the max-norm residual before each Newton step and the final
+    one (``residuals``), and per step its accepted length (``steps``), its GMRES
+    iterations (``krylov``) and whether the direct fallback solved it
+    (``direct``)."""
 
     u: np.ndarray
     hx: float
@@ -197,6 +216,12 @@ class _Discretization:
         source[:, 0] += cb / hy
         source[:, -1] += ct / hy
         self.source = source.ravel()
+        # eigenvalues of the negated 5-point Neumann Laplacian on the type-II
+        # cosine modes, inverted; the constant mode maps to 0
+        lam = ((2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx))[:, None] / hx ** 2
+               + (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny))[None, :] / hy ** 2)
+        lam[0, 0] = np.inf
+        self.inverse_eigenvalues = 1.0 / lam
 
     def residual(self, u):
         s = self.slopes @ np.ravel(u)
@@ -212,6 +237,34 @@ class _Discretization:
         scaled = S.data * np.repeat(np.column_stack([dp, dt]).ravel(), np.diff(S.indptr))
         return self.div @ sp.csr_matrix((scaled, S.indices, S.indptr[::2]),
                                         shape=(dp.size, S.shape[1]))
+
+    def poisson_solve(self, r):
+        """The mean-zero ``v`` with ``Lap v = r - mean(r)``, ``Lap`` the 5-point
+        Neumann Laplacian: a cosine transform, a division, and back."""
+        from scipy import fft
+
+        rhat = fft.dctn(np.reshape(r, (self.nx, self.ny)), type=2, norm="ortho")
+        return -fft.idctn(rhat * self.inverse_eigenvalues, type=2, norm="ortho").ravel()
+
+    def krylov_step(self, J, res, tol):
+        """GMRES on ``J delta = -res``: the step, its GMRES iterations and
+        whether its true linear residual passes the acceptance test."""
+        n = res.size
+        rhs = -res.ravel()
+        iterations = []
+        delta, _ = spla.gmres(
+            J, rhs, rtol=_GMRES_RTOL, atol=_FORCING_FLOOR * tol, restart=_GMRES_RESTART,
+            maxiter=_GMRES_CYCLES, callback=iterations.append, callback_type="pr_norm",
+            M=spla.LinearOperator((n, n), matvec=self.poisson_solve, dtype=float))
+        linear = float(np.linalg.norm(J @ delta - rhs))
+        ok = linear <= max(_FORCING * float(np.linalg.norm(rhs)), _FORCING_FLOOR * tol)
+        return delta.reshape(res.shape), len(iterations), ok
+
+
+def _pinned_step(J, res):
+    """The direct Newton step: a sparse LU solve with the last cell's step pinned at 0."""
+    pinned = spla.spsolve(J[:-1, :-1], -res.ravel()[:-1], permc_spec="MMD_AT_PLUS_A")
+    return np.append(pinned, 0.0).reshape(res.shape)
 
 
 def _initial_guess(prob: RectangleProblem) -> np.ndarray:
@@ -248,7 +301,7 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
     disc = _Discretization(prob)
     u = _initial_guess(prob) if initial is None else np.array(initial, dtype=float)
     u -= u.mean()
-    trace, steps = [], []
+    trace, steps, krylov, direct = [], [], [], []
     res = disc.residual(u)
     rnorm = float(np.abs(res).max())
     for it in range(max_iters):
@@ -256,15 +309,17 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
         if rnorm < tol:
             return GraphField(u=u, hx=disc.hx, hy=disc.hy, a=prob.a, b=prob.b,
                               iterations=it, final_residual=rnorm,
-                              trace={"residuals": tuple(trace), "steps": tuple(steps)})
+                              trace={"residuals": tuple(trace), "steps": tuple(steps),
+                                     "krylov": tuple(krylov), "direct": tuple(direct)})
         recent = trace[-_STALL_STEPS - 1:]
         if len(recent) > _STALL_STEPS and all(
                 new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
             raise NonConvergenceError(
                 f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
         J = disc.jacobian(u)
-        pinned = spla.spsolve(J[:-1, :-1], -res.ravel()[:-1], permc_spec="MMD_AT_PLUS_A")
-        delta = np.append(pinned, 0.0).reshape(u.shape)     # the pinned cell's step is 0
+        delta, its, ok = disc.krylov_step(J, res, tol)
+        if not ok:      # a non-finite residual fails the test too
+            delta = _pinned_step(J, res)
         step = 1.0
         for _ in range(30):
             cand = u + step * delta
@@ -279,6 +334,8 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
                 f"line search stagnated at residual {rnorm:.3e}", trace=trace)
         u, res, rnorm = cand, cres, cnorm
         steps.append(step)
+        krylov.append(its)
+        direct.append(not ok)
     raise NonConvergenceError(
         f"no convergence in {max_iters} iterations (residual {rnorm:.3e})",
         trace=trace)

@@ -4,8 +4,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from capvertex import graphpde
 from capvertex.errors import DomainError, IncompatibleDataError, NonConvergenceError
 from capvertex.graphpde import (
+    _FORCING,
     GraphField,
     RectangleProblem,
     _average,
@@ -14,21 +16,37 @@ from capvertex.graphpde import (
     _flux,
     _gradient,
     _initial_guess,
+    _pinned_step,
     compatibility_h,
     exact_square_cap,
     solve_rectangle,
 )
 
 
-def test_stagnating_solve_fails_fast_with_its_trace():
+def _recording_pinned_step(monkeypatch):
+    """Spy on the direct fallback: the list its steps are appended to."""
+    steps = []
+
+    def recording(J, res):
+        steps.append(_pinned_step(J, res))
+        return steps[-1]
+
+    monkeypatch.setattr(graphpde, "_pinned_step", recording)
+    return steps
+
+
+def test_stagnating_solve_fails_fast_with_its_trace(monkeypatch):
     # the residual of this 1 x 3 problem settles near 1.61 after four steps
     p = RectangleProblem(1.0, 3.0, (0.1, 0.1, 3.0, 3.0), grid_n=16)
+    direct = _recording_pinned_step(monkeypatch)
     with pytest.raises(NonConvergenceError, match="stagnated") as err:
         solve_rectangle(p)
     trace = err.value.trace
     assert len(trace) <= 11                     # at most 10 Newton steps
     assert trace[-1] == pytest.approx(1.61, abs=0.01)
     assert all(b < a for a, b in zip(trace, trace[1:]))
+    # steep data: GMRES misses the forcing test on some steps (6 of 9 measured)
+    assert 1 <= len(direct) <= len(trace) - 1
 
 
 def test_compatibility_h_equal_angles():
@@ -197,31 +215,62 @@ def _bordered_step(disc, u):
     return spla.spsolve(A, np.concatenate([-disc.residual(u).ravel(), [0.0]]))[:-1]
 
 
-@pytest.mark.parametrize("a, b, gammas, grid_n", [
+_STEP_CASES = pytest.mark.parametrize("a, b, gammas, grid_n", [
     (1.0, 1.0, (np.pi / 3,) * 4, 32),
     (1.0, 2.0, (1.2, 1.2, 1.3, 1.3), 24),
 ])
+
+
+@_STEP_CASES
 def test_pinned_step_is_the_bordered_step_up_to_a_constant(monkeypatch, a, b, gammas, grid_n):
     p = RectangleProblem(a, b, gammas, grid_n=grid_n)
     disc = _Discretization(p)
     u, _ = _smooth_field(disc, seed=3)
     u -= u.mean()
-    solves = []
-    spsolve = spla.spsolve
-
-    def recording_spsolve(A, rhs, **kwargs):
-        x = spsolve(A, rhs, **kwargs)
-        solves.append((A.shape, x))
-        return x
-
-    monkeypatch.setattr(spla, "spsolve", recording_spsolve)
+    # fail every Krylov step, so the solve takes the direct fallback
+    krylov_step = _Discretization.krylov_step
+    monkeypatch.setattr(_Discretization, "krylov_step",
+                        lambda self, J, res, tol: (*krylov_step(self, J, res, tol)[:2], False))
+    direct = _recording_pinned_step(monkeypatch)
     with pytest.raises(NonConvergenceError):
         solve_rectangle(p, max_iters=1, initial=u)
-    (shape, x), = solves
-    assert shape == (u.size - 1, u.size - 1)
-    pinned = np.append(x, 0.0)
+    pinned, = direct
+    assert pinned.ravel()[-1] == 0.0
     ref = _bordered_step(disc, u)
-    assert np.abs(pinned - pinned.mean() - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(pinned.ravel() - pinned.mean() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@_STEP_CASES
+def test_krylov_step_meets_the_forcing_test_and_is_the_bordered_step(a, b, gammas, grid_n):
+    p = RectangleProblem(a, b, gammas, grid_n=grid_n)
+    disc, u = _Discretization(p), _initial_guess(p)
+    J, res = disc.jacobian(u), disc.residual(u)
+    delta, iterations, ok = disc.krylov_step(J, res, 1e-10)
+    assert ok and 0 < iterations
+    linear = np.linalg.norm(J @ delta.ravel() + res.ravel()) / np.linalg.norm(res)
+    assert linear <= _FORCING
+    # the step's error relative to the step is at most the forcing term eta; the
+    # measured errors are 5.2e-10 (square) and 5.4e-10 (1 x 2), 0.1-0.2 of each
+    # step's own relative linear residual
+    ref = _bordered_step(disc, u)
+    assert np.abs(delta.ravel() - delta.mean() - ref).max() <= _FORCING * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("a, b, grid_n", [(1.0, 1.0, 16), (1.3, 0.7, 16)])
+def test_cosine_transform_inverts_the_neumann_laplacian(a, b, grid_n):
+    disc = _Discretization(RectangleProblem(a, b, (1.2,) * 4, grid_n=grid_n))
+    nx, ny, hx, hy = disc.nx, disc.ny, disc.hx, disc.hy
+    dx, dy = _difference(nx), _difference(ny)
+    lap = -(sp.kron(dx.T @ dx, sp.identity(ny)) / hx ** 2
+            + sp.kron(sp.identity(nx), dy.T @ dy) / hy ** 2)
+    r = np.random.default_rng(5).standard_normal(nx * ny)
+    r -= r.mean()
+    # reference: the direct solve with the last cell pinned, re-centred
+    ref = np.append(spla.spsolve(lap.tocsc()[:-1, :-1], r[:-1]), 0.0)
+    ref -= ref.mean()
+    v = disc.poisson_solve(r)
+    assert abs(v.mean()) <= 1e-12 * np.abs(ref).max()
+    assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # the problems of criteria 05 and 06, the benchmark's graph solves and the
@@ -244,12 +293,16 @@ def test_newton_iteration_counts_and_trace(a, b, gammas, grid_n, iterations):
     residuals, steps = f.trace["residuals"], f.trace["steps"]
     assert len(residuals) == iterations + 1 and residuals[-1] == f.final_residual < 1e-10
     assert len(steps) == iterations and all(0.0 < s <= 1.0 for s in steps)
+    # every step is a Krylov step: none fell back to the direct solve
+    assert len(f.trace["krylov"]) == iterations and all(k > 0 for k in f.trace["krylov"])
+    assert f.trace["direct"] == (False,) * iterations
 
 
 def test_trace_records_the_damped_steps_of_a_far_start():
     p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24)
     f = solve_rectangle(p, initial=3.0 * _initial_guess(p))
     assert f.trace["steps"] == (0.25, 1.0, 1.0, 1.0, 1.0, 1.0)
+    assert f.trace["direct"] == (False,) * 6
     residuals = f.trace["residuals"]
     assert len(residuals) == 7 and residuals[-1] == f.final_residual
     # each accepted step passed the line search's sufficient-decrease test
