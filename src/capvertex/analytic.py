@@ -214,8 +214,8 @@ def trihedral_cap(config: TrihedralConfig, h: float):
     center, residual, *_ = np.linalg.lstsq(N, rhs, rcond=None)
     if np.linalg.norm(N @ center - rhs) > 1e-10 * max(1.0, radius):
         raise ConsistencyError("center-line intersection failed to close")
-    degenerate = bool(abs(np.linalg.norm(center - config.apex) - radius)
-                      <= 1e-9 * radius)
+    # measured in units of the radius, whose square can overflow
+    degenerate = bool(abs(np.linalg.norm((center - config.apex) / radius) - 1.0) <= 1e-9)
     return SphericalCap(center=center, radius=radius, h_signed=h,
                         config_ref=config, degenerate=degenerate)
 

@@ -31,8 +31,7 @@ from .analytic import (
     SphericalCap,
     SphericalGraphField,
 )
-from .diagnostics import (diagnostics_report, fit_plane, fit_sphere, umbilicity_rms,
-                          SphereFit)
+from .diagnostics import diagnostics_report, fit_plane, fit_sphere, umbilicity_rms
 from .errors import (DomainError, IncompatibleDataError, MeshDegenerationError,
                      NoSolutionError, NonConvergenceError)
 from .geometry import (
@@ -64,6 +63,8 @@ _MAX_GRID = 2049
 _MAX_REFINEMENT = 5
 # the largest vertex displacement, as a fraction of the drop's diameter
 _MAX_PERTURBATION = 1.0
+# the residuals of a failed solve's trace that its one-line message carries
+_TRACE_TAIL = 5
 
 
 class ConfigError(ValueError):
@@ -260,8 +261,7 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
         "a": a, "b": b, "gammas": list(gammas), "grid_n": grid_n,
         "h": prob.h, "iterations": field.iterations,
         "final_residual": field.final_residual, "trace": field.trace,
-        "sphere_fit_relative_rms": (fit.relative_rms
-                                    if isinstance(fit, SphereFit) else None),
+        "sphere_fit_relative_rms": fit.relative_rms,
         "timings": timings,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2))
@@ -677,7 +677,10 @@ def run(config_path, out_dir=None, seed: int = 0, subcommand=None) -> int:
         return 2
     except (DomainError, NoSolutionError, IncompatibleDataError,
             NonConvergenceError, MeshDegenerationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a solve that failed to converge ends the line with its last residuals
+        last = getattr(exc, "trace", [])[-_TRACE_TAIL:]
+        tail = "; last residuals " + ", ".join(f"{r:.6e}" for r in last) if last else ""
+        print(f"error: {exc}{tail}", file=sys.stderr)
         return 2
 
 

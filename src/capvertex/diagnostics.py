@@ -4,22 +4,21 @@ Everything here is read-only: sphere and plane fitting, discrete curvature,
 contact-angle and vertex-angle measurement, and an umbilicity score that
 separates spherical surfaces from genuinely anisotropic ones.
 
+A sphere is the zero set of ``P(x) = A|x|^2 + B.x + C`` under Pratt's
+normalization ``|B|^2 - 4AC = 1`` (Pratt, SIGGRAPH 1987; Chernov & Lesort,
+J. Math. Imaging Vision 2005), and a plane the sphere with ``A = 0``: the
+signed curvature is ``2A``, the unit normal on the surface ``grad P``, and a
+point's signed distance ``2P / (1 + sqrt(1 + 4AP))``. The Pratt fit seeds
+Gauss-Newton steps on those distances.
+
 The local fits behind the curvature fields and the contact angles are
 stacked: every vertex's neighbourhood (from ``TriMeshDrop.neighbourhood``,
-built once per triangulation) is zero-padded into one array. The sphere and
-quadric fits of a block of vertices factor their augmented systems
-``[A | b]`` by one batched Householder QR and back-substitute. Two rules read
-the singular values of the small triangular factors ``R``: the sphere seed's
-plane test (``s_min < 1e-9 s_max``) and the quadric's rank (``lstsq``'s
-cutoff). Each row is first decided by a certified bound,
-``1 / kappa <= s_min / s_max <= p / kappa`` with
-``kappa = ||R||_F ||R^-1||_F`` and ``R^-1`` from a back-substitution over
-the stack; only the rows the bound leaves undecided (near a threshold, or
-with a zero or non-finite pivot) go to an SVD, so every decision is the
-SVD rule's. The plane fits need a right singular vector and run one batched
-SVD. The sphere fits' distances are written out by components
-(``_norm3``), which is ``np.linalg.norm`` over three components to the bit.
-``fit_sphere`` and ``fit_plane`` are the same fitters applied to one cloud.
+built once per triangulation) is zero-padded into one array. A block's fits
+are one batched Householder QR with back-substitution, and its sphere seeds
+one batched symmetric 5 x 5 eigenproblem. The quadric's rank is decided by a
+certified bound on the condition of its triangular factor, with an SVD only
+for the rows the bound leaves undecided. ``fit_sphere`` is the stacked
+fitter applied to one cloud, and ``fit_plane`` a one-cloud SVD.
 """
 
 from __future__ import annotations
@@ -43,15 +42,41 @@ __all__ = [
 ]
 
 
+def _gradients(origin, coef, x):
+    """``grad P = 2A(x - o) + B`` (k, 3) of the spheres ``coef`` (k, 5) about ``origin`` (k, 3)."""
+    return 2.0 * coef[:, :1] * (x - origin) + coef[:, 1:4]
+
+
 @dataclass(frozen=True)
 class SphereFit:
-    center: tuple[float, float, float]
-    radius: float
+    """The sphere ``A|x - o|^2 + B.(x - o) + C = 0``, ``|B|^2 - 4AC = 1``, of a cloud.
+
+    ``origin`` ``o`` is the cloud's centroid and ``coef`` is ``(A, B, C)``
+    with ``A >= 0``: the curvature ``2A`` is 0 for a plane, which has no
+    centre or radius (None), and whose unit normal is ``B``. ``rms`` is that
+    of the distances to the surface.
+    """
+    origin: tuple[float, float, float]
+    coef: tuple[float, float, float, float, float]
     rms: float
 
     @property
+    def curvature(self) -> float:
+        return 2.0 * self.coef[0]
+
+    @property
+    def center(self) -> tuple[float, float, float] | None:
+        k = self.curvature
+        return tuple(o - b / k for o, b in zip(self.origin, self.coef[1:4])) if k else None
+
+    @property
+    def radius(self) -> float | None:
+        return 1.0 / self.curvature if self.curvature else None
+
+    @property
     def relative_rms(self) -> float:
-        return self.rms / self.radius
+        """``rms / radius``, 0 for a plane."""
+        return self.rms * self.curvature
 
 
 @dataclass(frozen=True)
@@ -66,27 +91,32 @@ class PlaneFit:
 _BLOCK_ROWS = 256
 
 
+def _back_substitute(R, y):
+    """Solutions (k, p) or (k, p, q) of the triangular systems ``R x = y``, over the stack."""
+    x = y.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(R.shape[2] - 1, -1, -1):
+            x[:, i] -= np.einsum("kj,kj...->k...", R[:, i, i + 1:], x[:, i + 1:])
+            x[:, i] = (x[:, i].T / R[:, i, i]).T     # transposed so that q broadcasts
+    return x
+
+
 def _lstsq(Ab):
     """Stacked least squares through one batched Householder QR.
 
     ``Ab`` is (k, m, p + 1): each fit matrix ``A`` with its right-hand side
     ``b`` as the last column, zero-padded below the true rows; zero rows
     change neither the solution nor the factor. Returns the solutions (k, p)
-    of ``R x = Q^T b`` and the triangular factors ``R`` (k, p, p) of the fit
-    matrices, whose singular values are those of ``A``. A rank-deficient
-    fit gets a meaningless, possibly non-finite, solution in its own row.
+    of ``R x = Q^T b`` and the factors ``R`` (k, p, p) of the fit matrices. A
+    rank-deficient fit gets a meaningless, possibly non-finite, solution in
+    its own row.
     """
     k, m, q = Ab.shape
     if m < q:
         Ab = np.concatenate([Ab, np.zeros((k, q - m, q))], axis=1)
     R = np.linalg.qr(Ab, mode="r")
     p = q - 1
-    x = R[:, :p, p].copy()
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(p - 1, -1, -1):
-            x[:, i] -= np.einsum("kj,kj->k", R[:, i, i + 1:p], x[:, i + 1:])
-            x[:, i] /= R[:, i, i]
-    return x, R[:, :p, :p]
+    return _back_substitute(R[:, :p, :p], R[:, :p, p]), R[:, :p, :p]
 
 
 # A row whose certified ratio bound clears a threshold by this factor is
@@ -96,163 +126,135 @@ _SAFETY = 100.0
 
 
 def _ratio_bounds(R):
-    """Bounds ``lo <= s_min / s_max <= hi`` for each triangular factor in ``R`` (k, p, p).
+    """Certified lower bounds ``1 / kappa <= s_min / s_max`` of the factors in ``R`` (k, p, p).
 
-    With ``kappa = ||R||_F ||R^-1||_F``, ``s_max <= ||R||_F <= sqrt(p) s_max``
-    and the same for ``R^-1``, whose largest singular value is ``1 / s_min``;
-    so ``1 / kappa <= s_min / s_max <= p / kappa``. ``R^-1`` comes from one
-    back-substitution vectorized over the stack. Also returns ``||R||_F``. A
-    row with a zero or non-finite pivot gets NaN bounds.
+    ``kappa = ||R||_F ||R^-1||_F``, as ``s_max <= ||R||_F`` and
+    ``1 / s_min <= ||R^-1||_F``; ``R^-1`` comes from one back-substitution
+    over the stack. A row with a zero or non-finite pivot gets NaN.
     """
-    k, p, _ = R.shape
-    inv = np.zeros_like(R)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(p - 1, -1, -1):
-            inv[:, i, i] = 1.0
-            inv[:, i, i + 1:] = -np.einsum("kj,kjl->kl", R[:, i, i + 1:], inv[:, i + 1:, i + 1:])
-            inv[:, i, i:] /= R[:, i, i, None]
+    inv = _back_substitute(R, np.broadcast_to(np.eye(R.shape[2]), R.shape))
+    with np.errstate(invalid="ignore", over="ignore"):
         norm = np.sqrt(np.einsum("kij,kij->k", R, R))
         kappa = norm * np.sqrt(np.einsum("kij,kij->k", inv, inv))
     kappa[~np.isfinite(kappa)] = np.nan
-    return 1.0 / kappa, p / kappa, norm
+    return 1.0 / kappa
 
 
 def _rank(R, n):
     """Ranks of the fit matrices behind ``R`` (k, p, p) with ``n`` (k,) true rows.
 
     As in ``np.linalg.lstsq``, singular values at or below
-    ``eps * max(n, p) * s[0]`` count as zero. A row whose certified lower
-    bound on ``s_min / s_max`` (``_ratio_bounds``) clears that cutoff by
-    ``_SAFETY`` has full rank; only the other rows, with a zero or non-finite
-    pivot or nearly deficient, are counted from their singular values, so
-    every rank is the one the SVD rule gives.
+    ``eps * max(n, p) * s[0]`` count as zero. A row whose certified bound
+    (``_ratio_bounds``) clears that cutoff by ``_SAFETY`` has full rank; only
+    the others are counted from their singular values, so every rank is the
+    one the SVD rule gives.
     """
     p = R.shape[2]
     tol = np.finfo(float).eps * np.maximum(n, p)
     rank = np.full(len(R), p)
-    svd = ~(_ratio_bounds(R)[0] >= _SAFETY * tol)     # NaN bounds go to the SVD
+    svd = ~(_ratio_bounds(R) >= _SAFETY * tol)     # NaN bounds go to the SVD
     if svd.any():
         s = np.linalg.svd(R[svd], compute_uv=False)
         rank[svd] = (s > (tol[svd] * s[:, 0])[:, None]).sum(axis=1)
     return rank
 
 
-def _nearly_planar(R):
-    """The sphere seed's plane test ``s_min < 1e-9 * max(s_max, 1e-30)`` per factor.
-
-    ``R`` (k, 4, 4) are the factors of the algebraic fits. Rows whose
-    certified bounds (``_ratio_bounds``) lie a factor ``_SAFETY`` above or
-    below the 1e-9 threshold are decided by them; the rest, and rows with
-    ``||R||_F`` so small that the 1e-30 floor could bind, by the SVD.
-    """
-    p = R.shape[2]
-    lo, hi, norm = _ratio_bounds(R)
-    plane = hi <= 1e-9 / _SAFETY
-    # s_max >= ||R||_F / sqrt(p), so past this norm the floor never binds
-    svd = ~((lo >= _SAFETY * 1e-9) | plane) | ~(norm >= np.sqrt(p) * 1e-30)
-    if svd.any():
-        s = np.linalg.svd(R[svd], compute_uv=False)
-        plane[svd] = s[:, -1] < 1e-9 * np.maximum(s[:, 0], 1e-30)
-    return plane
+# Pratt's normalization |B|^2 - 4AC as a quadratic form in (A, B, C), and its inverse
+_PRATT = np.array([[0, 0, 0, 0, -2.0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                   [-2.0, 0, 0, 0, 0]])
+_PRATT_INV = np.linalg.inv(_PRATT)
 
 
-def _norm3(d):
-    """Lengths of the 3-vectors along the last axis of ``d``, written by components.
-
-    The bits of ``np.linalg.norm(d, axis=-1)``, whose reduction over three
-    values costs more than its arithmetic.
-    """
-    x, y, z = d[..., 0], d[..., 1], d[..., 2]
-    return np.sqrt(x * x + y * y + z * z)
-
-
-def _fit_planes(pts, mask):
-    """Stacked ``fit_plane``: normals (k, 3), offsets (k,) and rms (k,).
-
-    ``pts`` is (k, m, 3), zero-padded where ``mask`` (k, m) is False.
-    """
-    n = mask.sum(axis=1)
-    centroid = pts.sum(axis=1) / n[:, None]
-    rel = np.where(mask[..., None], pts - centroid[:, None], 0.0)
-    normal = np.linalg.svd(rel, full_matrices=False)[2][:, -1]
-    res = np.einsum("kmj,kj->km", rel, normal)
-    return (normal, np.einsum("kj,kj->k", normal, centroid),
-            np.sqrt(np.einsum("km,km->k", res, res) / n))
+def _distances(coef, x, sq, mask):
+    """Signed distances (k, m) of the points ``x`` (``|x|^2`` in ``sq``) to the spheres
+    ``coef``, and ``|grad P|`` there; padded points (``mask`` False) get 0 and 1."""
+    P = coef[:, :1] * sq + np.einsum("kmj,kj->km", x, coef[:, 1:4]) + coef[:, 4:]
+    s = np.where(mask, np.sqrt(np.maximum(1.0 + 4.0 * coef[:, :1] * P, 0.0)), 1.0)
+    return np.where(mask, 2.0 * P / (1.0 + s), 0.0), s
 
 
 def _fit_spheres(pts, mask, max_newton=10):
-    """Stacked ``fit_sphere``: centres (k, 3), radii (k,), rms (k,), plane (k,).
+    """Stacked ``fit_sphere``: centroids (k, 3), coefficients (k, 5) and rms (k,).
 
-    ``pts`` is (k, m, 3), zero-padded where ``mask`` (k, m) is False. Each
-    stack follows the rules of the single fit on its own: the algebraic seed,
-    the plane fallback (``plane`` True, other outputs meaningless) and at most
-    ``max_newton`` Gauss-Newton steps with its own stopping test.
+    ``pts`` is (k, m, 3), zero-padded where ``mask`` (k, m) is False; row
+    ``i``'s ``(A, B, C)`` give its sphere about its centroid, with ``A >= 0``.
+    Each row takes the Pratt seed, then at most ``max_newton`` Gauss-Newton
+    steps: a step removes ``|R step| = |Q^T d|`` of the distances ``d``, and
+    they stop once that, or ``d``, is at rounding level or it no longer falls.
     """
     n = mask.sum(axis=1)
     if n.min(initial=4) < 4:
         raise DomainError("sphere fit needs at least four points")
-    rows = mask[..., None]
-    centroid = pts.sum(axis=1) / n[:, None]
-    rel = np.where(rows, pts - centroid[:, None], 0.0)
-    # algebraic stage: |x|^2 = 2 c.x + k is linear in (c, k)
-    sol, R = _lstsq(np.concatenate(
-        [2.0 * rel, rows, np.einsum("kmj,kmj->km", rel, rel)[..., None]], axis=2))
-    c = sol[:, :3]
-    r2 = sol[:, 3] + np.einsum("kj,kj->k", c, c)
-    plane = _nearly_planar(R) | (r2 <= 0)
-    r = np.sqrt(np.where(plane, 1.0, r2))
-    # scale-aware planarity guard: curvature too small to resolve
-    extent = _norm3(rel).max(axis=1)
-    plane |= r > 1e6 * extent
-    live = np.nonzero(~plane)[0]
+    k, width = mask.shape
+    centroid = np.einsum("kmj->kj", pts) / n[:, None]
+    rel = np.where(mask[..., None], pts - centroid[:, None], 0.0)
+    sq = np.einsum("kmj,kmj->km", rel, rel)
+    # seed: the least |R coef|^2 under Pratt's coef^T N coef = 1 solves R^T R coef
+    # = eta N coef, so psi = R coef solves R N^-1 R^T psi = eta psi: one negative
+    # eigenvalue, then the fit's. On an exact sphere R is singular and psi its
+    # left null vector; coef = R^-1 psi is then inverse iteration, which returns
+    # the right null vector, the sphere, once zero pivots are raised
+    X = np.zeros((k, max(width, 5), 5))
+    X[:, :width, 0], X[:, :width, 1:4], X[:, :width, 4] = sq, rel, mask
+    R = np.linalg.qr(X, mode="r")
+    psi = np.linalg.eigh(R @ _PRATT_INV @ R.transpose(0, 2, 1))[1][:, :, 1]
+    diag, tiny = np.arange(5), np.finfo(float).eps * np.linalg.norm(R, axis=(1, 2))[:, None]
+    R[:, diag, diag] = np.where(np.abs(R[:, diag, diag]) < tiny, tiny, R[:, diag, diag])
+    coef = _back_substitute(R, psi)
+    coef /= np.sqrt(np.einsum("kj,jl,kl->k", coef, _PRATT, coef))[:, None]
+    d, s = _distances(coef, rel, sq, mask)
+    rss = np.einsum("km,km->k", d, d)
+    # distances, and the part of them a step removes, below this are rounding
+    noise = 16.0 * np.finfo(float).eps * np.sqrt(sq.sum(axis=1))
+    live = np.nonzero(np.sqrt(rss) > noise)[0]
+    last, x, q, m, d, s = np.inf, rel[live], sq[live], mask[live], d[live], s[live]
     for _ in range(max_newton):
         if not live.size:
             break
-        # one system [J | -res] per fit: J = -[(x - c) / |x - c|, 1], res = |x - c| - r
-        Jr = np.empty((len(live), pts.shape[1], 5))
-        d = Jr[..., :3]
-        np.subtract((centroid[live] + c[live])[:, None], pts[live], out=d)
-        dist = _norm3(d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d /= dist[..., None]
-        Jr[..., 3] = -1.0
-        np.subtract(r[live, None], dist, out=Jr[..., 4])
-        Jr[~mask[live]] = 0.0
-        delta = _lstsq(Jr)[0]
-        # a step that is not finite (a point on the centre, or an exactly zero
-        # pivot of R) stops that fit where it is. A nearly singular J gives a
-        # huge finite step, which is applied; J is singular only for points on
-        # a circle about c, which are coplanar, so the seed's 1e-9 plane test
-        # is what keeps J away from singularity
-        step = np.linalg.norm(delta, axis=1)
-        finite = np.isfinite(step)
-        live, delta, step = live[finite], delta[finite], step[finite]
-        c[live] += delta[:, :3]
-        r[live] += delta[:, 3]
-        live = live[step >= 1e-14 * np.maximum(r[live], 1.0)]
-    center = centroid + c
-    res = np.where(mask, _norm3(pts - center[:, None]) - r[:, None], 0.0)
-    return center, r, np.sqrt(np.einsum("km,km->k", res, res) / n), plane
+        c = coef[live]
+        # the distances' Jacobian J = [|x|^2 - d^2, x, 1] / |grad P| on a basis
+        # of the normalization's tangent space: columns 1-4 of the Householder
+        # reflector H = I - v w^T (w = 2 v / v.v) that maps e0 to its normal
+        v = np.concatenate([-2.0 * c[:, 4:], c[:, 1:4], -2.0 * c[:, :1]], axis=1)
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        v[:, 0] += np.where(v[:, 0] < 0, -1.0, 1.0)
+        w = 2.0 * v / np.einsum("kj,kj->k", v, v)[:, None]
+        Jv = ((q - d * d) * v[:, :1] + np.einsum("kmj,kj->km", x, v[:, 1:4]) + m * v[:, 4:]) / s
+        Ab = np.empty(x.shape[:2] + (5,))
+        Ab[..., :3], Ab[..., 3], Ab[..., 4] = x / s[..., None], m / s, -d
+        Ab[..., :4] -= Jv[..., None] * w[:, None, 1:]
+        step, R = _lstsq(Ab)
+        # no step is taken that is not finite or leaves the normalization negative
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gain = np.linalg.norm(np.einsum("kij,kj->ki", R, step), axis=1)
+            trial = c - v * np.einsum("kj,kj->k", w[:, 1:], step)[:, None]
+            trial[:, 1:] += step
+            trial /= np.sqrt(np.einsum("kj,jl,kl->k", trial, _PRATT, trial))[:, None]
+        go = (gain > noise[live]) & (gain < last) & np.isfinite(trial).all(axis=1)
+        live, last, x, q, m = live[go], gain[go], x[go], q[go], m[go]
+        coef[live] = trial[go]
+        d, s = _distances(coef[live], x, q, m)
+        rss[live] = np.einsum("km,km->k", d, d)
+    coef *= np.where(coef[:, :1] < 0, -1.0, 1.0)
+    return centroid, coef, np.sqrt(rss / n)
 
 
 def fit_plane(points: np.ndarray) -> PlaneFit:
+    """Least-squares plane through a point cloud, from its centred SVD."""
     pts = np.asarray(points, dtype=float)
-    normal, offset, rms = _fit_planes(pts[None], np.ones((1, len(pts)), dtype=bool))
-    return PlaneFit(tuple(normal[0]), float(offset[0]), float(rms[0]))
+    centroid = pts.sum(axis=0) / len(pts)
+    rel = pts - centroid
+    normal = np.linalg.svd(rel, full_matrices=False)[2][-1]
+    res = np.einsum("mj,j->m", rel, normal)
+    rms = np.sqrt(np.einsum("m,m->", res, res) / len(pts))
+    return PlaneFit(tuple(normal), float(np.einsum("j,j->", normal, centroid)), float(rms))
 
 
-def fit_sphere(points: np.ndarray, max_newton: int = 10):
-    """Least-squares sphere through a point cloud.
-
-    Algebraic seed refined by Gauss-Newton on the true distance residuals.
-    Nearly coplanar clouds fall back to a plane fit.
-    """
+def fit_sphere(points: np.ndarray, max_newton: int = 10) -> SphereFit:
+    """Least-squares sphere, or plane, through a point cloud: the stacked fit of one cloud."""
     pts = np.asarray(points, dtype=float)
-    center, radius, rms, plane = _fit_spheres(
-        pts[None], np.ones((1, len(pts)), dtype=bool), max_newton)
-    if plane[0]:
-        return fit_plane(pts)
-    return SphereFit(tuple(center[0]), float(radius[0]), float(rms[0]))
+    origin, coef, rms = _fit_spheres(pts[None], np.ones((1, len(pts)), dtype=bool), max_newton)
+    return SphereFit(tuple(map(float, origin[0])), tuple(map(float, coef[0])), float(rms[0]))
 
 
 def _neighbourhood_stacks(mesh: TriMeshDrop, depth: int, rows: np.ndarray):
@@ -303,16 +305,17 @@ def sphere_curvature_field(mesh: TriMeshDrop, depth: int = 3) -> np.ndarray:
 
     Wider stencils than the cotangent formula make this estimator robust to
     tangential vertex irregularity; it is the field used for the curvature
-    spread statistic in reports. Neighbourhoods whose fit falls back to a
-    plane get curvature 0.
+    spread statistic in reports. Each fit's curvature ``2A`` is positive
+    where the vertex normal points away from its centre, and 0 on a plane.
     """
     normals = vertex_normals(mesh)
     out = np.full(mesh.n_vertices, np.nan)
     for block, pts, mask in _neighbourhood_stacks(mesh, depth,
                                                   np.nonzero(mesh.tag_kind == FREE)[0]):
-        center, radius, _, plane = _fit_spheres(pts, mask)
-        outward = np.einsum("kj,kj->k", mesh.vertices[block] - center, normals[block])
-        out[block] = np.where(plane, 0.0, np.where(outward > 0, 1.0, -1.0) / radius)
+        origin, coef, _ = _fit_spheres(pts, mask)
+        grad = _gradients(origin, coef, mesh.vertices[block])
+        outward = np.einsum("kj,kj->k", grad, normals[block])
+        out[block] = np.where(outward > 0, 2.0, -2.0) * coef[:, 0]
     return out
 
 
@@ -379,22 +382,18 @@ def umbilicity_rms(mesh: TriMeshDrop) -> float:
 def measure_contact_angles(mesh: TriMeshDrop) -> dict[int, np.ndarray]:
     """Measured contact angle at each wall vertex, per wall.
 
-    The surface normal is estimated by a local sphere fit over the two-ring
-    (exact for spherical data, with a plane-fit fallback), and the angle is
-    taken between the liquid and the wall: cos of the measured angle is the
-    outward surface normal dotted with the inward wall normal.
+    The surface normal is the normalized ``grad P`` of a local sphere fit
+    over the two-ring (exact for spherical and planar data), and the angle
+    is taken between the liquid and the wall: cos of the measured angle is
+    the outward surface normal dotted with the inward wall normal.
     """
     normals = vertex_normals(mesh)
     wall_normals = mesh.support.normals
     rows = np.nonzero(mesh.tag_kind == ON_PLANE)[0]
     angles = np.empty(mesh.n_vertices)
     for block, pts, mask in _neighbourhood_stacks(mesh, 2, rows):
-        center, _, _, plane = _fit_spheres(pts, mask)
-        nu = np.empty((len(block), 3))
-        sphere = ~plane
-        nu[sphere] = mesh.vertices[block[sphere]] - center[sphere]
-        nu[sphere] /= np.linalg.norm(nu[sphere], axis=1)[:, None]
-        nu[plane] = _fit_planes(pts[plane], mask[plane])[0]
+        nu = _gradients(*_fit_spheres(pts, mask)[:2], mesh.vertices[block])
+        nu /= np.linalg.norm(nu, axis=1)[:, None]
         nu *= np.where(np.einsum("kj,kj->k", nu, normals[block]) < 0, -1.0, 1.0)[:, None]
         cosg = np.einsum("kj,kj->k", nu, wall_normals[mesh.tag_id[block]])
         angles[block] = np.arccos(np.clip(cosg, -1.0, 1.0))
@@ -412,7 +411,7 @@ def _polyline_tangent(mesh: TriMeshDrop, seg: np.ndarray, at_start: bool,
     """
     idx = seg[:k + 1] if at_start else seg[::-1][:k + 1]
     pts = mesh.vertices[idx]
-    eu, ev = mesh.support.wall_frame(wall)
+    eu, ev = mesh.support.frames[wall]
     q = mesh.support.wall_coords(wall, pts)
     rel = q - q[0]
     A = np.column_stack([2.0 * rel, np.ones(len(q))])
@@ -455,8 +454,9 @@ def measure_vertex_angles(mesh: TriMeshDrop) -> dict[int, float]:
 class DiagnosticsReport:
     sphere_center: tuple[float, float, float] | None
     sphere_radius: float | None
-    sphere_relative_rms: float | None
-    plane_rms: float | None
+    sphere_curvature: float
+    sphere_rms: float
+    sphere_relative_rms: float
     mean_curvature_mean: float
     mean_curvature_cv: float
     umbilicity: float
@@ -481,13 +481,14 @@ class DiagnosticsReport:
 
 
 def diagnostics_report(mesh: TriMeshDrop) -> DiagnosticsReport:
-    """One-stop summary of the fit, curvature, and boundary measurements."""
+    """One-stop summary of the fit, curvature, and boundary measurements.
+
+    ``sphere_relative_rms`` is the global fit's rms over the smaller of its
+    radius and the drop's extent (its bounding box's diagonal), so that a
+    flat drop is measured by its bumps rather than by its zero curvature.
+    """
     fit = fit_sphere(mesh.vertices)
-    if isinstance(fit, SphereFit):
-        center, radius, rel_rms, plane_rms = fit.center, fit.radius, fit.relative_rms, None
-    else:
-        center = radius = rel_rms = None
-        plane_rms = fit.rms
+    extent = float(np.linalg.norm(np.ptp(mesh.vertices, axis=0)))
     h = sphere_curvature_field(mesh)
     good = h[~np.isnan(h)]
     hmean = float(good.mean()) if good.size else np.nan
@@ -495,10 +496,11 @@ def diagnostics_report(mesh: TriMeshDrop) -> DiagnosticsReport:
     angles = measure_contact_angles(mesh)
     gam = {j: mesh.support.planes[j].gamma for j in angles}
     return DiagnosticsReport(
-        sphere_center=center,
-        sphere_radius=radius,
-        sphere_relative_rms=rel_rms,
-        plane_rms=plane_rms,
+        sphere_center=fit.center,
+        sphere_radius=fit.radius,
+        sphere_curvature=fit.curvature,
+        sphere_rms=fit.rms,
+        sphere_relative_rms=fit.rms * max(fit.curvature, 1.0 / extent),
         mean_curvature_mean=hmean,
         mean_curvature_cv=hcv,
         umbilicity=umbilicity_rms(mesh),

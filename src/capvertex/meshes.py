@@ -122,9 +122,6 @@ class SupportAdapter:
         self.edge_dirs = _frozen([e.direction for e in self.edges], float)
         self.edge_planes = _frozen([e.plane_ids for e in self.edges], np.int64)
 
-    def wall_frame(self, j):
-        return self.frames[j]
-
     def wall_coords(self, j, pts):
         """In-plane coordinates of the points ``pts`` (k, 3) of wall j, as one (k, 2) array."""
         rel = pts - self.origins[j]

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import tempfile
@@ -312,6 +314,9 @@ _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
      "gammas": [math.nan, 2.0], "h": 1.0},
     # a subnormal curvature, whose radius 1/|h| overflows
     {"kind": "cap", "support": "wedge", "alpha": 0.7, "gammas": [2.0, 2.0], "h": 1e-320},
+    # a curvature whose trihedral cap radius (1.2e239) overflows when squared
+    {"kind": "evolve", "support": "orthant", "gammas": [2.0] * 3, "h": 8.020856299428714e-240,
+     "perturbation": 0.0, "max_iters": 1},
     {**_ORTHANT, "refinement": "1"},
     {**_ORTHANT, "max_iters": 0},
     {**_ORTHANT, "perturbation": math.inf},
@@ -374,6 +379,23 @@ def test_solver_failure_exits_2_with_one_line_and_no_artifacts(
     assert not out.exists()
 
 
+def test_stagnating_solve_exits_2_with_its_last_residuals(tmp_path, capsys):
+    # the 1 x 3 problem whose residual settles near 1.61 after four steps
+    cfg = _write_config(tmp_path, "c.json", {"kind": "solve-graph", "a": 1.0, "b": 3.0,
+                                             "gammas": [0.1, 0.1, 3.0, 3.0], "grid_n": 16})
+    out = tmp_path / "out"
+    assert run(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    message, last = err.strip().split("; last residuals ")
+    assert message.startswith("error: residual stagnated at 1.606e+00")
+    residuals = [float(r) for r in last.split(", ")]
+    assert len(residuals) == cli._TRACE_TAIL
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+    assert residuals[-1] == pytest.approx(1.606, abs=1e-3)
+    assert not out.exists()
+
+
 # -- the exit-code contract over arbitrary configs ----------------------------
 
 # any JSON value but an integer, so that every key has the wrong type some of
@@ -433,7 +455,10 @@ def test_any_config_exits_0_1_or_2_and_exit_2_writes_nothing(cfg):
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(cfg))
-        code = run(path, out)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(path, out)
         assert code in (0, 1, 2)
         if code == 2:
             assert not out.exists()
+            assert len(err.getvalue().strip().splitlines()) == 1
