@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Console-script checks of `capvertex solve-graph`: each problem must solve
+# (exit 0, a field written), and the 1x2 rectangle at grid_n 128 and the
+# 26x14-cell mixed-angle problem must take every Newton step by GMRES, none
+# by the direct sparse-LU fallback.
+# Usage: .github/scripts/solve_graph_checks.sh  (with `capvertex` installed)
+set -euo pipefail
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+solve() {  # name, config JSON
+  echo "$2" > "$tmp/$1.json"
+  capvertex solve-graph --config "$tmp/$1.json" --out "$tmp/$1"
+  test -s "$tmp/$1/field.csv"
+}
+
+no_direct_step() {  # name
+  python -c 'import json, sys; t = json.load(open(sys.argv[1]))["trace"]; print(sys.argv[2], t["krylov"], t["direct"]); sys.exit(1 if any(t["direct"]) else 0)' \
+    "$tmp/$1/report.json" "$1"
+}
+
+solve small '{"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2, 1.2, 1.2, 1.2], "grid_n": 16}'
+solve rectangle '{"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2, 1.2, 1.2, 1.2], "grid_n": 128}'
+no_direct_step rectangle
+solve mixed '{"kind": "solve-graph", "a": 1.3, "b": 0.7, "gammas": [1.1, 0.9, 1.4, 1.0], "grid_n": 20}'
+no_direct_step mixed

@@ -331,11 +331,11 @@ def principal_curvatures(mesh: TriMeshDrop) -> np.ndarray:
     for block, pts, mask in _neighbourhood_stacks(mesh, 2,
                                                   np.nonzero(mesh.tag_kind == FREE)[0]):
         n = normals[block]
-        e1 = np.cross(n, [1.0, 0.0, 0.0])
+        e1 = _cross(n, np.array([1.0, 0.0, 0.0]))
         flat = np.linalg.norm(e1, axis=1) < 1e-6
-        e1[flat] = np.cross(n[flat], [0.0, 1.0, 0.0])
+        e1[flat] = _cross(n[flat], np.array([0.0, 1.0, 0.0]))
         e1 /= np.linalg.norm(e1, axis=1)[:, None]
-        e2 = np.cross(n, e1)
+        e2 = _cross(n, e1)
         # the vertex itself gives a zero row, which changes nothing
         rel = np.where(mask[..., None], pts - mesh.vertices[block][:, None], 0.0)
         x, y, z = (np.einsum("kmj,kj->km", rel, e) for e in (e1, e2, n))
@@ -486,13 +486,15 @@ def diagnostics_report(mesh: TriMeshDrop) -> DiagnosticsReport:
     ``sphere_relative_rms`` is the global fit's rms over the smaller of its
     radius and the drop's extent (its bounding box's diagonal), so that a
     flat drop is measured by its bumps rather than by its zero curvature.
+    ``mean_curvature_cv`` divides the sphere field's spread by the larger of
+    its mean's magnitude and ``1/extent`` for the same reason.
     """
     fit = fit_sphere(mesh.vertices)
     extent = float(np.linalg.norm(np.ptp(mesh.vertices, axis=0)))
     h = sphere_curvature_field(mesh)
     good = h[~np.isnan(h)]
     hmean = float(good.mean()) if good.size else np.nan
-    hcv = float(good.std() / abs(hmean)) if good.size and hmean else np.nan
+    hcv = float(good.std() / max(abs(hmean), 1.0 / extent)) if good.size else np.nan
     angles = measure_contact_angles(mesh)
     gam = {j: mesh.support.planes[j].gamma for j in angles}
     return DiagnosticsReport(

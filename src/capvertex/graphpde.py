@@ -5,28 +5,37 @@ contact-angle flux condition ``nu . Tu = cos(gamma)`` on each wall. Cell
 centered, with face fluxes and a damped Newton iteration; the mean-zero gauge
 fixes the additive constant.
 
-The stacked face operator ``slopes`` and the divergence ``div``, built once,
-serve both residual and Jacobian. The Jacobian kills constants and its columns
-sum to zero, as the residual does for any field, so each Newton system
-``J delta = -F`` is singular but consistent. GMRES solves it, preconditioned by
-the exact inverse of the constant-coefficient 5-point Neumann Laplacian on
-mean-zero fields: a type-II cosine transform, a division by the Laplacian's
-eigenvalues and the inverse transform (Concus & Golub, SIAM J. Numer. Anal. 10,
-1973). A Krylov step is accepted by its own true linear residual (an inexact
-Newton forcing term, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996); a step
-that fails the test is solved directly, by a sparse LU of the Jacobian with the
-last cell's step pinned at 0, which is exact because the last equation is minus
-the sum of the others. Either step differs from the mean-zero one by a constant
-that the line search's re-centring removes.
+The stacked face operator ``slopes`` and the divergence ``div`` are built once
+per problem, each as one CSR matrix from index arithmetic: the stencils are
+broadcast over the interior faces and cells and cut only at the walls. The
+residual keeps the face-flux partials it computes, and the Jacobian at an
+accepted iterate is ``div`` times ``slopes`` with its rows scaled by them. The
+Jacobian kills constants and its columns sum to zero, as the residual does
+for any field, so each Newton system ``J delta = -F`` is singular but
+consistent. Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+1986) solves it, right-preconditioned by the exact inverse of the
+constant-coefficient 5-point Neumann Laplacian on mean-zero fields: a type-II
+cosine transform, a division by the Laplacian's eigenvalues and the inverse
+transform (Concus & Golub, SIAM J. Numer. Anal. 10, 1973). Right
+preconditioning makes the residual GMRES minimizes the true one. A Krylov
+step is accepted by its own true linear residual (an inexact Newton forcing
+term, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996); a step that fails
+the test is solved directly, by a sparse LU of the Jacobian with the last
+cell's step pinned at 0, which is exact because the last equation is minus
+the sum of the others. Either step differs from the mean-zero one by a
+constant that the line search's re-centring removes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .errors import DomainError, IncompatibleDataError, NonConvergenceError
 
@@ -128,7 +137,11 @@ class GraphField:
     ``trace`` holds the max-norm residual before each Newton step and the final
     one (``residuals``), and per step its accepted length (``steps``), its GMRES
     iterations (``krylov``) and whether the direct fallback solved it
-    (``direct``)."""
+    (``direct``). ``seconds`` splits the solve's wall time by stage: ``setup``
+    (operators and initial guess), ``residual`` (every residual evaluation,
+    the line search's included), ``jacobian``, ``krylov`` (GMRES and its
+    acceptance test), ``fallback`` (the direct solves) and ``line_search``
+    (the rest of the line search)."""
 
     u: np.ndarray
     hx: float
@@ -160,22 +173,74 @@ class GraphField:
         return np.column_stack([xx.ravel(), yy.ravel(), self.u.ravel()])
 
 
-def _difference(n: int) -> sp.csr_matrix:
-    """(n-1, n) forward difference between neighbouring cells."""
-    return sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n), format="csr")
+# cell-centre slope stencils in units of 1/h, as (offsets, weights): at the
+# first cell (second order, one-sided), inside, and at the last cell
+_GRADIENTS = (((0, 1, 2), (-1.5, 2.0, -0.5)), ((-1, 1), (-0.5, 0.5)),
+              ((-2, -1, 0), (0.5, -2.0, 1.5)))
 
 
-def _average(n: int) -> sp.csr_matrix:
-    """(n-1, n) mean of neighbouring cells, i.e. the value on their shared face."""
-    return sp.diags([0.5, 0.5], [0, 1], shape=(n - 1, n), format="csr")
+def _face_rows(low, step, along, gradient, hp, ht):
+    """Rows 2k and 2k+1 of ``slopes`` for the faces between cells ``low`` and
+    ``low + step``, an (m, k) array of flat cell indices: the primary slope
+    over ``hp``, and the transverse one over ``ht``, the face mean of the two
+    cells' ``gradient`` stencils along cells ``along`` apart.
+
+    Returns the column indices, values and row lengths, each (m, -1) in row
+    order. Values are weights times ``1.0 / h``, the product SciPy forms for a
+    sparse matrix divided by ``h``.
+    """
+    transverse = sorted((s * step + t * along, 0.5 * w)
+                        for s in (0, 1) for t, w in zip(*gradient))
+    offsets = np.array([0, step] + [o for o, _ in transverse], dtype=np.int32)
+    values = np.concatenate([np.array([-1.0, 1.0]) * (1.0 / hp),
+                             np.array([w for _, w in transverse]) * (1.0 / ht)])
+    m, k = low.shape
+    return ((low[:, :, None] + offsets).reshape(m, -1),
+            np.broadcast_to(values, (m, k, values.size)).reshape(m, -1),
+            np.broadcast_to(np.array([2, len(transverse)], dtype=np.int32),
+                            (m, k, 2)).reshape(m, -1))
 
 
-def _gradient(n: int) -> sp.csr_matrix:
-    """(n, n) cell-centre slope in units of 1/h; second-order one-sided at the walls."""
-    g = sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="lil")
-    g[0, :3] = [-1.5, 2.0, -0.5]
-    g[-1, -3:] = [0.5, -2.0, 1.5]
-    return g.tocsr()
+def _slopes(nx: int, ny: int, hx: float, hy: float) -> sp.csr_matrix:
+    """The stacked face operator: row 2k the primary slope across face k, row
+    2k+1 its transverse slope, with east faces before north faces.
+
+    Each family is built from three stencils broadcast over its faces: the
+    faces whose transverse stencil reaches a wall (the first and last face of
+    each column of east faces, the first and last row of north faces) and
+    the interior ones between them.
+    """
+    cells = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
+    first, inside, last = _GRADIENTS
+    east = [_face_rows(low, ny, 1, g, hx, hy) for low, g in
+            ((cells[:-1, :1], first), (cells[:-1, 1:-1], inside), (cells[:-1, -1:], last))]
+    north = [_face_rows(low.reshape(1, -1), 1, ny, g, hy, hx) for low, g in
+             ((cells[:1, :-1], first), (cells[1:-1, :-1], inside), (cells[-1:, :-1], last))]
+    # for each of the three arrays: a family's blocks joined row by row, the
+    # east faces' rows before the north faces'
+    indices, data, lengths = (
+        np.concatenate([np.concatenate(blocks, axis=1).ravel() for blocks in families])
+        for families in zip(zip(*east), zip(*north)))
+    indptr = np.zeros(lengths.size + 1, dtype=np.int32)
+    np.cumsum(lengths, out=indptr[1:])
+    return sp.csr_matrix((data, indices, indptr), shape=(lengths.size, nx * ny))
+
+
+def _divergence(nx: int, ny: int, hx: float, hy: float) -> sp.csr_matrix:
+    """(cells, faces) discrete divergence of face fluxes: per cell, its east
+    and north faces' fluxes minus its west and south ones', each over h.
+    Wall cells lack the faces beyond the wall."""
+    cells = np.arange(nx * ny, dtype=np.int32).reshape(nx, ny)
+    # north face (i, j) follows the (nx - 1) ny east faces, ny - 1 per row
+    north = (nx - 1) * ny + cells - np.arange(nx, dtype=np.int32)[:, None]
+    indices = np.stack([cells - ny, cells, north - 1, north], axis=2)
+    keep = np.ones(indices.shape, dtype=bool)
+    keep[0, :, 0] = keep[-1, :, 1] = keep[:, 0, 2] = keep[:, -1, 3] = False
+    values = np.array([-1.0, 1.0, -1.0, 1.0]) * np.repeat([1.0 / hx, 1.0 / hy], 2)
+    indptr = np.zeros(nx * ny + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csr_matrix((np.broadcast_to(values, keep.shape)[keep], indices[keep], indptr),
+                         shape=(nx * ny, (nx - 1) * ny + nx * (ny - 1)))
 
 
 def _flux(p, t):
@@ -197,14 +262,8 @@ class _Discretization:
         self.nx, self.ny = nx, ny = prob.shape
         self.hx = hx = prob.a / nx
         self.hy = hy = prob.b / ny
-        ix, iy = sp.identity(nx), sp.identity(ny)
-        dx, dy = _difference(nx), _difference(ny)
-        primary = sp.vstack([sp.kron(dx, iy) / hx, sp.kron(ix, dy) / hy])
-        transverse = sp.vstack([sp.kron(_average(nx), _gradient(ny)) / hy,
-                                sp.kron(_gradient(nx), _average(ny)) / hx])
-        interleave = np.arange(2 * primary.shape[0]).reshape(2, -1).T.ravel()
-        self.slopes = sp.vstack([primary, transverse], format="csr")[interleave]
-        self.div = -sp.hstack([sp.kron(dx.T, iy) / hx, sp.kron(ix, dy.T) / hy], format="csr")
+        self.slopes = _slopes(nx, ny, hx, hy)
+        self.div = _divergence(nx, ny, hx, hy)
         # the walls carry the prescribed fluxes cos(gamma); the uniform defect
         # keeps the singular system consistent
         cl, cr, cb, ct = np.cos(prob.gammas)
@@ -224,13 +283,16 @@ class _Discretization:
         self.inverse_eigenvalues = 1.0 / lam
 
     def residual(self, u):
+        """The residual at ``u`` and its face-flux partials ``(dp, dt)``, which
+        ``jacobian`` scales by: the Jacobian at an accepted iterate then costs
+        no second slope product."""
         s = self.slopes @ np.ravel(u)
-        f, _, _ = _flux(s[0::2], s[1::2])
-        return (self.div @ f + self.source).reshape(self.nx, self.ny)
+        f, dp, dt = _flux(s[0::2], s[1::2])
+        return (self.div @ f + self.source).reshape(self.nx, self.ny), (dp, dt)
 
-    def jacobian(self, u):
-        s = self.slopes @ np.ravel(u)
-        _, dp, dt = _flux(s[0::2], s[1::2])
+    def jacobian(self, partials):
+        """The Jacobian from ``residual``'s partials at the same field."""
+        dp, dt = partials
         # rows scaled by their flux partials; every other row pointer joins a
         # face's two rows into one, whose repeated columns the product sums
         S = self.slopes
@@ -249,16 +311,85 @@ class _Discretization:
     def krylov_step(self, J, res, tol):
         """GMRES on ``J delta = -res``: the step, its GMRES iterations and
         whether its true linear residual passes the acceptance test."""
-        n = res.size
         rhs = -res.ravel()
-        iterations = []
-        delta, _ = spla.gmres(
-            J, rhs, rtol=_GMRES_RTOL, atol=_FORCING_FLOOR * tol, restart=_GMRES_RESTART,
-            maxiter=_GMRES_CYCLES, callback=iterations.append, callback_type="pr_norm",
-            M=spla.LinearOperator((n, n), matvec=self.poisson_solve, dtype=float))
+        norm = float(np.linalg.norm(rhs))
+        delta, iterations = _gmres(J.dot, self.poisson_solve, rhs,
+                                   max(_GMRES_RTOL * norm, _FORCING_FLOOR * tol),
+                                   _GMRES_RESTART, _GMRES_CYCLES)
         linear = float(np.linalg.norm(J @ delta - rhs))
-        ok = linear <= max(_FORCING * float(np.linalg.norm(rhs)), _FORCING_FLOOR * tol)
-        return delta.reshape(res.shape), len(iterations), ok
+        # a non-finite residual fails: its linear residual is not finite either
+        ok = math.isfinite(linear) and linear <= max(_FORCING * norm, _FORCING_FLOOR * tol)
+        return delta.reshape(res.shape), iterations, ok
+
+
+def _gmres(matvec, psolve, b, target, restart, cycles):
+    """Restarted GMRES for ``A x = b`` from ``x = 0``, right-preconditioned.
+
+    Each cycle minimizes the true residual ``|b - A x|`` over ``x = M⁻¹ V y``,
+    ``V`` an orthonormal basis of the Krylov space of ``A M⁻¹`` (``matvec``
+    applies ``A``, ``psolve`` applies ``M⁻¹``); only ``V`` is stored, and
+    ``M⁻¹`` is applied to ``V y`` once per cycle. A new basis vector is
+    orthogonalized against all earlier ones at once, twice (classical
+    Gram–Schmidt with one reorthogonalization pass); Givens rotations keep
+    the Hessenberg matrix triangular and give the residual norm at each step.
+    A cycle ends when that norm is at most ``target``, after ``restart``
+    steps, or when the space stops growing (a breakdown, after which ``x``
+    is as good as the space allows); a cycle that ends above ``target``
+    restarts from the true residual, at most ``cycles`` cycles in all. The
+    caller tests the true residual of the ``x`` returned.
+
+    Returns ``x`` and the number of steps. A ``b`` that is zero, not finite
+    or already within ``target`` takes none and gives ``x = 0``.
+    """
+    x = np.zeros_like(b)
+    V = np.empty((restart + 1, b.size))
+    r, beta, steps = b, float(np.linalg.norm(b)), 0
+    for cycle in range(cycles):
+        if not beta > target:
+            break
+        V[0] = r / beta
+        R = np.zeros((restart, restart))
+        g = [beta]                      # the rotated right-hand side
+        rotations = []
+        breakdown = False
+        for k in range(restart):
+            w = matvec(psolve(V[k]))
+            wnorm = float(np.linalg.norm(w))
+            basis = V[:k + 1]
+            h = basis @ w
+            w -= h @ basis
+            again = basis @ w
+            w -= again @ basis
+            h += again
+            hnorm = float(np.linalg.norm(w))
+            col = h.tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[k], hnorm)
+            if not rho > 0.0:           # a zero or non-finite column
+                breakdown = True
+                break
+            c, s = col[k] / rho, hnorm / rho
+            rotations.append((c, s))
+            col[k] = rho
+            R[:k + 1, k] = col[:k + 1]
+            g[k], g_next = c * g[k], -s * g[k]
+            g.append(g_next)
+            steps += 1
+            # the new direction is rounding: the space has stopped growing
+            breakdown = hnorm <= np.finfo(float).eps * wnorm
+            if breakdown or abs(g_next) <= target:
+                break
+            V[k + 1] = w / hnorm
+        m = len(rotations)
+        if m:
+            y = solve_triangular(R[:m, :m], np.array(g[:m]), check_finite=False)
+            x += psolve(y @ V[:m])
+        if breakdown or abs(g[-1]) <= target or cycle + 1 == cycles:
+            break
+        r = b - matvec(x)
+        beta = float(np.linalg.norm(r))
+    return x, steps
 
 
 def _pinned_step(J, res):
@@ -289,6 +420,20 @@ def exact_square_cap(prob: RectangleProblem) -> np.ndarray:
     return _initial_guess(prob)
 
 
+class _Stopwatch:
+    """Seconds per stage: each ``lap`` charges the time since the previous one
+    (or since the stopwatch was made) to its stage."""
+
+    def __init__(self, stages):
+        self.seconds = dict.fromkeys(stages, 0.0)
+        self._last = perf_counter()
+
+    def lap(self, stage):
+        now = perf_counter()
+        self.seconds[stage] += now - self._last
+        self._last = now
+
+
 def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
                     max_iters: int = 60, initial: np.ndarray | None = None) -> GraphField:
     """Damped Newton solve of the discrete CMC system.
@@ -298,33 +443,42 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
     stagnates: the line search finds no decrease, or ``_STALL_STEPS`` steps in
     a row each cut it by less than ``1 - _STALL_RATIO``.
     """
+    clock = _Stopwatch(("setup", "residual", "jacobian", "krylov", "fallback", "line_search"))
     disc = _Discretization(prob)
     u = _initial_guess(prob) if initial is None else np.array(initial, dtype=float)
     u -= u.mean()
     trace, steps, krylov, direct = [], [], [], []
-    res = disc.residual(u)
+    clock.lap("setup")
+    res, partials = disc.residual(u)
     rnorm = float(np.abs(res).max())
+    clock.lap("residual")
     for it in range(max_iters):
         trace.append(rnorm)
         if rnorm < tol:
             return GraphField(u=u, hx=disc.hx, hy=disc.hy, a=prob.a, b=prob.b,
                               iterations=it, final_residual=rnorm,
                               trace={"residuals": tuple(trace), "steps": tuple(steps),
-                                     "krylov": tuple(krylov), "direct": tuple(direct)})
+                                     "krylov": tuple(krylov), "direct": tuple(direct),
+                                     "seconds": clock.seconds})
         recent = trace[-_STALL_STEPS - 1:]
         if len(recent) > _STALL_STEPS and all(
                 new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
             raise NonConvergenceError(
                 f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
-        J = disc.jacobian(u)
+        J = disc.jacobian(partials)
+        clock.lap("jacobian")
         delta, its, ok = disc.krylov_step(J, res, tol)
-        if not ok:      # a non-finite residual fails the test too
+        clock.lap("krylov")
+        if not ok:
             delta = _pinned_step(J, res)
+            clock.lap("fallback")
         step = 1.0
         for _ in range(30):
             cand = u + step * delta
             cand -= cand.mean()
-            cres = disc.residual(cand)
+            clock.lap("line_search")
+            cres, cpartials = disc.residual(cand)
+            clock.lap("residual")
             cnorm = float(np.abs(cres).max())
             if cnorm < rnorm * (1.0 - 1e-4 * step) or cnorm < tol:
                 break
@@ -332,10 +486,11 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
         else:
             raise NonConvergenceError(
                 f"line search stagnated at residual {rnorm:.3e}", trace=trace)
-        u, res, rnorm = cand, cres, cnorm
+        u, res, partials, rnorm = cand, cres, cpartials, cnorm
         steps.append(step)
         krylov.append(its)
         direct.append(not ok)
+        clock.lap("line_search")
     raise NonConvergenceError(
         f"no convergence in {max_iters} iterations (residual {rnorm:.3e})",
         trace=trace)

@@ -129,6 +129,7 @@ def test_solve_graph_writes_field_and_newton_trace(tmp_path):
     assert len(steps) == report["iterations"] and all(0.0 < s <= 1.0 for s in steps)
     assert report["trace"]["krylov"] == list(field.trace["krylov"])
     assert report["trace"]["direct"] == [False] * report["iterations"]
+    assert list(report["trace"]["seconds"]) == list(field.trace["seconds"])
 
 
 def test_classification_csv_matches_the_per_cell_reference(tmp_path):
@@ -199,6 +200,7 @@ def test_counterexample_solves_each_problem_once(monkeypatch):
         # every Newton step of the three solves was a Krylov step
         assert o["direct"] == {k: (False,) * n for k, n in iterations.items()}
         assert o["krylov"] == {k: f.trace["krylov"] for k, (_, f) in zip(iterations, solved)}
+        assert o["seconds"] == {k: f.trace["seconds"] for k, (_, f) in zip(iterations, solved)}
 
 
 def test_evolve_scenario_small_octant(tmp_path):

@@ -498,8 +498,12 @@ def test_planar_mode_fits_are_planes():
 def test_report_measures_a_flat_drop_against_its_extent():
     flat = float(np.arccos(np.sqrt(3.0) / 3.0))
     mesh = seed_planar_trihedral(TrihedralConfig.orthant((flat,) * 3), refinement_level=2)
+    rep = diagnostics_report(mesh)
     # the exact plane scores rounding (measured 9.5e-17)
-    assert diagnostics_report(mesh).sphere_relative_rms < 1e-15
+    assert rep.sphere_relative_rms < 1e-15
+    # so does its curvature field's spread, measured against 1/extent
+    # (5.7e-15); against its mean of rounding (-9.0e-16) it read 3.67
+    assert abs(rep.mean_curvature_mean) < 1e-14 and rep.mean_curvature_cv < 1e-13
     # with bumps of 0.01 the global fit is nearly flat (curvature times extent
     # 3.2e-3), so rms times curvature would read 1.5e-5 and pass the theorem
     # suites' 1e-3 sphere-fit gate; against the extent it reads 4.8e-3

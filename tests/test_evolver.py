@@ -334,7 +334,8 @@ def test_corner_products_equal_the_scatters_bit_for_bit(drop):
 def test_cross_helper_equals_np_cross_bit_for_bit(drop, monkeypatch):
     def fields():
         return (drop.triangle_areas(), vertex_normals(drop),
-                diagnostics.mean_curvature_field(drop))
+                diagnostics.mean_curvature_field(drop), diagnostics.principal_curvatures(drop),
+                diagnostics.umbilicity_rms(drop))
 
     got = fields()
     for module in (meshes, diagnostics):

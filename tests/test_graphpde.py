@@ -1,3 +1,7 @@
+import time
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,17 +14,77 @@ from capvertex.graphpde import (
     _FORCING,
     GraphField,
     RectangleProblem,
-    _average,
-    _difference,
     _Discretization,
     _flux,
-    _gradient,
+    _gmres,
     _initial_guess,
     _pinned_step,
     compatibility_h,
     exact_square_cap,
     solve_rectangle,
 )
+
+
+def _difference(n: int) -> sp.csr_matrix:
+    """(n-1, n) forward difference between neighbouring cells."""
+    return sp.diags([-1.0, 1.0], [0, 1], shape=(n - 1, n), format="csr")
+
+
+def _average(n: int) -> sp.csr_matrix:
+    """(n-1, n) mean of neighbouring cells, i.e. the value on their shared face."""
+    return sp.diags([0.5, 0.5], [0, 1], shape=(n - 1, n), format="csr")
+
+
+def _gradient(n: int) -> sp.csr_matrix:
+    """(n, n) cell-centre slope in units of 1/h; second-order one-sided at the walls."""
+    g = sp.diags([-0.5, 0.5], [-1, 1], shape=(n, n), format="lil")
+    g[0, :3] = [-1.5, 2.0, -0.5]
+    g[-1, -3:] = [0.5, -2.0, 1.5]
+    return g.tocsr()
+
+
+def _kron_discretization(prob):
+    """Reference: the operators, source and preconditioner eigenvalues built
+    from Kronecker products of 1-D stencils, stacked and row-permuted."""
+    nx, ny = prob.shape
+    hx, hy = prob.a / nx, prob.b / ny
+    ix, iy = sp.identity(nx), sp.identity(ny)
+    dx, dy = _difference(nx), _difference(ny)
+    primary = sp.vstack([sp.kron(dx, iy) / hx, sp.kron(ix, dy) / hy])
+    transverse = sp.vstack([sp.kron(_average(nx), _gradient(ny)) / hy,
+                            sp.kron(_gradient(nx), _average(ny)) / hx])
+    interleave = np.arange(2 * primary.shape[0]).reshape(2, -1).T.ravel()
+    slopes = sp.vstack([primary, transverse], format="csr")[interleave]
+    div = -sp.hstack([sp.kron(dx.T, iy) / hx, sp.kron(ix, dy.T) / hy], format="csr")
+    cl, cr, cb, ct = np.cos(prob.gammas)
+    area = prob.a * prob.b
+    defect = ((cl + cr) * prob.b + (cb + ct) * prob.a - 2.0 * prob.h * area) / area
+    source = np.full((nx, ny), -2.0 * prob.h - defect)
+    source[0] += cl / hx
+    source[-1] += cr / hx
+    source[:, 0] += cb / hy
+    source[:, -1] += ct / hy
+    lam = ((2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx))[:, None] / hx ** 2
+           + (2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny))[None, :] / hy ** 2)
+    lam[0, 0] = np.inf
+    return SimpleNamespace(slopes=slopes, div=div, source=source.ravel(),
+                           inverse_eigenvalues=1.0 / lam)
+
+
+def _kron_jacobian(ref, u):
+    """Reference: the Jacobian from the reference operators, its slopes recomputed."""
+    s = ref.slopes @ np.ravel(u)
+    _, dp, dt = _flux(s[0::2], s[1::2])
+    S = ref.slopes
+    scaled = S.data * np.repeat(np.column_stack([dp, dt]).ravel(), np.diff(S.indptr))
+    return ref.div @ sp.csr_matrix((scaled, S.indices, S.indptr[::2]),
+                                   shape=(dp.size, S.shape[1]))
+
+
+def _same_arrays(A, B):
+    return A.shape == B.shape and all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)))
 
 
 def _recording_pinned_step(monkeypatch):
@@ -171,11 +235,34 @@ def test_jacobian_matches_residual_differences_and_flux_is_conserved(a, b, gamma
     u, rng = _smooth_field(disc)
     v = rng.standard_normal(u.shape)
     eps = 1e-6
-    fd = (disc.residual(u + eps * v) - disc.residual(u - eps * v)).ravel() / (2.0 * eps)
-    jv = disc.jacobian(u) @ v.ravel()
+    fd = (disc.residual(u + eps * v)[0] - disc.residual(u - eps * v)[0]).ravel() / (2.0 * eps)
+    res, partials = disc.residual(u)
+    jv = disc.jacobian(partials) @ v.ravel()
     assert np.abs(jv - fd).max() <= 1e-6 * np.abs(jv).max()
     # the wall fluxes and the defect balance 2h exactly: no net source
-    assert abs(disc.residual(u).sum() * disc.hx * disc.hy) < 1e-12
+    assert abs(res.sum() * disc.hx * disc.hy) < 1e-12
+
+
+@pytest.mark.parametrize("a, b, gammas, grid_n", _JACOBIAN_CASES + [
+    (3 / 16, 1.0, (1.2,) * 4, 16),              # three cells across
+    (1.0, 3 / 16, (1.2,) * 4, 16),              # three cells along
+    (1.0, 4 / 16, (1.1, 0.9, 1.4, 1.0), 16),
+    (1.0, 3.0, (0.1, 0.1, 3.0, 3.0), 16),       # the stagnating 1 x 3 problem
+])
+def test_index_built_operators_match_the_kron_reference(a, b, gammas, grid_n):
+    p = RectangleProblem(a, b, gammas, grid_n=grid_n)
+    disc, ref = _Discretization(p), _kron_discretization(p)
+    u, _ = _smooth_field(disc)
+    assert _same_arrays(disc.jacobian(disc.residual(u)[1]), _kron_jacobian(ref, u))
+    # kron stores its blocks densely when the second factor is dense enough,
+    # as the 1-D stencils along 3 or 4 cells are; the Jacobian drops those
+    # explicit zeros, and so do the index-built operators
+    for op in (ref.slopes, ref.div):
+        op.eliminate_zeros()
+    assert _same_arrays(disc.slopes, ref.slopes)
+    assert _same_arrays(disc.div, ref.div)
+    assert np.array_equal(disc.source, ref.source)
+    assert np.array_equal(disc.inverse_eigenvalues, ref.inverse_eigenvalues)
 
 
 def _four_product_jacobian(disc, u):
@@ -201,7 +288,7 @@ def _four_product_jacobian(disc, u):
 def test_stacked_jacobian_matches_four_product_reference(a, b, gammas, grid_n):
     disc = _Discretization(RectangleProblem(a, b, gammas, grid_n=grid_n))
     u, _ = _smooth_field(disc)
-    J = disc.jacobian(u)
+    J = disc.jacobian(disc.residual(u)[1])
     ref = _four_product_jacobian(disc, u)
     assert J.shape == ref.shape
     assert abs(J - ref).max() <= 1e-15 * abs(ref).max()
@@ -209,10 +296,11 @@ def test_stacked_jacobian_matches_four_product_reference(a, b, gammas, grid_n):
 
 def _bordered_step(disc, u):
     """Reference: the mean-zero Newton step from the system bordered by a row of ones."""
-    J = disc.jacobian(u)
+    res, partials = disc.residual(u)
+    J = disc.jacobian(partials)
     ones = np.ones(J.shape[0])
     A = sp.bmat([[J, ones[:, None]], [ones[None, :], None]], format="csc")
-    return spla.spsolve(A, np.concatenate([-disc.residual(u).ravel(), [0.0]]))[:-1]
+    return spla.spsolve(A, np.concatenate([-res.ravel(), [0.0]]))[:-1]
 
 
 _STEP_CASES = pytest.mark.parametrize("a, b, gammas, grid_n", [
@@ -244,7 +332,8 @@ def test_pinned_step_is_the_bordered_step_up_to_a_constant(monkeypatch, a, b, ga
 def test_krylov_step_meets_the_forcing_test_and_is_the_bordered_step(a, b, gammas, grid_n):
     p = RectangleProblem(a, b, gammas, grid_n=grid_n)
     disc, u = _Discretization(p), _initial_guess(p)
-    J, res = disc.jacobian(u), disc.residual(u)
+    res, partials = disc.residual(u)
+    J = disc.jacobian(partials)
     delta, iterations, ok = disc.krylov_step(J, res, 1e-10)
     assert ok and 0 < iterations
     linear = np.linalg.norm(J @ delta.ravel() + res.ravel()) / np.linalg.norm(res)
@@ -308,3 +397,59 @@ def test_trace_records_the_damped_steps_of_a_far_start():
     # each accepted step passed the line search's sufficient-decrease test
     assert all(new < old * (1.0 - 1e-4 * s)
                for old, new, s in zip(residuals, residuals[1:], f.trace["steps"]))
+
+
+def _nonsymmetric_system(n, seed):
+    """A nonsymmetric diagonally dominant matrix, a right-hand side, and the
+    inverse of the matrix's diagonal as a preconditioner."""
+    rng = np.random.default_rng(seed)
+    A = np.diag(rng.uniform(1.0, 3.0, n)) + rng.standard_normal((n, n)) / n
+    return A, rng.standard_normal(n), lambda v: v / np.diag(A)
+
+
+def test_gmres_restarts_to_the_dense_solution():
+    A, b, psolve = _nonsymmetric_system(30, seed=1)
+    x, steps = _gmres(A.dot, psolve, b, 1e-12 * np.linalg.norm(b), restart=4, cycles=20)
+    ref = np.linalg.solve(A, b)
+    assert 4 < steps <= 80                       # it restarted, and stopped early
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
+
+
+def test_gmres_stops_when_the_krylov_space_stops_growing():
+    # b has components on two eigenvectors of A: the space has dimension 2
+    A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + np.triu(np.ones((5, 5)), 3)
+    b = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    x, steps = _gmres(A.dot, lambda v: v.copy(), b, 0.0, restart=5, cycles=3)
+    assert steps == 2
+    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-15
+
+
+def test_gmres_takes_no_step_on_a_zero_right_hand_side():
+    A, _, psolve = _nonsymmetric_system(6, seed=2)
+    x, steps = _gmres(A.dot, psolve, np.zeros(6), 1e-12, restart=4, cycles=2)
+    assert steps == 0 and np.array_equal(x, np.zeros(6))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_krylov_step_passes_a_non_finite_residual_to_the_fallback(bad):
+    p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=16)
+    disc, u = _Discretization(p), _initial_guess(p)
+    res, partials = disc.residual(u)
+    res[3, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta, iterations, ok = disc.krylov_step(disc.jacobian(partials), res, 1e-10)
+    assert not ok and iterations == 0 and delta.shape == res.shape
+
+
+def test_trace_splits_the_solve_time_by_stage():
+    p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24)
+    start = time.perf_counter()
+    f = solve_rectangle(p)
+    wall = time.perf_counter() - start
+    seconds = f.trace["seconds"]
+    assert list(seconds) == ["setup", "residual", "jacobian", "krylov", "fallback",
+                             "line_search"]
+    assert all(t >= 0.0 for t in seconds.values()) and seconds["fallback"] == 0.0
+    assert 0.0 < sum(seconds.values()) <= wall
