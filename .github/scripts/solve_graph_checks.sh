@@ -2,7 +2,9 @@
 # Console-script checks of `capvertex solve-graph`: each problem must solve
 # (exit 0, a field written), and the 1x2 rectangle at grid_n 128 and the
 # 26x14-cell mixed-angle problem must take every Newton step by GMRES, none
-# by the direct sparse-LU fallback.
+# by the direct sparse-LU fallback. The 1x2 rectangle's GMRES iterations must
+# total at most 26 (35 when every step is solved to the tight forcing term),
+# so that the adaptive forcing cannot silently fall back to tight.
 # Usage: .github/scripts/solve_graph_checks.sh  (with `capvertex` installed)
 set -euo pipefail
 tmp=$(mktemp -d)
@@ -19,8 +21,14 @@ no_direct_step() {  # name
     "$tmp/$1/report.json" "$1"
 }
 
+krylov_at_most() {  # name, largest total of GMRES iterations
+  python -c 'import json, sys; t = json.load(open(sys.argv[1]))["trace"]; n = sum(t["krylov"]); print(sys.argv[2], "GMRES iterations", n); sys.exit(1 if n > int(sys.argv[3]) else 0)' \
+    "$tmp/$1/report.json" "$1" "$2"
+}
+
 solve small '{"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2, 1.2, 1.2, 1.2], "grid_n": 16}'
 solve rectangle '{"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2, 1.2, 1.2, 1.2], "grid_n": 128}'
 no_direct_step rectangle
+krylov_at_most rectangle 26
 solve mixed '{"kind": "solve-graph", "a": 1.3, "b": 0.7, "gammas": [1.1, 0.9, 1.4, 1.0], "grid_n": 20}'
 no_direct_step mixed

@@ -266,7 +266,8 @@ def cylinder_cap(config: TrihedralConfig, h: float | None = None):
     else:
         radius = 1.0 / abs(h)
         sol, *_ = np.linalg.lstsq(N2, offs - radius * betas, rcond=None)
-        if np.linalg.norm(N2 @ sol - (offs - radius * betas)) > 1e-9 * max(1.0, radius):
+        # measured in units of the radius, whose square can overflow
+        if np.linalg.norm((N2 @ sol - (offs - radius * betas)) / max(1.0, radius)) > 1e-9:
             raise NoSolutionError(
                 "prescribed curvature inconsistent with the three wall constraints"
             )

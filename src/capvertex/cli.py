@@ -158,6 +158,26 @@ def _write_csv(path, header, row_format, columns):
             f.write((line * (stop - start)) % tuple(cells))
 
 
+def _write_field_csv(path, field):
+    """``field.csv``: the bytes ``_write_csv`` writes for ``field.points()``.
+
+    Each grid coordinate is formatted once. The cells at one x make one
+    template, a ``x,y,%.17g`` line for each y (in pieces of ``_CSV_CHUNK``
+    cells), which takes that row's heights.
+    """
+    y = field.y.tolist()
+    tails = [["%.17g," % v + "%.17g\r\n" for v in y[start:start + _CSV_CHUNK]]
+             for start in range(0, len(y), _CSV_CHUNK)]
+    with open(path, "w", newline="") as f:
+        f.write("x,y,u\r\n")
+        for x, row in zip(field.x.tolist(), field.u):
+            head = "%.17g," % x
+            heights = row.tolist()
+            for k, tail in enumerate(tails):
+                f.write((head + head.join(tail))
+                        % tuple(heights[k * _CSV_CHUNK:(k + 1) * _CSV_CHUNK]))
+
+
 def _support_from_config(cfg, where):
     kind = _require(cfg, "support", str, where)
     if kind == "wedge":
@@ -255,7 +275,7 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
         fit = fit_sphere(pts)
     with _stage(timings, "write"):
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "field.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", pts.T)
+        _write_field_csv(out / "field.csv", field)
     report = {
         "scenario": "solve-graph", "seed": seed, "version": __version__,
         "a": a, "b": b, "gammas": list(gammas), "grid_n": grid_n,

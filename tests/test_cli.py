@@ -15,7 +15,7 @@ from capvertex import cli, meshes
 from capvertex.cli import main, run, verify_suite
 from capvertex.errors import DomainError, MeshDegenerationError, NonConvergenceError
 from capvertex.geometry import TAG_CODES, WedgeConfig, classify_grid
-from capvertex.graphpde import RectangleProblem, solve_rectangle
+from capvertex.graphpde import GraphField, RectangleProblem, solve_rectangle
 
 
 def _write_config(tmp_path, name, payload):
@@ -130,6 +130,30 @@ def test_solve_graph_writes_field_and_newton_trace(tmp_path):
     assert report["trace"]["krylov"] == list(field.trace["krylov"])
     assert report["trace"]["direct"] == [False] * report["iterations"]
     assert list(report["trace"]["seconds"]) == list(field.trace["seconds"])
+
+
+@pytest.mark.parametrize("a, b, gammas, grid_n", [
+    (1.0, 1.0, (math.pi / 3,) * 4, 64),
+    (1.0, 2.0, (1.2,) * 4, 64),
+    (1.3, 0.7, (1.1, 0.9, 1.4, 1.0), 20),          # 26 x 14 cells: nx != ny
+])
+def test_field_writer_matches_the_point_table_writer(tmp_path, a, b, gammas, grid_n):
+    field = solve_rectangle(RectangleProblem(a, b, gammas, grid_n=grid_n))
+    cli._write_field_csv(tmp_path / "field.csv", field)
+    cli._write_csv(tmp_path / "ref.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", field.points().T)
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_field_writer_splits_rows_longer_than_a_chunk(tmp_path):
+    rng = np.random.default_rng(6)
+    ny = 2 * cli._CSV_CHUNK + 37                   # two full pieces and a part per row
+    u = rng.standard_normal((3, ny)) * 10.0 ** rng.integers(-30, 3, (3, ny))
+    u[0, :3] = [-0.0, 5e-324, -2.5e-300]
+    u[-1, -1] -= u.sum()                            # the mean-zero gauge
+    field = GraphField(u=u, hx=1.0 / 3.0, hy=0.1, a=1.0, b=ny * 0.1)
+    cli._write_field_csv(tmp_path / "field.csv", field)
+    cli._write_csv(tmp_path / "ref.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", field.points().T)
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_classification_csv_matches_the_per_cell_reference(tmp_path):
@@ -312,6 +336,10 @@ _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
     {"kind": "cap", "support": "cylinder", "gammas": [1.9] * 3, "inradius": math.nan},
     {"kind": "cap", "support": "cylinder", "gammas": [2.0] * 3, "h": 0.0},
     {"kind": "cap", "support": "cylinder", "gammas": [2.0] * 3, "inradius": 2e-313},
+    # a curvature whose cylinder cap radius (5.6e210) overflows the
+    # consistency residual's norm when measured in absolute units
+    {"kind": "cap", "alpha": 0.0, "h": 1.7924449917478894e-211, "support": "cylinder",
+     "gammas": [2.0, 2.0, 2.0]},
     {"kind": "cap", "support": "wedge", "alpha": math.pi / 4,
      "gammas": [math.nan, 2.0], "h": 1.0},
     # a subnormal curvature, whose radius 1/|h| overflows

@@ -12,6 +12,7 @@ from capvertex import graphpde
 from capvertex.errors import DomainError, IncompatibleDataError, NonConvergenceError
 from capvertex.graphpde import (
     _FORCING,
+    _GMRES_RTOL,
     GraphField,
     RectangleProblem,
     _Discretization,
@@ -99,6 +100,21 @@ def _recording_pinned_step(monkeypatch):
     return steps
 
 
+def _recording_forcing(monkeypatch, tight=False):
+    """Spy on the Krylov steps: the list of their forcing terms. With ``tight``
+    every step is solved to the tight default instead, as before the adaptive
+    forcing."""
+    etas = []
+    krylov_step = _Discretization.krylov_step
+
+    def recording(self, J, res, tol, eta=_GMRES_RTOL):
+        etas.append(eta)
+        return krylov_step(self, J, res, tol, *(() if tight else (eta,)))
+
+    monkeypatch.setattr(_Discretization, "krylov_step", recording)
+    return etas
+
+
 def test_stagnating_solve_fails_fast_with_its_trace(monkeypatch):
     # the residual of this 1 x 3 problem settles near 1.61 after four steps
     p = RectangleProblem(1.0, 3.0, (0.1, 0.1, 3.0, 3.0), grid_n=16)
@@ -111,6 +127,20 @@ def test_stagnating_solve_fails_fast_with_its_trace(monkeypatch):
     assert all(b < a for a, b in zip(trace, trace[1:]))
     # steep data: GMRES misses the forcing test on some steps (6 of 9 measured)
     assert 1 <= len(direct) <= len(trace) - 1
+
+
+def test_stagnating_trace_is_the_tight_forcing_trace(monkeypatch):
+    p = RectangleProblem(1.0, 3.0, (0.1, 0.1, 3.0, 3.0), grid_n=16)
+    traces, etas = [], []
+    for tight in (False, True):
+        etas.append(_recording_forcing(monkeypatch, tight))
+        with pytest.raises(NonConvergenceError, match="stagnated") as err:
+            solve_rectangle(p)
+        traces.append(err.value.trace)
+        monkeypatch.undo()
+    assert traces[0] == traces[1]
+    # no step there cuts the residual tenfold: every one is solved tight
+    assert etas[0] == [_GMRES_RTOL] * (len(traces[0]) - 1)
 
 
 def test_compatibility_h_equal_angles():
@@ -397,6 +427,38 @@ def test_trace_records_the_damped_steps_of_a_far_start():
     # each accepted step passed the line search's sufficient-decrease test
     assert all(new < old * (1.0 - 1e-4 * s)
                for old, new, s in zip(residuals, residuals[1:], f.trace["steps"]))
+
+
+def test_forcing_is_adaptive_only_after_steps_that_cut_the_residual_tenfold(monkeypatch):
+    etas = _recording_forcing(monkeypatch)
+    p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24)
+    f = solve_rectangle(p, initial=3.0 * _initial_guess(p))
+    residuals = f.trace["residuals"]
+    assert f.trace["steps"][0] < 1.0 and len(etas) == 6
+    # tight at the first step, after the damped one and after the slow one;
+    # adaptive after the fast ones, until eta reaches its floor
+    assert [r1 / r0 < 0.1 for r0, r1 in zip(residuals, residuals[1:5])] == [
+        False, False, True, True]
+    assert etas[:3] == [_GMRES_RTOL] * 3 and etas[-1] == _GMRES_RTOL
+    assert all(_GMRES_RTOL < eta < 0.9 * 0.1 ** 2 for eta in etas[3:5])
+
+
+def test_adaptive_forcing_saves_gmres_iterations_on_the_rectangle():
+    f = solve_rectangle(RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=64))
+    # (9, 3, 5, 8) measured; every step solved tight took (9, 9, 9, 8)
+    assert f.iterations == 4 and sum(f.trace["krylov"]) <= 26
+
+
+def test_a_step_predicted_to_end_the_solve_stays_tight(monkeypatch):
+    # the 32^2 square's first step cuts the residual's 2-norm 1566-fold, so
+    # choice 2 would give eta 3.7e-7 and a field 3.3e-15 away from the tight one
+    p = RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, grid_n=32)
+    etas = _recording_forcing(monkeypatch)
+    f = solve_rectangle(p)
+    monkeypatch.undo()
+    assert etas == [_GMRES_RTOL] * 2
+    _recording_forcing(monkeypatch, tight=True)
+    assert np.array_equal(f.u, solve_rectangle(p).u)
 
 
 def _nonsymmetric_system(n, seed):
