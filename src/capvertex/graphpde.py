@@ -8,27 +8,30 @@ fixes the additive constant.
 The stacked face operator ``slopes`` and the divergence ``div`` are built once
 per problem, each as one CSR matrix from index arithmetic: the stencils are
 broadcast over the interior faces and cells and cut only at the walls. The
-residual keeps the face-flux partials it computes, and the Jacobian at an
-accepted iterate is ``div`` times ``slopes`` with its rows scaled by them. The
-Jacobian kills constants and its columns sum to zero, as the residual does
-for any field, so each Newton system ``J delta = -F`` is singular but
-consistent. Restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
-1986) solves it, right-preconditioned by the exact inverse of the
-constant-coefficient 5-point Neumann Laplacian on mean-zero fields: a type-II
-cosine transform, a division by the Laplacian's eigenvalues and the inverse
-transform (Concus & Golub, SIAM J. Numer. Anal. 10, 1973). Right
-preconditioning makes the residual GMRES minimizes the true one. A Krylov
-step stops at a forcing term eta times the Newton residual (inexact Newton,
-Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996) and is accepted by its own
-true linear residual. eta is tight (1e-8) at the first step, after a damped
-or direct step, after a step that cut the residual's 2-norm less than
-tenfold, and at a step predicted to end the solve; otherwise it is their
-choice 2, 0.9 times the last reduction ratio squared, so that GMRES does not
-over-solve while Newton converges quadratically. A step that fails the test
-is solved directly, by a sparse LU of the Jacobian with the last cell's step
-pinned at 0, which is exact because the last equation is minus the sum of
-the others. Either step differs from the mean-zero one by a constant that
-the line search's re-centring removes.
+residual keeps the face-flux partials ``(dp, dt)`` it computes, and the
+Jacobian at an accepted iterate is ``div`` times ``slopes`` with its rows
+scaled by them. GMRES needs only its products, so it is not assembled: ``J v``
+is ``div @ (dp * s[0::2] + dt * s[1::2])`` with ``s = slopes @ v``, the
+residual's own two sparse products (an exact Jacobian-free Newton-Krylov step;
+Knoll & Keyes, J. Comput. Phys. 193, 2004). The Jacobian kills constants and
+its columns sum to zero, as the residual does for any field, so each Newton
+system ``J delta = -F`` is singular but consistent. Restarted GMRES (Saad &
+Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) solves it, right-preconditioned
+by the exact inverse of the constant-coefficient 5-point Neumann Laplacian on
+mean-zero fields: a type-II cosine transform, a division by the Laplacian's
+eigenvalues and the inverse transform (Concus & Golub, SIAM J. Numer. Anal.
+10, 1973). Right preconditioning makes the residual GMRES minimizes the true
+one. A Krylov step stops at a forcing term eta times the Newton residual
+(inexact Newton, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996) and is
+accepted by its own true linear residual. eta is tight (1e-8) at the first
+step, after a damped or direct step, after a step that cut the residual's
+2-norm less than tenfold, and at a step predicted to end the solve; otherwise
+it is their choice 2, 0.9 times the last reduction ratio squared, so that
+GMRES does not over-solve while Newton converges quadratically. A step that
+fails the test is solved directly: only then is the Jacobian assembled, for a
+sparse LU with the last cell's step pinned at 0, which is exact because the
+last equation is minus the sum of the others. Either step differs from the
+mean-zero one by a constant that the line search's re-centring removes.
 """
 
 from __future__ import annotations
@@ -153,9 +156,10 @@ class GraphField:
     iterations (``krylov``) and whether the direct fallback solved it
     (``direct``). ``seconds`` splits the solve's wall time by stage: ``setup``
     (operators and initial guess), ``residual`` (every residual evaluation,
-    the line search's included), ``jacobian``, ``krylov`` (GMRES and its
-    acceptance test), ``fallback`` (the direct solves) and ``line_search``
-    (the rest of the line search)."""
+    the line search's included), ``jacobian`` (making the unassembled
+    Jacobian operator), ``krylov`` (GMRES and its acceptance test),
+    ``fallback`` (the direct steps, each assembling its Jacobian and solving
+    by a sparse LU) and ``line_search`` (the rest of the line search)."""
 
     u: np.ndarray
     hx: float
@@ -302,14 +306,15 @@ class _Discretization:
 
     def residual(self, u):
         """The residual at ``u`` and its face-flux partials ``(dp, dt)``, which
-        ``jacobian`` scales by: the Jacobian at an accepted iterate then costs
-        no second slope product."""
+        ``jacobian`` and ``jacobian_operator`` scale by: the Jacobian at an
+        accepted iterate then costs no second slope product."""
         s = self.slopes @ np.ravel(u)
         f, dp, dt = _flux(s[0::2], s[1::2])
         return (self.div @ f + self.source).reshape(self.nx, self.ny), (dp, dt)
 
     def jacobian(self, partials):
-        """The Jacobian from ``residual``'s partials at the same field."""
+        """The Jacobian from ``residual``'s partials at the same field,
+        assembled: the direct step's matrix."""
         dp, dt = partials
         # rows scaled by their flux partials; every other row pointer joins a
         # face's two rows into one, whose repeated columns the product sums
@@ -317,6 +322,20 @@ class _Discretization:
         scaled = S.data * np.repeat(np.column_stack([dp, dt]).ravel(), self.slope_counts)
         return self.div @ sp.csr_matrix((scaled, S.indices, S.indptr[::2]),
                                         shape=(dp.size, S.shape[1]))
+
+    def jacobian_operator(self, partials):
+        """The Jacobian from ``residual``'s partials, unassembled: ``v`` maps
+        to ``div @ (dp * s[0::2] + dt * s[1::2])`` with ``s = slopes @ v``,
+        the residual's own two products."""
+        dp, dt = partials
+        slopes, div = self.slopes, self.div
+
+        def matvec(v):
+            s = slopes @ np.ravel(v)
+            return div @ (dp * s[0::2] + dt * s[1::2])
+
+        n = div.shape[0]
+        return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
 
     def poisson_solve(self, r):
         """The mean-zero ``v`` with ``Lap v = r - mean(r)``, ``Lap`` the 5-point
@@ -329,7 +348,9 @@ class _Discretization:
     def krylov_step(self, J, res, tol, eta=_GMRES_RTOL):
         """GMRES on ``J delta = -res`` to the forcing term ``eta``: the step,
         its GMRES iterations and whether its true linear residual passes the
-        acceptance test, ``_FORCING / _GMRES_RTOL`` times the GMRES target."""
+        acceptance test, ``_FORCING / _GMRES_RTOL`` times the GMRES target.
+        ``J`` is used only through its products, so it may be the assembled
+        matrix or ``jacobian_operator``'s operator."""
         rhs = -res.ravel()
         norm = float(np.linalg.norm(rhs))
         floor = _FORCING_FLOOR * tol
@@ -432,6 +453,21 @@ def _initial_guess(prob: RectangleProblem) -> np.ndarray:
     return u - u.mean()
 
 
+def _checked_initial(initial, shape) -> np.ndarray:
+    """A float copy of a caller's initial field, which must have the grid's
+    shape and finite entries."""
+    try:
+        u = np.array(initial, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"initial field is not an array of numbers: {exc}") from None
+    if u.shape != shape:
+        raise DomainError(f"initial field has shape {u.shape}; the grid needs {shape}")
+    bad = int(np.count_nonzero(~np.isfinite(u)))
+    if bad:
+        raise DomainError(f"initial field has {bad} non-finite entries")
+    return u
+
+
 def exact_square_cap(prob: RectangleProblem) -> np.ndarray:
     """Mean-zero samples of the exact spherical-cap solution (square, equal angles)."""
     if not prob.equal_angles or abs(prob.a - prob.b) > 1e-14:
@@ -469,7 +505,7 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
     """
     clock = _Stopwatch(("setup", "residual", "jacobian", "krylov", "fallback", "line_search"))
     disc = _Discretization(prob)
-    u = _initial_guess(prob) if initial is None else np.array(initial, dtype=float)
+    u = _initial_guess(prob) if initial is None else _checked_initial(initial, prob.shape)
     u -= u.mean()
     trace, steps, krylov, direct = [], [], [], []
     clock.lap("setup")
@@ -491,12 +527,12 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
                 new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
             raise NonConvergenceError(
                 f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
-        J = disc.jacobian(partials)
+        J = disc.jacobian_operator(partials)
         clock.lap("jacobian")
         delta, its, ok = disc.krylov_step(J, res, tol, *forcing)
         clock.lap("krylov")
         if not ok:
-            delta = _pinned_step(J, res)
+            delta = _pinned_step(disc.jacobian(partials), res)
             clock.lap("fallback")
         step = 1.0
         for _ in range(30):

@@ -515,3 +515,90 @@ def test_trace_splits_the_solve_time_by_stage():
                              "line_search"]
     assert all(t >= 0.0 for t in seconds.values()) and seconds["fallback"] == 0.0
     assert 0.0 < sum(seconds.values()) <= wall
+
+
+def _counting_jacobian(monkeypatch):
+    """Spy on the assembled Jacobian: the list each assembly appends to."""
+    calls = []
+    jacobian = _Discretization.jacobian
+
+    def counting(self, partials):
+        calls.append(partials)
+        return jacobian(self, partials)
+
+    monkeypatch.setattr(_Discretization, "jacobian", counting)
+    return calls
+
+
+@pytest.mark.parametrize("a, b, gammas, grid_n", _JACOBIAN_CASES)
+def test_jacobian_operator_applies_the_assembled_jacobian(a, b, gammas, grid_n):
+    disc = _Discretization(RectangleProblem(a, b, gammas, grid_n=grid_n))
+    u, rng = _smooth_field(disc)
+    partials = disc.residual(u)[1]
+    J, op = disc.jacobian(partials), disc.jacobian_operator(partials)
+    assert op.shape == J.shape
+    for v in (rng.standard_normal(J.shape[1]), np.ones(J.shape[1])):
+        # 2.1e-16 measured: the two sum the same terms in different orders
+        bound = 1e-14 * abs(J).max() * np.abs(v).max()
+        assert np.abs(op.dot(v) - J @ v).max() <= bound
+        assert np.abs(op @ v - J @ v).max() <= bound
+
+
+def test_a_solve_without_a_direct_step_assembles_no_jacobian(monkeypatch):
+    calls = _counting_jacobian(monkeypatch)
+    # the problems of test_newton_iteration_counts_and_trace
+    for a, b, gammas, grid_n in [
+        (1.0, 1.0, (np.pi / 3,) * 4, 32),
+        (1.0, 1.0, (np.pi / 3,) * 4, 64),
+        (1.0, 1.0, (np.pi / 3,) * 4, 128),
+        (1.0, 2.0, (1.2,) * 4, 64),
+        (1.0, 2.0, (1.2,) * 4, 96),
+        (1.0, 2.0, (1.2,) * 4, 128),
+        (1.0, 1.0, (np.pi / 3,) * 4, 96),
+        (1.0, 2.0, (1.2, 1.2, 1.3, 1.3), 24),
+        (1.3, 0.7, (1.1, 0.9, 1.4, 1.0), 20),
+    ]:
+        f = solve_rectangle(RectangleProblem(a, b, gammas, grid_n=grid_n))
+        assert not any(f.trace["direct"])
+    assert calls == []
+
+
+@_STEP_CASES
+def test_each_direct_step_assembles_one_jacobian(monkeypatch, a, b, gammas, grid_n):
+    p = RectangleProblem(a, b, gammas, grid_n=grid_n)
+    u, _ = _smooth_field(_Discretization(p), seed=3)
+    # fail every Krylov step, so the solve takes the direct fallback
+    krylov_step = _Discretization.krylov_step
+    monkeypatch.setattr(_Discretization, "krylov_step",
+                        lambda self, J, res, tol: (*krylov_step(self, J, res, tol)[:2], False))
+    direct = _recording_pinned_step(monkeypatch)
+    calls = _counting_jacobian(monkeypatch)
+    with pytest.raises(NonConvergenceError):
+        solve_rectangle(p, max_iters=3, initial=u - u.mean())
+    assert len(direct) == len(calls) == 3
+
+
+@pytest.mark.parametrize("initial, message", [
+    (np.zeros((3, 3)), r"shape \(3, 3\); the grid needs \(16, 16\)"),
+    (np.zeros(256), r"shape \(256,\); the grid needs \(16, 16\)"),
+    (np.full((16, 16), np.nan), "256 non-finite entries"),
+    ([[0.0] * 16] * 15 + [[0.0]], "not an array of numbers"),
+], ids=["3x3", "flat", "nan", "ragged"])
+def test_a_malformed_initial_field_is_refused_before_the_first_residual(
+        monkeypatch, initial, message):
+    p = RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, grid_n=16)
+
+    def residual(self, u):
+        raise AssertionError("residual evaluated")
+
+    monkeypatch.setattr(_Discretization, "residual", residual)
+    with pytest.raises(DomainError, match=message):
+        solve_rectangle(p, initial=initial)
+
+
+def test_a_nested_list_initial_field_of_the_grid_shape_solves():
+    p = RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, grid_n=16)
+    start = _initial_guess(p)
+    f = solve_rectangle(p, initial=start.tolist())
+    assert np.array_equal(f.u, solve_rectangle(p, initial=start).u)
+    assert f.final_residual < 1e-10
