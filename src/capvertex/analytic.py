@@ -182,6 +182,18 @@ def wedge_cap(config: WedgeConfig, h: float) -> SphericalCap:
     return SphericalCap(center=center, radius=radius, h_signed=h, config_ref=config)
 
 
+def _check_wall_pairs(config: TrihedralConfig):
+    """Raise ``NoSolutionError`` unless each pair of the three walls, with the
+    wedge between them, carries admissible data: no cap exists otherwise."""
+    gammas = config.gammas
+    for (i, j) in ((0, 1), (1, 2), (2, 0)):
+        tag = classify_data(config.wedge_alpha(i, j), gammas[i], gammas[j]).tag
+        if tag not in _ADMISSIBLE:
+            raise NoSolutionError(
+                f"angle pair ({i}, {j}) classifies as {tag.value}; no cap exists"
+            )
+
+
 def trihedral_cap(config: TrihedralConfig, h: float):
     """Cap (or plane, for ``h = 0``) meeting all three trihedral walls.
 
@@ -192,13 +204,7 @@ def trihedral_cap(config: TrihedralConfig, h: float):
     """
     if config.kind is not TrihedralKind.APEX:
         raise DomainError("trihedral_cap requires an apex-kind configuration")
-    gammas = config.gammas
-    for (i, j) in ((0, 1), (1, 2), (2, 0)):
-        tag = classify_data(config.wedge_alpha(i, j), gammas[i], gammas[j]).tag
-        if tag not in _ADMISSIBLE:
-            raise NoSolutionError(
-                f"angle pair ({i}, {j}) classifies as {tag.value}; no cap exists"
-            )
+    _check_wall_pairs(config)
     N = np.stack([p.normal for p in config.planes])
     if h == 0.0:
         m = np.linalg.solve(N, np.array([p.beta for p in config.planes]))
@@ -230,13 +236,7 @@ def cylinder_cap(config: TrihedralConfig, h: float | None = None):
     """
     if config.kind is not TrihedralKind.CYLINDER:
         raise DomainError("cylinder_cap requires a cylinder-kind configuration")
-    gammas = config.gammas
-    for (i, j) in ((0, 1), (1, 2), (2, 0)):
-        tag = classify_data(config.wedge_alpha(i, j), gammas[i], gammas[j]).tag
-        if tag not in _ADMISSIBLE:
-            raise NoSolutionError(
-                f"angle pair ({i}, {j}) classifies as {tag.value}; no cap exists"
-            )
+    _check_wall_pairs(config)
     g = config.generator
     betas = np.array([p.beta for p in config.planes])
     if np.max(np.abs(betas)) < 1e-12:
@@ -377,18 +377,6 @@ class SphericalGraphField:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "h", float(self.h))
-
-    def w_field(self) -> np.ndarray:
-        """The metric factor ``sqrt((u^2 + u_phi^2) sin^2(phi) + u_theta^2)``."""
-        ut, up = self._gradients()
-        return np.sqrt((self.u ** 2 + up ** 2) * np.sin(self.phi)[None, :] ** 2 + ut ** 2)
-
-    def _gradients(self):
-        dt = self.theta[1] - self.theta[0]
-        dp = self.phi[1] - self.phi[0]
-        ut = np.gradient(self.u, dt, axis=0)
-        up = np.gradient(self.u, dp, axis=1)
-        return ut, up
 
 
 def spherical_cmc_residual(fieldv: SphericalGraphField) -> np.ndarray:

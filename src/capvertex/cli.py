@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
@@ -37,6 +35,7 @@ from .errors import (DomainError, IncompatibleDataError, MeshDegenerationError,
 from .geometry import (
     QTag,
     TrihedralConfig,
+    TrihedralKind,
     WedgeConfig,
     check_numerator_sign,
     classify_data,
@@ -45,7 +44,8 @@ from .geometry import (
     vertex_angle_grid,
     TAG_CODES,
 )
-from .graphpde import RectangleProblem, compatibility_h, exact_square_cap, solve_rectangle
+from .graphpde import (RectangleProblem, compatibility_h, exact_square_cap, solve_rectangle,
+                       _Stopwatch)
 from .meshes import seed_mesh, seed_planar_trihedral, perturb, structured_surface, write_obj
 from .evolver import energy, energy_gradient, evolve, volume
 
@@ -56,6 +56,8 @@ _SUITE_PERTURBATION = 0.01
 # CSV rows formatted per write: a whole 181^2 grid as one string would raise
 # the peak memory by megabytes
 _CSV_CHUNK = 1024
+# the master seed is an unsigned 64-bit integer
+_SEED_LIMIT = 2 ** 64
 # size ceilings of a config, past which its arrays would take gigabytes: a
 # classify grid of n points per side has n^2 cells, and refinement r seeds
 # 32 * 4**(r + 1) triangles (the graph solver bounds its own cell count)
@@ -135,47 +137,43 @@ def _angles(cfg, key, n, where):
     return [float(v) for v in vals]
 
 
-@contextmanager
-def _stage(timings: dict, name: str):
-    """Record the block's wall time as ``timings[name]``, in ``time.perf_counter`` seconds."""
-    start = time.perf_counter()
-    yield
-    timings[name] = time.perf_counter() - start
+def _write_grid_csv(path, header, x, y, coord, cell, columns):
+    """An x-major grid table with CRLF row ends: the bytes ``csv.writer``
+    writes for cells needing no quotes.
 
-
-def _write_csv(path, header, row_format, columns):
-    """CSV with CRLF row ends: the bytes ``csv.writer`` writes for cells needing no quotes.
-
-    Row i is ``row_format % (columns[0][i], columns[1][i], ...)``; ``columns``
-    are equal-length arrays.
+    Row (i, j) is ``x[i]`` and ``y[j]``, each formatted by ``coord``, then
+    ``cell % (columns[0][i, j], columns[1][i, j], ...)``. Each coordinate is
+    formatted once: the cells at one x make one template, a line for each y
+    (in pieces of ``_CSV_CHUNK`` lines), which takes that row's cells. The
+    templates are filled and written ``_CSV_CHUNK`` lines or more at a time:
+    a write per row of the 181^2 classify grid left the heap fragmented, so
+    that each call raised the peak memory of a later one by about 0.3 MB.
     """
-    line, n = row_format + "\r\n", len(columns[0])
+    y = y.tolist()
+    tails = [[coord % v + "," + cell + "\r\n" for v in y[start:start + _CSV_CHUNK]]
+             for start in range(0, len(y), _CSV_CHUNK)]
+    piece = _CSV_CHUNK * len(columns)
+    templates, cells = [], []
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
-        for start in range(0, n, _CSV_CHUNK):
-            stop = min(start + _CSV_CHUNK, n)
-            cells = chain.from_iterable(zip(*(c[start:stop].tolist() for c in columns)))
-            f.write((line * (stop - start)) % tuple(cells))
-
-
-def _write_field_csv(path, field):
-    """``field.csv``: the bytes ``_write_csv`` writes for ``field.points()``.
-
-    Each grid coordinate is formatted once. The cells at one x make one
-    template, a ``x,y,%.17g`` line for each y (in pieces of ``_CSV_CHUNK``
-    cells), which takes that row's heights.
-    """
-    y = field.y.tolist()
-    tails = [["%.17g," % v + "%.17g\r\n" for v in y[start:start + _CSV_CHUNK]]
-             for start in range(0, len(y), _CSV_CHUNK)]
-    with open(path, "w", newline="") as f:
-        f.write("x,y,u\r\n")
-        for x, row in zip(field.x.tolist(), field.u):
-            head = "%.17g," % x
-            heights = row.tolist()
+        for i, v in enumerate(x.tolist()):
+            head = coord % v + ","
+            row = list(chain.from_iterable(zip(*(c[i].tolist() for c in columns))))
             for k, tail in enumerate(tails):
-                f.write((head + head.join(tail))
-                        % tuple(heights[k * _CSV_CHUNK:(k + 1) * _CSV_CHUNK]))
+                templates.append(head + head.join(tail))
+                cells += row[k * piece:(k + 1) * piece]
+                if len(cells) >= piece:
+                    f.write("".join(templates) % tuple(cells))
+                    templates, cells = [], []
+        f.write("".join(templates) % tuple(cells))
+
+
+def _seed_sphere(config, h, refinement, target_volume=None):
+    """``seed_mesh`` at the curvature ``h`` (1.0 when None), except in a
+    cylinder, whose walls fix the curvature."""
+    cylinder = isinstance(config, TrihedralConfig) and config.kind is TrihedralKind.CYLINDER
+    return seed_mesh(config, h=None if cylinder else (1.0 if h is None else h),
+                     refinement_level=refinement, target_volume=target_volume)
 
 
 def _support_from_config(cfg, where):
@@ -198,23 +196,19 @@ def _support_from_config(cfg, where):
 def _run_classify(cfg, out: Path, seed: int, where: str) -> int:
     alpha = _number(cfg, "alpha", where)
     n = _integer(cfg, "grid", where, 181, maximum=_MAX_GRID)
-    timings = {}
-    with _stage(timings, "classify"):
-        g = np.linspace(0.0, np.pi, n)
-        # a broadcast grid: classify_grid checks alpha before any n^2 array exists
-        codes, numer = classify_grid(alpha, g[:, None], g[None, :])
+    clock = _Stopwatch()
+    g = np.linspace(0.0, np.pi, n)
+    # a broadcast grid: classify_grid checks alpha before any n^2 array exists
+    codes, numer = classify_grid(alpha, g[:, None], g[None, :])
+    clock.lap("classify")
     # the codes number the tags 0, 1, ...
     names = np.array([tag.name for tag in sorted(TAG_CODES, key=TAG_CODES.get)], dtype=object)
-    with _stage(timings, "write"):
-        # each grid angle is formatted once; the two angle columns repeat it
-        angles = np.array(["%.12g" % x for x in g.tolist()], dtype=object)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "classification.csv", ["gamma1", "gamma2", "class", "numerator"],
-                   "%s,%s,%s,%.17g",
-                   [np.repeat(angles, n), np.tile(angles, n), names[codes.ravel()],
-                    numer.ravel()])
+    out.mkdir(parents=True, exist_ok=True)
+    _write_grid_csv(out / "classification.csv", ["gamma1", "gamma2", "class", "numerator"],
+                    g, g, "%.12g", "%s,%.17g", [names[codes], numer])
+    clock.lap("write")
     report = {"scenario": "classify", "alpha": alpha, "grid": n, "seed": seed,
-              "version": __version__, "timings": timings}
+              "version": __version__, "timings": clock.seconds}
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
 
@@ -223,14 +217,14 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
     h = _number(cfg, "h", where, None)
     refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
-    timings = {}
-    with _stage(timings, "cap"):
-        if isinstance(config, WedgeConfig):
-            cap = wedge_cap(config, h if h is not None else 1.0)
-        elif config.kind.name == "APEX":
-            cap = trihedral_cap(config, h if h is not None else 1.0)
-        else:
-            cap = cylinder_cap(config, h)
+    clock = _Stopwatch()
+    if isinstance(config, WedgeConfig):
+        cap = wedge_cap(config, h if h is not None else 1.0)
+    elif config.kind is TrihedralKind.APEX:
+        cap = trihedral_cap(config, h if h is not None else 1.0)
+    else:
+        cap = cylinder_cap(config, h)
+    clock.lap("cap")
     mesh = None
     if isinstance(cap, SphericalCap):
         report = {
@@ -241,10 +235,8 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
             "h_signed": float(cap.h_signed),
             "degenerate": bool(cap.degenerate),
         }
-        is_cyl = isinstance(config, TrihedralConfig) and config.kind.name == "CYLINDER"
-        with _stage(timings, "seed"):
-            mesh = seed_mesh(config, h=None if is_cyl else (h if h is not None else 1.0),
-                             refinement_level=refinement)
+        mesh = _seed_sphere(config, h, refinement)
+        clock.lap("seed")
     else:
         report = {
             "scenario": "cap", "seed": seed, "version": __version__,
@@ -252,11 +244,11 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
             "normal": list(map(float, cap.normal)),
             "point": list(map(float, cap.point)),
         }
-    with _stage(timings, "write"):
-        out.mkdir(parents=True, exist_ok=True)
-        if mesh is not None:
-            write_obj(mesh, out / "cap.obj")
-    report["timings"] = timings
+    out.mkdir(parents=True, exist_ok=True)
+    if mesh is not None:
+        write_obj(mesh, out / "cap.obj")
+    clock.lap("write")
+    report["timings"] = clock.seconds
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
 
@@ -266,23 +258,24 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
     b = _number(cfg, "b", where)
     gammas = tuple(_angles(cfg, "gammas", 4, where))
     grid_n = _integer(cfg, "grid_n", where, 32)
-    timings = {}
-    with _stage(timings, "solve"):
-        prob = RectangleProblem(a, b, gammas, grid_n=grid_n)
-        field = solve_rectangle(prob)
-        pts = field.points()
-    with _stage(timings, "fit"):
-        fit = fit_sphere(pts)
-    with _stage(timings, "write"):
-        out.mkdir(parents=True, exist_ok=True)
-        _write_field_csv(out / "field.csv", field)
+    clock = _Stopwatch()
+    prob = RectangleProblem(a, b, gammas, grid_n=grid_n)
+    field = solve_rectangle(prob)
+    pts = field.points()
+    clock.lap("solve")
+    fit = fit_sphere(pts)
+    clock.lap("fit")
+    out.mkdir(parents=True, exist_ok=True)
+    _write_grid_csv(out / "field.csv", ["x", "y", "u"], field.x, field.y, "%.17g", "%.17g",
+                    [field.u])
+    clock.lap("write")
     report = {
         "scenario": "solve-graph", "seed": seed, "version": __version__,
         "a": a, "b": b, "gammas": list(gammas), "grid_n": grid_n,
         "h": prob.h, "iterations": field.iterations,
         "final_residual": field.final_residual, "trace": field.trace,
         "sphere_fit_relative_rms": fit.relative_rms,
-        "timings": timings,
+        "timings": clock.seconds,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
@@ -301,24 +294,21 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
     options = {"max_iters": _integer(cfg, "max_iters", where, 1000),
                "grad_tol": _number(cfg, "grad_tol", where, 1e-6),
                "fixed_volume": _flag(cfg, "fixed_volume", where, True)}
-    timings = {}
-    with _stage(timings, "seed"):
-        if planar:
-            mesh = seed_planar_trihedral(config, refinement_level=refinement)
-        else:
-            hv = None if isinstance(config, TrihedralConfig) and config.kind.name == "CYLINDER" \
-                else h
-            mesh = seed_mesh(config, h=hv, refinement_level=refinement,
-                             target_volume=target_volume)
-        if amp > 0.0:
-            mesh = perturb(mesh, amp, seed=seed)
-    with _stage(timings, "evolve"):
-        evolved, rep = evolve(mesh, **options)
-    with _stage(timings, "diagnostics"):
-        diag = diagnostics_report(evolved)
-    with _stage(timings, "write"):
-        out.mkdir(parents=True, exist_ok=True)
-        write_obj(evolved, out / "evolved.obj")
+    clock = _Stopwatch()
+    if planar:
+        mesh = seed_planar_trihedral(config, refinement_level=refinement)
+    else:
+        mesh = _seed_sphere(config, h, refinement, target_volume)
+    if amp > 0.0:
+        mesh = perturb(mesh, amp, seed=seed)
+    clock.lap("seed")
+    evolved, rep = evolve(mesh, **options)
+    clock.lap("evolve")
+    diag = diagnostics_report(evolved)
+    clock.lap("diagnostics")
+    out.mkdir(parents=True, exist_ok=True)
+    write_obj(evolved, out / "evolved.obj")
+    clock.lap("write")
     report = {
         "scenario": "evolve", "seed": seed, "version": __version__,
         "iterations": rep.iterations, "converged": rep.converged,
@@ -328,7 +318,7 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
         "lagrange_h": rep.lagrange_h,
         "trace": rep.trace,
         "diagnostics": json.loads(diag.to_json()),
-        "timings": timings,
+        "timings": clock.seconds,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2))
     return 0
@@ -516,19 +506,19 @@ def _suite_counterexample(opts) -> list:
     ]]
 
 
-def _evolve_sphere_check(config, h, refinement, seed, max_iters, planar=False):
+def _evolve_sphere_check(config, refinement, seed, max_iters, planar=False):
     """The perturbed seed relaxed by ``evolve``: the mesh and its convergence report."""
     if planar:
         mesh = seed_planar_trihedral(config, refinement_level=refinement)
     else:
-        mesh = seed_mesh(config, h=h, refinement_level=refinement)
+        mesh = _seed_sphere(config, 1.0, refinement)
     return evolve(perturb(mesh, _SUITE_PERTURBATION, seed=seed), max_iters=max_iters)
 
 
 def _suite_theorem1(opts) -> list:
     refinement = opts.get("refinement", 4)
     config = WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3)
-    evolved, rep = _evolve_sphere_check(config, 1.0, refinement, opts["seed"],
+    evolved, rep = _evolve_sphere_check(config, refinement, opts["seed"],
                                         opts.get("max_iters", 1100))
     diag = diagnostics_report(evolved)
     two_beta = vertex_angle(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3).two_beta
@@ -551,14 +541,14 @@ def _suite_theorem3(opts) -> list:
     refinement = opts.get("refinement", 3)
     outcomes = []
     flat_cfg = TrihedralConfig.orthant((float(np.arccos(np.sqrt(3.0) / 3.0)),) * 3)
-    evolved, rep = _evolve_sphere_check(flat_cfg, None, refinement, opts["seed"],
+    evolved, rep = _evolve_sphere_check(flat_cfg, refinement, opts["seed"],
                                         opts.get("max_iters", 600), planar=True)
     plane = fit_plane(evolved.vertices)
     diam = float(np.ptp(evolved.vertices, axis=0).max())
     outcomes += _with_solve(rep, [_outcome("planar-mode", plane.rms < 1e-4 * diam,
                                            plane.rms / diam, 1e-4, "flat drop stays flat")])
     round_cfg = TrihedralConfig.orthant((np.pi / 2,) * 3)
-    evolved, rep = _evolve_sphere_check(round_cfg, 1.0, refinement, opts["seed"],
+    evolved, rep = _evolve_sphere_check(round_cfg, refinement, opts["seed"],
                                         opts.get("max_iters", 800))
     diag = diagnostics_report(evolved)
     outcomes += _with_solve(rep, [
@@ -576,7 +566,7 @@ def _suite_theorem4(opts) -> list:
     # signed: the center sits at -R cos(gamma) from each wall
     worst = max(abs(-p.signed_distance(cap.center) / cap.radius - np.cos(p.gamma))
                 for p in config.planes)
-    evolved, rep = _evolve_sphere_check(config, None, refinement, opts["seed"],
+    evolved, rep = _evolve_sphere_check(config, refinement, opts["seed"],
                                         opts.get("max_iters", 800))
     diag = diagnostics_report(evolved)
     return [_outcome("cap-contact-angles", worst < 1e-12, float(worst), 1e-12),
@@ -607,10 +597,10 @@ def _suite_gradient(opts) -> list:
     rng = np.random.default_rng(opts["seed"])
     eps = 1e-6
     worst = 0.0
-    for config, h in ((WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3), 1.0),
-                      (TrihedralConfig.orthant((np.pi / 2,) * 3), 1.0),
-                      (TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3), None)):
-        mesh = perturb(seed_mesh(config, h=h, refinement_level=2), 0.005, seed=opts["seed"])
+    for config in (WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3),
+                   TrihedralConfig.orthant((np.pi / 2,) * 3),
+                   TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3)):
+        mesh = perturb(_seed_sphere(config, 1.0, 2), 0.005, seed=opts["seed"])
         g = energy_gradient(mesh)
         scale = np.linalg.norm(g)
         for _ in range(17):
@@ -646,7 +636,7 @@ def verify_suite(name: str, seed: int = 0, **opts) -> list:
     """Run a named verification recipe; returns a list of outcome records."""
     if name not in _SUITES:
         raise DomainError(f"unknown suite '{name}'; choose from {_SUITES}")
-    return _SUITE_RUNNERS[name]({"seed": seed, **opts})
+    return _SUITE_RUNNERS[name]({"seed": _check_seed(seed), **opts})
 
 
 def _run_verify(cfg, out: Path, seed: int, where: str) -> int:
@@ -655,13 +645,13 @@ def _run_verify(cfg, out: Path, seed: int, where: str) -> int:
         raise ConfigError(f"{where}: unknown suite '{suite}'")
     bounds = {"refinement": (0, _MAX_REFINEMENT), "grid_n": (1, None), "max_iters": (1, None)}
     opts = {k: _integer(cfg, k, where, None, *bounds[k]) for k in bounds if k in cfg}
-    timings = {}
-    with _stage(timings, "suite"):
-        outcomes = verify_suite(suite, seed=seed, **opts)
+    clock = _Stopwatch()
+    outcomes = verify_suite(suite, seed=seed, **opts)
+    clock.lap("suite")
     out.mkdir(parents=True, exist_ok=True)
     report = {"scenario": "verify", "suite": suite, "seed": seed,
               "version": __version__, "outcomes": outcomes,
-              "pass": all(o["pass"] for o in outcomes), "timings": timings}
+              "pass": all(o["pass"] for o in outcomes), "timings": clock.seconds}
     (out / "report.json").write_text(json.dumps(report, indent=2))
     for o in outcomes:
         status = "PASS" if o["pass"] else "FAIL"
@@ -679,9 +669,27 @@ _SCENARIOS = {
 }
 
 
-def run(config_path, out_dir=None, seed: int = 0, subcommand=None) -> int:
-    """Execute one scenario config; returns the process exit code."""
+def _check_seed(seed) -> int:
+    """The master seed as an int; anything but an integer in [0, 2**64) is a ``DomainError``."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= seed < _SEED_LIMIT:
+        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
+def _seed_arg(text: str) -> int:
+    """``--seed``: an integer literal (decimal, 0x, 0o or 0b) in [0, 2**64)."""
     try:
+        return _check_seed(int(text, 0))
+    except (ValueError, DomainError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def run(config_path, out_dir=None, seed: int = 0, subcommand=None) -> int:
+    """Execute one scenario config; returns the process exit code. A ``seed``
+    other than an integer in [0, 2**64) is refused with exit 2."""
+    try:
+        seed = _check_seed(seed)
         cfg = _load_config(config_path)
         kind = _require(cfg, "kind", str, str(config_path))
         if kind not in _SCENARIOS:
@@ -715,8 +723,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=f"run a '{name}' scenario config")
         p.add_argument("--config", required=True, help="JSON scenario config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=0,
-                       help="64-bit master seed recorded in every report")
+        p.add_argument("--seed", type=_seed_arg, default=0,
+                       help="64-bit master seed in [0, 2**64), recorded in every report")
     args = parser.parse_args(argv)
     return run(args.config, args.out, args.seed, args.subcommand)
 

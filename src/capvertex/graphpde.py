@@ -10,13 +10,14 @@ per problem, each as one CSR matrix from index arithmetic: the stencils are
 broadcast over the interior faces and cells and cut only at the walls. The
 residual keeps the face-flux partials ``(dp, dt)`` it computes, and the
 Jacobian at an accepted iterate is ``div`` times ``slopes`` with its rows
-scaled by them. GMRES needs only its products, so it is not assembled: ``J v``
-is ``div @ (dp * s[0::2] + dt * s[1::2])`` with ``s = slopes @ v``, the
-residual's own two sparse products (an exact Jacobian-free Newton-Krylov step;
-Knoll & Keyes, J. Comput. Phys. 193, 2004). The Jacobian kills constants and
-its columns sum to zero, as the residual does for any field, so each Newton
-system ``J delta = -F`` is singular but consistent. Restarted GMRES (Saad &
-Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) solves it, right-preconditioned
+scaled by them. GMRES takes only its product, a function, so it is not
+assembled: ``J v`` is ``div @ (dp * s[0::2] + dt * s[1::2])`` with
+``s = slopes @ v``, the residual's own two sparse products (an exact
+Jacobian-free Newton-Krylov step; Knoll & Keyes, J. Comput. Phys. 193,
+2004). The Jacobian kills constants and its columns sum to zero, as the
+residual does for any field, so each Newton system ``J delta = -F`` is
+singular but consistent. Restarted GMRES (Saad & Schultz, SIAM J. Sci.
+Stat. Comput. 7, 1986) solves it, right-preconditioned
 by the exact inverse of the constant-coefficient 5-point Neumann Laplacian on
 mean-zero fields: a type-II cosine transform, a division by the Laplacian's
 eigenvalues and the inverse transform (Concus & Golub, SIAM J. Numer. Anal.
@@ -157,7 +158,7 @@ class GraphField:
     (``direct``). ``seconds`` splits the solve's wall time by stage: ``setup``
     (operators and initial guess), ``residual`` (every residual evaluation,
     the line search's included), ``jacobian`` (making the unassembled
-    Jacobian operator), ``krylov`` (GMRES and its acceptance test),
+    Jacobian product), ``krylov`` (GMRES and its acceptance test),
     ``fallback`` (the direct steps, each assembling its Jacobian and solving
     by a sparse LU) and ``line_search`` (the rest of the line search)."""
 
@@ -324,9 +325,9 @@ class _Discretization:
                                         shape=(dp.size, S.shape[1]))
 
     def jacobian_operator(self, partials):
-        """The Jacobian from ``residual``'s partials, unassembled: ``v`` maps
-        to ``div @ (dp * s[0::2] + dt * s[1::2])`` with ``s = slopes @ v``,
-        the residual's own two products."""
+        """The Jacobian's product from ``residual``'s partials, unassembled:
+        the function mapping ``v`` to ``div @ (dp * s[0::2] + dt * s[1::2])``
+        with ``s = slopes @ v``, the residual's own two products."""
         dp, dt = partials
         slopes, div = self.slopes, self.div
 
@@ -334,8 +335,7 @@ class _Discretization:
             s = slopes @ np.ravel(v)
             return div @ (dp * s[0::2] + dt * s[1::2])
 
-        n = div.shape[0]
-        return spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+        return matvec
 
     def poisson_solve(self, r):
         """The mean-zero ``v`` with ``Lap v = r - mean(r)``, ``Lap`` the 5-point
@@ -345,18 +345,17 @@ class _Discretization:
         rhat = fft.dctn(np.reshape(r, (self.nx, self.ny)), type=2, norm="ortho")
         return -fft.idctn(rhat * self.inverse_eigenvalues, type=2, norm="ortho").ravel()
 
-    def krylov_step(self, J, res, tol, eta=_GMRES_RTOL):
-        """GMRES on ``J delta = -res`` to the forcing term ``eta``: the step,
-        its GMRES iterations and whether its true linear residual passes the
-        acceptance test, ``_FORCING / _GMRES_RTOL`` times the GMRES target.
-        ``J`` is used only through its products, so it may be the assembled
-        matrix or ``jacobian_operator``'s operator."""
+    def krylov_step(self, matvec, res, tol, eta=_GMRES_RTOL):
+        """GMRES on ``J delta = -res`` to the forcing term ``eta``, where
+        ``matvec`` maps ``v`` to ``J v``: the step, its GMRES iterations and
+        whether its true linear residual passes the acceptance test,
+        ``_FORCING / _GMRES_RTOL`` times the GMRES target."""
         rhs = -res.ravel()
         norm = float(np.linalg.norm(rhs))
         floor = _FORCING_FLOOR * tol
-        delta, iterations = _gmres(J.dot, self.poisson_solve, rhs, max(eta * norm, floor),
+        delta, iterations = _gmres(matvec, self.poisson_solve, rhs, max(eta * norm, floor),
                                    _GMRES_RESTART, _GMRES_CYCLES)
-        linear = float(np.linalg.norm(J @ delta - rhs))
+        linear = float(np.linalg.norm(matvec(delta) - rhs))
         # a non-finite residual fails: its linear residual is not finite either
         ok = math.isfinite(linear) and linear <= max(_FORCING / _GMRES_RTOL * eta * norm, floor)
         return delta.reshape(res.shape), iterations, ok
@@ -477,15 +476,17 @@ def exact_square_cap(prob: RectangleProblem) -> np.ndarray:
 
 class _Stopwatch:
     """Seconds per stage: each ``lap`` charges the time since the previous one
-    (or since the stopwatch was made) to its stage."""
+    (or since the stopwatch was made) to its stage, so the stages partition
+    the time from the start to the last lap. ``stages`` start at 0; any other
+    stage gets its key at its first lap."""
 
-    def __init__(self, stages):
+    def __init__(self, stages=()):
         self.seconds = dict.fromkeys(stages, 0.0)
         self._last = perf_counter()
 
     def lap(self, stage):
         now = perf_counter()
-        self.seconds[stage] += now - self._last
+        self.seconds[stage] = self.seconds.get(stage, 0.0) + (now - self._last)
         self._last = now
 
 
@@ -527,9 +528,9 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
                 new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
             raise NonConvergenceError(
                 f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
-        J = disc.jacobian_operator(partials)
+        matvec = disc.jacobian_operator(partials)
         clock.lap("jacobian")
-        delta, its, ok = disc.krylov_step(J, res, tol, *forcing)
+        delta, its, ok = disc.krylov_step(matvec, res, tol, *forcing)
         clock.lap("krylov")
         if not ok:
             delta = _pinned_step(disc.jacobian(partials), res)

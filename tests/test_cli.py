@@ -95,21 +95,36 @@ def _reference_csv(path, header, rows):
 
 def test_chunked_csv_writer_matches_csv_module(tmp_path):
     rng = np.random.default_rng(5)
-    n = 2 * cli._CSV_CHUNK + 37                    # two full chunks and a part
-    cols = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-30, 30, (3, n))
-    cols[:, :len(_EDGE_VALUES)] = _EDGE_VALUES
-    cols[:, -len(_EDGE_VALUES):] = _EDGE_VALUES[::-1]
-    names = np.array(["INTERIOR_Q", "D1", "CORNER"], dtype=object)[rng.integers(0, 3, n)]
-    cli._write_csv(tmp_path / "a.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", cols)
+    ny = 2 * cli._CSV_CHUNK + 37                   # two full chunks and a part per row
+    x = np.array(_EDGE_VALUES)                     # one row per edge value
+    y = rng.standard_normal(ny) * 10.0 ** rng.integers(-30, 30, ny)
+    u = rng.standard_normal((x.size, ny)) * 10.0 ** rng.integers(-30, 30, (x.size, ny))
+    for cells in (y, u):
+        cells[..., :len(_EDGE_VALUES)] = _EDGE_VALUES
+        cells[..., -len(_EDGE_VALUES):] = _EDGE_VALUES[::-1]
+    names = np.array(["INTERIOR_Q", "D1", "CORNER"], dtype=object)[rng.integers(0, 3, u.shape)]
+    cells = [(i, j) for i in range(x.size) for j in range(ny)]
+    cli._write_grid_csv(tmp_path / "a.csv", ["x", "y", "u"], x, y, "%.17g", "%.17g", [u])
     assert (tmp_path / "a.csv").read_bytes() == _reference_csv(
         tmp_path / "a_ref.csv", ["x", "y", "u"],
-        ((f"{x:.17g}", f"{y:.17g}", f"{u:.17g}") for x, y, u in cols.T))
-    cli._write_csv(tmp_path / "b.csv", ["g1", "g2", "class", "v"], "%.12g,%.12g,%s,%.17g",
-                   [cols[0], cols[1], names, cols[2]])
+        ((f"{x[i]:.17g}", f"{y[j]:.17g}", f"{u[i, j]:.17g}") for i, j in cells))
+    # the classify layout: a class name and a number per cell
+    cli._write_grid_csv(tmp_path / "b.csv", ["g1", "g2", "class", "v"], x, y, "%.12g",
+                        "%s,%.17g", [names, u])
     assert (tmp_path / "b.csv").read_bytes() == _reference_csv(
         tmp_path / "b_ref.csv", ["g1", "g2", "class", "v"],
-        ((f"{x:.12g}", f"{y:.12g}", c, f"{u:.17g}") for x, y, c, u in zip(*cols[:2], names,
-                                                                          cols[2])))
+        ((f"{x[i]:.12g}", f"{y[j]:.12g}", names[i, j], f"{u[i, j]:.17g}") for i, j in cells))
+
+
+def _write_field_csv(path, field):
+    """``field.csv`` as ``solve-graph`` writes it."""
+    cli._write_grid_csv(path, ["x", "y", "u"], field.x, field.y, "%.17g", "%.17g", [field.u])
+
+
+def _reference_field_csv(tmp_path, field):
+    """The reference bytes of ``field.csv``: one ``csv.writer`` row per point."""
+    return _reference_csv(tmp_path / "field_ref.csv", ["x", "y", "u"],
+                          ((f"{x:.17g}", f"{y:.17g}", f"{u:.17g}") for x, y, u in field.points()))
 
 
 def test_solve_graph_writes_field_and_newton_trace(tmp_path):
@@ -119,9 +134,7 @@ def test_solve_graph_writes_field_and_newton_trace(tmp_path):
     out = tmp_path / "out"
     assert run(cfg, out) == 0
     field = solve_rectangle(RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24))
-    assert (out / "field.csv").read_bytes() == _reference_csv(
-        tmp_path / "field_ref.csv", ["x", "y", "u"],
-        ((f"{x:.17g}", f"{y:.17g}", f"{u:.17g}") for x, y, u in field.points()))
+    assert (out / "field.csv").read_bytes() == _reference_field_csv(tmp_path, field)
     report = json.loads((out / "report.json").read_text())
     residuals, steps = report["trace"]["residuals"], report["trace"]["steps"]
     assert len(residuals) == report["iterations"] + 1
@@ -139,9 +152,8 @@ def test_solve_graph_writes_field_and_newton_trace(tmp_path):
 ])
 def test_field_writer_matches_the_point_table_writer(tmp_path, a, b, gammas, grid_n):
     field = solve_rectangle(RectangleProblem(a, b, gammas, grid_n=grid_n))
-    cli._write_field_csv(tmp_path / "field.csv", field)
-    cli._write_csv(tmp_path / "ref.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", field.points().T)
-    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _write_field_csv(tmp_path / "field.csv", field)
+    assert (tmp_path / "field.csv").read_bytes() == _reference_field_csv(tmp_path, field)
 
 
 def test_field_writer_splits_rows_longer_than_a_chunk(tmp_path):
@@ -151,9 +163,8 @@ def test_field_writer_splits_rows_longer_than_a_chunk(tmp_path):
     u[0, :3] = [-0.0, 5e-324, -2.5e-300]
     u[-1, -1] -= u.sum()                            # the mean-zero gauge
     field = GraphField(u=u, hx=1.0 / 3.0, hy=0.1, a=1.0, b=ny * 0.1)
-    cli._write_field_csv(tmp_path / "field.csv", field)
-    cli._write_csv(tmp_path / "ref.csv", ["x", "y", "u"], "%.17g,%.17g,%.17g", field.points().T)
-    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    _write_field_csv(tmp_path / "field.csv", field)
+    assert (tmp_path / "field.csv").read_bytes() == _reference_field_csv(tmp_path, field)
 
 
 def test_classification_csv_matches_the_per_cell_reference(tmp_path):
@@ -370,6 +381,48 @@ def test_bad_config_exits_2_with_one_line_and_no_artifacts(tmp_path, capsys, pay
     assert [str(w.message) for w in caught] == []
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+_SEED_CONFIGS = [
+    {"kind": "classify", "alpha": math.pi / 4, "grid": 9},
+    {**_ORTHANT, "refinement": 0, "perturbation": 0.01, "max_iters": 5},
+]
+
+
+@pytest.mark.parametrize("payload", _SEED_CONFIGS, ids=lambda p: p["kind"])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.0, True])
+def test_a_seed_outside_64_bits_exits_2_and_writes_nothing(tmp_path, capsys, payload, seed):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out, seed=seed) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_a_suite_refuses_a_seed_outside_64_bits(seed):
+    with pytest.raises(DomainError, match="seed"):
+        verify_suite("formulas", seed=seed)
+
+
+@pytest.mark.parametrize("payload", _SEED_CONFIGS, ids=lambda p: p["kind"])
+@pytest.mark.parametrize("text", ["-1", "0x1ffffffffffffffff", str(2 ** 64), "seven"])
+def test_the_seed_option_refuses_any_seed_outside_64_bits(tmp_path, capsys, payload, text):
+    cfg = _write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([payload["kind"], "--config", str(cfg), "--out", str(out), "--seed", text])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, seed", [("0", 0), ("0xffffffffffffffff", 2 ** 64 - 1)])
+def test_the_seed_option_takes_the_ends_of_the_64_bit_range(tmp_path, text, seed):
+    cfg = _write_config(tmp_path, "c.json", _SEED_CONFIGS[1])
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", str(cfg), "--out", str(out), "--seed", text]) == 0
+    assert json.loads((out / "report.json").read_text())["seed"] == seed
 
 
 @pytest.mark.parametrize("payload, stages", [
