@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Console-script checks of `capvertex solve-graph`: each problem must solve
-# (exit 0, a field written), and the 1x2 rectangle at grid_n 128 and 256 and
-# the 26x14-cell mixed-angle problem must take every Newton step by GMRES,
-# none by the direct sparse-LU fallback. At grid_n 256 (131,072 cells) an
-# assembled Jacobian would be the solve's largest array; GMRES applies it
-# unassembled, and the solve takes about 1.6 s. The 1x2 rectangle's GMRES iterations must
-# total at most 26 (35 when every step is solved to the tight forcing term),
-# so that the adaptive forcing cannot silently fall back to tight.
+# (exit 0, a field written), and every GMRES step of the 1x2 rectangle at
+# grid_n 128 and 256 and of the 26x14-cell mixed-angle problem must meet its
+# acceptance test: none may be taken with its linear residual missed. GMRES
+# applies the Jacobian unassembled, and the solve at grid_n 256 (131,072
+# cells) takes about 1.6 s. The 1x2 rectangle's GMRES iterations must total
+# at most 26 (35 when every step is solved to the tight forcing term), so
+# that the adaptive forcing cannot silently fall back to tight.
 # Usage: .github/scripts/solve_graph_checks.sh  (with `capvertex` installed)
 set -euo pipefail
 tmp=$(mktemp -d)
@@ -18,8 +18,8 @@ solve() {  # name, config JSON
   test -s "$tmp/$1/field.csv"
 }
 
-no_direct_step() {  # name
-  python -c 'import json, sys; t = json.load(open(sys.argv[1]))["trace"]; print(sys.argv[2], t["krylov"], t["direct"]); sys.exit(1 if any(t["direct"]) else 0)' \
+no_missed_step() {  # name
+  python -c 'import json, sys; t = json.load(open(sys.argv[1]))["trace"]; print(sys.argv[2], t["krylov"], t["missed"]); sys.exit(1 if any(t["missed"]) else 0)' \
     "$tmp/$1/report.json" "$1"
 }
 
@@ -30,9 +30,9 @@ krylov_at_most() {  # name, largest total of GMRES iterations
 
 solve small '{"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2, 1.2, 1.2, 1.2], "grid_n": 16}'
 solve rectangle '{"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2, 1.2, 1.2, 1.2], "grid_n": 128}'
-no_direct_step rectangle
+no_missed_step rectangle
 krylov_at_most rectangle 26
 solve large '{"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2, 1.2, 1.2, 1.2], "grid_n": 256}'
-no_direct_step large
+no_missed_step large
 solve mixed '{"kind": "solve-graph", "a": 1.3, "b": 0.7, "gammas": [1.1, 0.9, 1.4, 1.0], "grid_n": 20}'
-no_direct_step mixed
+no_missed_step mixed

@@ -44,6 +44,8 @@ _ADMISSIBLE = (QTag.INTERIOR_Q, QTag.BOUNDARY_Q_D1)
 # a radius at or below this has a curvature 1/R that overflows; the next
 # float up has a finite one
 _OVERFLOW_RADIUS = 1.0 / np.finfo(float).max
+# the central-difference step of the half-cylinder's flux divergence
+_FD_STEP = 1e-4
 
 
 def _orthonormal_complement(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,10 +320,10 @@ class HalfCylinderSolution:
         zy = self.slope(y)
         return zy / np.sqrt(1.0 + zy * zy)
 
-    def residual(self, y, fd_step: float = 1e-4):
+    def residual(self, y):
         """Pointwise ``div Tu - 2h`` via central differencing of the flux."""
         y = np.asarray(y, dtype=float)
-        div = (self.flux(y + fd_step) - self.flux(y - fd_step)) / (2.0 * fd_step)
+        div = (self.flux(y + _FD_STEP) - self.flux(y - _FD_STEP)) / (2.0 * _FD_STEP)
         return div - 2.0 * self.h
 
     def sample_band(self, n: int, lo: float = 0.05, hi: float = 0.95):

@@ -496,7 +496,7 @@ def _suite_counterexample(opts) -> list:
     state = {"iterations": {k: f.iterations for k, f in solves.items()},
              "final_residual": {k: f.final_residual for k, f in solves.items()},
              **{key: {k: f.trace[key] for k, f in solves.items()}
-                for key in ("krylov", "direct", "seconds")}}
+                for key in ("krylov", "missed", "seconds")}}
     return [{**o, **state} for o in [
         _outcome("square-error", err <= 5e-3, err, 5e-3, "max error vs the exact cap"),
         _outcome("square-order", order >= 1.9, order, 1.9,

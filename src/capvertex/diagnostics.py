@@ -23,7 +23,6 @@ fitter applied to one cloud, and ``fit_plane`` a one-cloud SVD.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, asdict
 
@@ -89,6 +88,11 @@ class PlaneFit:
 # Local fits run on stacks of neighbourhoods, at most this many per stack, so
 # that the padded arrays and the QR workspace stay small on large meshes.
 _BLOCK_ROWS = 256
+# the sphere curvature field fits each vertex's neighbourhood this many rings
+# deep; a contact polyline's end tangent fits a circle through this many
+# segments of it
+_CURVATURE_DEPTH = 3
+_TANGENT_SEGMENTS = 4
 
 
 def _back_substitute(R, y):
@@ -300,7 +304,7 @@ def mean_curvature_field(mesh: TriMeshDrop) -> np.ndarray:
     return h
 
 
-def sphere_curvature_field(mesh: TriMeshDrop, depth: int = 3) -> np.ndarray:
+def sphere_curvature_field(mesh: TriMeshDrop) -> np.ndarray:
     """Pointwise mean curvature from local sphere fits (NaN on the boundary).
 
     Wider stencils than the cotangent formula make this estimator robust to
@@ -310,7 +314,7 @@ def sphere_curvature_field(mesh: TriMeshDrop, depth: int = 3) -> np.ndarray:
     """
     normals = vertex_normals(mesh)
     out = np.full(mesh.n_vertices, np.nan)
-    for block, pts, mask in _neighbourhood_stacks(mesh, depth,
+    for block, pts, mask in _neighbourhood_stacks(mesh, _CURVATURE_DEPTH,
                                                   np.nonzero(mesh.tag_kind == FREE)[0]):
         origin, coef, _ = _fit_spheres(pts, mask)
         grad = _gradients(origin, coef, mesh.vertices[block])
@@ -403,13 +407,13 @@ def measure_contact_angles(mesh: TriMeshDrop) -> dict[int, np.ndarray]:
 
 
 def _polyline_tangent(mesh: TriMeshDrop, seg: np.ndarray, at_start: bool,
-                      wall: int, k: int = 4) -> np.ndarray:
+                      wall: int) -> np.ndarray:
     """Unit tangent of a contact polyline at one endpoint.
 
     A circle is fitted through the nearest samples in the wall plane; for
     collinear samples the chord direction is used instead.
     """
-    idx = seg[:k + 1] if at_start else seg[::-1][:k + 1]
+    idx = (seg if at_start else seg[::-1])[:_TANGENT_SEGMENTS + 1]
     pts = mesh.vertices[idx]
     eu, ev = mesh.support.frames[wall]
     q = mesh.support.wall_coords(wall, pts)
@@ -464,20 +468,8 @@ class DiagnosticsReport:
     contact_angle_max_error: dict
     vertex_angles: dict
 
-    def to_json(self, path=None) -> str:
-        text = json.dumps(asdict(self), indent=2)
-        if path is not None:
-            with open(path, "w") as f:
-                f.write(text)
-        return text
-
-    def to_csv(self, path):
-        flat = asdict(self)
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["key", "value"])
-            for key, val in flat.items():
-                w.writerow([key, json.dumps(val)])
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
 
 def diagnostics_report(mesh: TriMeshDrop) -> DiagnosticsReport:

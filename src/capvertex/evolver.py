@@ -50,6 +50,13 @@ __all__ = [
     "project_tangent", "vertex_dual_areas", "evolve",
 ]
 
+# the fraction of the tangential Laplacian move that smoothing takes between
+# outer loops
+_SMOOTHING = 0.2
+# volume restoration: at most this many Newton steps, to this relative error
+_RESTORE_STEPS = 12
+_RESTORE_RTOL = 1e-10
+
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -215,14 +222,13 @@ def vertex_dual_areas(mesh: TriMeshDrop) -> np.ndarray:
 # -- volume restoration ----------------------------------------------------
 
 
-def _restore_volume(mesh: TriMeshDrop, target: float, rel_tol: float = 1e-10,
-                    max_newton: int = 12) -> float:
+def _restore_volume(mesh: TriMeshDrop, target: float) -> float:
     """Move along the projected volume gradient until the volume matches."""
     scale = max(abs(target), 1e-30)
-    for _ in range(max_newton):
+    for _ in range(_RESTORE_STEPS):
         ev = _evaluate(mesh)
         err = ev.breakdown.volume - target
-        if abs(err) <= rel_tol * scale:
+        if abs(err) <= _RESTORE_RTOL * scale:
             return err
         m = project_tangent(mesh, ev.volume_gradient)
         denom = float(np.einsum("ij,ij->", m, m))
@@ -267,8 +273,7 @@ def _residual_norm(mesh: TriMeshDrop, fixed_volume: bool):
 
 
 def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
-           fixed_volume: bool = True, smoothing: float = 0.2,
-           n_outer: int = 12):
+           fixed_volume: bool = True, n_outer: int = 12):
     """Minimize the capillary energy at fixed enclosed volume.
 
     Quasi-Newton descent in constraint-reduced coordinates with an augmented
@@ -311,9 +316,9 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
     for outer in range(n_outer):
         if inner_budget <= 0:
             break
-        if smoothing > 0.0 and outer > 0:
+        if outer > 0:
             trial = work.copy()
-            _smooth(trial, smoothing)
+            _smooth(trial, _SMOOTHING)
             try:
                 if fixed_volume:
                     _restore_volume(trial, target)

@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
+# the half-width in radians of the boundary strip of the admissible rectangle
+_BAND = 1e-9
 
 
 def _as_unit(v, name: str) -> np.ndarray:
@@ -302,7 +304,7 @@ _CODE_TO_TAG = {
 TAG_CODES = {tag: code for code, tag in _CODE_TO_TAG.items()}
 
 
-def classify_grid(alpha, gamma1, gamma2, band: float = 1e-9):
+def classify_grid(alpha, gamma1, gamma2, band: float = _BAND):
     """Vectorized classification; returns (tag code array, numerator array).
 
     Codes follow ``TAG_CODES``. The closed-form rectangle test decides; the
@@ -324,8 +326,7 @@ def classify_grid(alpha, gamma1, gamma2, band: float = 1e-9):
     return code, numerator
 
 
-def classify_data(alpha: float, gamma1: float, gamma2: float,
-                  band: float = 1e-9) -> AdmissibilityClass:
+def classify_data(alpha: float, gamma1: float, gamma2: float) -> AdmissibilityClass:
     """Classify a contact-angle pair relative to the admissible rectangle.
 
     Interior data satisfy both strict inequalities
@@ -333,7 +334,7 @@ def classify_data(alpha: float, gamma1: float, gamma2: float,
     The sign of the sine-formula numerator is evaluated as a cross-check and a
     disagreement outside the boundary band raises ``ConsistencyError``.
     """
-    code, numerator = classify_grid(float(alpha), float(gamma1), float(gamma2), band=band)
+    code, numerator = classify_grid(float(alpha), float(gamma1), float(gamma2))
     check_numerator_sign(alpha, gamma1, gamma2, code, numerator)
     return AdmissibilityClass(tag=_CODE_TO_TAG[int(code)], numerator=float(numerator))
 

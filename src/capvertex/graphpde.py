@@ -24,15 +24,16 @@ eigenvalues and the inverse transform (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973). Right preconditioning makes the residual GMRES minimizes the true
 one. A Krylov step stops at a forcing term eta times the Newton residual
 (inexact Newton, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996) and is
-accepted by its own true linear residual. eta is tight (1e-8) at the first
-step, after a damped or direct step, after a step that cut the residual's
-2-norm less than tenfold, and at a step predicted to end the solve; otherwise
-it is their choice 2, 0.9 times the last reduction ratio squared, so that
-GMRES does not over-solve while Newton converges quadratically. A step that
-fails the test is solved directly: only then is the Jacobian assembled, for a
-sparse LU with the last cell's step pinned at 0, which is exact because the
-last equation is minus the sum of the others. Either step differs from the
-mean-zero one by a constant that the line search's re-centring removes.
+tested by its own true linear residual. eta is tight (1e-8) at the first
+step, after a damped step or one that missed the test, after a step that cut
+the residual's 2-norm less than tenfold, and at a step predicted to end the
+solve; otherwise it is their choice 2, 0.9 times the last reduction ratio
+squared, so that GMRES does not over-solve while Newton converges
+quadratically. A step that misses the test is still taken, under the line
+search, and the next one is solved tight. Only data with a corner outside
+Concus & Finn's admissible rectangle (D1 or D2) have been seen to miss it.
+The step differs from the mean-zero one by a constant that the line search's
+re-centring removes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from .errors import DomainError, IncompatibleDataError, NonConvergenceError
@@ -54,8 +54,9 @@ __all__ = ["RectangleProblem", "GraphField", "compatibility_h", "solve_rectangle
 # this fraction of the residual
 _STALL_STEPS = 5
 _STALL_RATIO = 0.9
-# the largest grid a problem may ask for; its sparse operators and LU grow
-# with the cell count, and a side of 9036 at 32 cells per unit asks for a TiB
+# the largest grid a problem may ask for; its sparse operators and its GMRES
+# basis of _GMRES_RESTART + 1 fields grow with the cell count, and a side of
+# 9036 at 32 cells per unit asks for 8.4e10 cells, 670 GB per field
 _MAX_CELLS = 512 * 512
 # GMRES for a Newton step: restart length, restart cycles, and the tight
 # relative tolerance, which is also the least forcing term eta. GMRES stops at
@@ -154,13 +155,12 @@ class GraphField:
 
     ``trace`` holds the max-norm residual before each Newton step and the final
     one (``residuals``), and per step its accepted length (``steps``), its GMRES
-    iterations (``krylov``) and whether the direct fallback solved it
-    (``direct``). ``seconds`` splits the solve's wall time by stage: ``setup``
-    (operators and initial guess), ``residual`` (every residual evaluation,
-    the line search's included), ``jacobian`` (making the unassembled
-    Jacobian product), ``krylov`` (GMRES and its acceptance test),
-    ``fallback`` (the direct steps, each assembling its Jacobian and solving
-    by a sparse LU) and ``line_search`` (the rest of the line search)."""
+    iterations (``krylov``) and whether its true linear residual missed the
+    acceptance test, so that it was taken anyway (``missed``). ``seconds``
+    splits the solve's wall time by stage: ``setup`` (operators and initial
+    guess), ``residual`` (every residual evaluation, the line search's
+    included), ``krylov`` (the Jacobian product, GMRES and its acceptance
+    test) and ``line_search`` (the rest of the line search)."""
 
     u: np.ndarray
     hx: float
@@ -283,9 +283,6 @@ class _Discretization:
         self.hx = hx = prob.a / nx
         self.hy = hy = prob.b / ny
         self.slopes = _slopes(nx, ny, hx, hy)
-        # the stored entries per row of ``slopes``, which ``jacobian`` repeats
-        # each row's flux partial over
-        self.slope_counts = np.diff(self.slopes.indptr)
         self.div = _divergence(nx, ny, hx, hy)
         # the walls carry the prescribed fluxes cos(gamma); the uniform defect
         # keeps the singular system consistent
@@ -307,22 +304,11 @@ class _Discretization:
 
     def residual(self, u):
         """The residual at ``u`` and its face-flux partials ``(dp, dt)``, which
-        ``jacobian`` and ``jacobian_operator`` scale by: the Jacobian at an
-        accepted iterate then costs no second slope product."""
+        ``jacobian_operator`` scales by: the Jacobian at an accepted iterate
+        then costs no second slope product."""
         s = self.slopes @ np.ravel(u)
         f, dp, dt = _flux(s[0::2], s[1::2])
         return (self.div @ f + self.source).reshape(self.nx, self.ny), (dp, dt)
-
-    def jacobian(self, partials):
-        """The Jacobian from ``residual``'s partials at the same field,
-        assembled: the direct step's matrix."""
-        dp, dt = partials
-        # rows scaled by their flux partials; every other row pointer joins a
-        # face's two rows into one, whose repeated columns the product sums
-        S = self.slopes
-        scaled = S.data * np.repeat(np.column_stack([dp, dt]).ravel(), self.slope_counts)
-        return self.div @ sp.csr_matrix((scaled, S.indices, S.indptr[::2]),
-                                        shape=(dp.size, S.shape[1]))
 
     def jacobian_operator(self, partials):
         """The Jacobian's product from ``residual``'s partials, unassembled:
@@ -431,12 +417,6 @@ def _gmres(matvec, psolve, b, target, restart, cycles):
     return x, steps
 
 
-def _pinned_step(J, res):
-    """The direct Newton step: a sparse LU solve with the last cell's step pinned at 0."""
-    pinned = spla.spsolve(J[:-1, :-1], -res.ravel()[:-1], permc_spec="MMD_AT_PLUS_A")
-    return np.append(pinned, 0.0).reshape(res.shape)
-
-
 def _initial_guess(prob: RectangleProblem) -> np.ndarray:
     nx, ny = prob.shape
     hx, hy = prob.a / nx, prob.b / ny
@@ -504,11 +484,11 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
     its thread count. One and two threads give the same fields at 64 cells
     per unit, but the square and the 1 x 2 rectangle at 128 differ by 2.8e-17.
     """
-    clock = _Stopwatch(("setup", "residual", "jacobian", "krylov", "fallback", "line_search"))
+    clock = _Stopwatch(("setup", "residual", "krylov", "line_search"))
     disc = _Discretization(prob)
     u = _initial_guess(prob) if initial is None else _checked_initial(initial, prob.shape)
     u -= u.mean()
-    trace, steps, krylov, direct = [], [], [], []
+    trace, steps, krylov, missed = [], [], [], []
     clock.lap("setup")
     res, partials = disc.residual(u)
     rnorm = float(np.abs(res).max())
@@ -521,20 +501,15 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
             return GraphField(u=u, hx=disc.hx, hy=disc.hy, a=prob.a, b=prob.b,
                               iterations=it, final_residual=rnorm,
                               trace={"residuals": tuple(trace), "steps": tuple(steps),
-                                     "krylov": tuple(krylov), "direct": tuple(direct),
+                                     "krylov": tuple(krylov), "missed": tuple(missed),
                                      "seconds": clock.seconds})
         recent = trace[-_STALL_STEPS - 1:]
         if len(recent) > _STALL_STEPS and all(
                 new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
             raise NonConvergenceError(
                 f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
-        matvec = disc.jacobian_operator(partials)
-        clock.lap("jacobian")
-        delta, its, ok = disc.krylov_step(matvec, res, tol, *forcing)
+        delta, its, ok = disc.krylov_step(disc.jacobian_operator(partials), res, tol, *forcing)
         clock.lap("krylov")
-        if not ok:
-            delta = _pinned_step(disc.jacobian(partials), res)
-            clock.lap("fallback")
         step = 1.0
         for _ in range(30):
             cand = u + step * delta
@@ -559,7 +534,7 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
         u, res, partials, rnorm = cand, cres, cpartials, cnorm
         steps.append(step)
         krylov.append(its)
-        direct.append(not ok)
+        missed.append(not ok)
         clock.lap("line_search")
     raise NonConvergenceError(
         f"no convergence in {max_iters} iterations (residual {rnorm:.3e})",

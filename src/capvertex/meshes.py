@@ -58,6 +58,8 @@ __all__ = [
 FREE, ON_PLANE, ON_EDGE = 0, 1, 2
 
 _MIN_AREA = 1e-14
+# the planar trihedral seed's corners lie this far along the edge lines
+_PLANAR_EXTENT = 1.0
 
 
 @dataclass(frozen=True)
@@ -595,13 +597,12 @@ def seed_mesh(config, h: float | None = 1.0, target_volume: float | None = None,
         support, refinement_level, cap, target_volume)
 
 
-def seed_planar_trihedral(config: TrihedralConfig, extent: float = 1.0,
-                          refinement_level: int = 2) -> TriMeshDrop:
+def seed_planar_trihedral(config: TrihedralConfig, refinement_level: int = 2) -> TriMeshDrop:
     """Flat triangular seed spanning the three edges of a trihedral angle."""
     support = SupportAdapter(config)
     if support.kind != "apex":
         raise DomainError("planar seed requires an apex configuration")
-    corners = support.edge_points + extent * support.edge_dirs
+    corners = support.edge_points + _PLANAR_EXTENT * support.edge_dirs
     return _finish_seed(np.vstack([corners.mean(axis=0), corners]),
                         np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]),
                         np.array([FREE, ON_EDGE, ON_EDGE, ON_EDGE]),

@@ -170,23 +170,15 @@ def test_vertex_angles_exact_on_analytic_seed(wedge_mesh):
         assert val == pytest.approx(expected, abs=1e-9)
 
 
-def test_report_serialization_round_trip(tmp_path, wedge_mesh):
+def test_report_serialization_round_trip(wedge_mesh):
     rep = diagnostics_report(wedge_mesh)
     assert rep.sphere_radius == pytest.approx(1.0, abs=1e-9)
     assert rep.sphere_relative_rms < 1e-9
     assert rep.mean_curvature_cv < 1e-6
 
-    json_path = tmp_path / "report.json"
-    parsed = json.loads(rep.to_json(json_path))
+    parsed = json.loads(rep.to_json())
     assert parsed["sphere_radius"] == rep.sphere_radius
-    assert json_path.read_text() == rep.to_json()
-
-    csv_path = tmp_path / "report.csv"
-    rep.to_csv(csv_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "key,value"
-    keys = {line.split(",", 1)[0] for line in lines[1:]}
-    assert "umbilicity" in keys and "sphere_radius" in keys
+    assert "umbilicity" in parsed and "sphere_radius" in parsed
 
 
 # -- stacked local fits ------------------------------------------------------

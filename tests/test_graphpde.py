@@ -8,7 +8,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from capvertex import graphpde
 from capvertex.errors import DomainError, IncompatibleDataError, NonConvergenceError
 from capvertex.graphpde import (
     _FORCING,
@@ -19,7 +18,6 @@ from capvertex.graphpde import (
     _flux,
     _gmres,
     _initial_guess,
-    _pinned_step,
     compatibility_h,
     exact_square_cap,
     solve_rectangle,
@@ -72,32 +70,24 @@ def _kron_discretization(prob):
                            inverse_eigenvalues=1.0 / lam)
 
 
-def _kron_jacobian(ref, u):
-    """Reference: the Jacobian from the reference operators, its slopes recomputed."""
-    s = ref.slopes @ np.ravel(u)
-    _, dp, dt = _flux(s[0::2], s[1::2])
-    S = ref.slopes
-    scaled = S.data * np.repeat(np.column_stack([dp, dt]).ravel(), np.diff(S.indptr))
-    return ref.div @ sp.csr_matrix((scaled, S.indices, S.indptr[::2]),
-                                   shape=(dp.size, S.shape[1]))
-
-
 def _same_arrays(A, B):
     return A.shape == B.shape and all(
         x.dtype == y.dtype and np.array_equal(x, y)
         for x, y in ((A.data, B.data), (A.indices, B.indices), (A.indptr, B.indptr)))
 
 
-def _recording_pinned_step(monkeypatch):
-    """Spy on the direct fallback: the list its steps are appended to."""
-    steps = []
+def _recording_misses(monkeypatch):
+    """Spy on the Krylov steps: the list of whether each missed its acceptance test."""
+    misses = []
+    krylov_step = _Discretization.krylov_step
 
-    def recording(J, res):
-        steps.append(_pinned_step(J, res))
-        return steps[-1]
+    def recording(self, J, res, tol, *forcing):
+        step = krylov_step(self, J, res, tol, *forcing)
+        misses.append(not step[2])
+        return step
 
-    monkeypatch.setattr(graphpde, "_pinned_step", recording)
-    return steps
+    monkeypatch.setattr(_Discretization, "krylov_step", recording)
+    return misses
 
 
 def _recording_forcing(monkeypatch, tight=False):
@@ -116,17 +106,17 @@ def _recording_forcing(monkeypatch, tight=False):
 
 
 def test_stagnating_solve_fails_fast_with_its_trace(monkeypatch):
-    # the residual of this 1 x 3 problem settles near 1.61 after four steps
+    # the line search of this 1 x 3 problem finds no decrease from 0.627
     p = RectangleProblem(1.0, 3.0, (0.1, 0.1, 3.0, 3.0), grid_n=16)
-    direct = _recording_pinned_step(monkeypatch)
-    with pytest.raises(NonConvergenceError, match="stagnated") as err:
+    misses = _recording_misses(monkeypatch)
+    with pytest.raises(NonConvergenceError, match="line search stagnated") as err:
         solve_rectangle(p)
     trace = err.value.trace
     assert len(trace) <= 11                     # at most 10 Newton steps
-    assert trace[-1] == pytest.approx(1.61, abs=0.01)
+    assert trace[-1] == pytest.approx(0.627, abs=0.01)
     assert all(b < a for a, b in zip(trace, trace[1:]))
-    # steep data: GMRES misses the forcing test on some steps (6 of 9 measured)
-    assert 1 <= len(direct) <= len(trace) - 1
+    # steep data: GMRES misses the acceptance test on some steps
+    assert 1 <= sum(misses) <= len(misses) - 1
 
 
 def test_stagnating_trace_is_the_tight_forcing_trace(monkeypatch):
@@ -139,8 +129,9 @@ def test_stagnating_trace_is_the_tight_forcing_trace(monkeypatch):
         traces.append(err.value.trace)
         monkeypatch.undo()
     assert traces[0] == traces[1]
-    # no step there cuts the residual tenfold: every one is solved tight
-    assert etas[0] == [_GMRES_RTOL] * (len(traces[0]) - 1)
+    # no step there cuts the residual tenfold: every one is solved tight, the
+    # last one from the last residual, whose line search finds no decrease
+    assert etas[0] == [_GMRES_RTOL] * len(traces[0])
 
 
 def test_compatibility_h_equal_angles():
@@ -267,7 +258,7 @@ def test_jacobian_matches_residual_differences_and_flux_is_conserved(a, b, gamma
     eps = 1e-6
     fd = (disc.residual(u + eps * v)[0] - disc.residual(u - eps * v)[0]).ravel() / (2.0 * eps)
     res, partials = disc.residual(u)
-    jv = disc.jacobian(partials) @ v.ravel()
+    jv = disc.jacobian_operator(partials)(v)
     assert np.abs(jv - fd).max() <= 1e-6 * np.abs(jv).max()
     # the wall fluxes and the defect balance 2h exactly: no net source
     assert abs(res.sum() * disc.hx * disc.hy) < 1e-12
@@ -282,11 +273,9 @@ def test_jacobian_matches_residual_differences_and_flux_is_conserved(a, b, gamma
 def test_index_built_operators_match_the_kron_reference(a, b, gammas, grid_n):
     p = RectangleProblem(a, b, gammas, grid_n=grid_n)
     disc, ref = _Discretization(p), _kron_discretization(p)
-    u, _ = _smooth_field(disc)
-    assert _same_arrays(disc.jacobian(disc.residual(u)[1]), _kron_jacobian(ref, u))
     # kron stores its blocks densely when the second factor is dense enough,
-    # as the 1-D stencils along 3 or 4 cells are; the Jacobian drops those
-    # explicit zeros, and so do the index-built operators
+    # as the 1-D stencils along 3 or 4 cells are; the index-built operators
+    # store no explicit zeros
     for op in (ref.slopes, ref.div):
         op.eliminate_zeros()
     assert _same_arrays(disc.slopes, ref.slopes)
@@ -295,7 +284,7 @@ def test_index_built_operators_match_the_kron_reference(a, b, gammas, grid_n):
     assert np.array_equal(disc.inverse_eigenvalues, ref.inverse_eigenvalues)
 
 
-def _four_product_jacobian(disc, u):
+def _kron_jacobian(disc, u):
     """Reference: one slope operator per face family and slope, each scaled by its partial."""
     nx, ny, hx, hy = disc.nx, disc.ny, disc.hx, disc.hy
     ix, iy = sp.identity(nx), sp.identity(ny)
@@ -314,20 +303,10 @@ def _four_product_jacobian(disc, u):
     return (east_div @ east + north_div @ north).tocsr()
 
 
-@pytest.mark.parametrize("a, b, gammas, grid_n", _JACOBIAN_CASES)
-def test_stacked_jacobian_matches_four_product_reference(a, b, gammas, grid_n):
-    disc = _Discretization(RectangleProblem(a, b, gammas, grid_n=grid_n))
-    u, _ = _smooth_field(disc)
-    J = disc.jacobian(disc.residual(u)[1])
-    ref = _four_product_jacobian(disc, u)
-    assert J.shape == ref.shape
-    assert abs(J - ref).max() <= 1e-15 * abs(ref).max()
-
-
 def _bordered_step(disc, u):
     """Reference: the mean-zero Newton step from the system bordered by a row of ones."""
-    res, partials = disc.residual(u)
-    J = disc.jacobian(partials)
+    res = disc.residual(u)[0]
+    J = _kron_jacobian(disc, u)
     ones = np.ones(J.shape[0])
     A = sp.bmat([[J, ones[:, None]], [ones[None, :], None]], format="csc")
     return spla.spsolve(A, np.concatenate([-res.ravel(), [0.0]]))[:-1]
@@ -340,31 +319,12 @@ _STEP_CASES = pytest.mark.parametrize("a, b, gammas, grid_n", [
 
 
 @_STEP_CASES
-def test_pinned_step_is_the_bordered_step_up_to_a_constant(monkeypatch, a, b, gammas, grid_n):
-    p = RectangleProblem(a, b, gammas, grid_n=grid_n)
-    disc = _Discretization(p)
-    u, _ = _smooth_field(disc, seed=3)
-    u -= u.mean()
-    # fail every Krylov step, so the solve takes the direct fallback
-    krylov_step = _Discretization.krylov_step
-    monkeypatch.setattr(_Discretization, "krylov_step",
-                        lambda self, J, res, tol: (*krylov_step(self, J, res, tol)[:2], False))
-    direct = _recording_pinned_step(monkeypatch)
-    with pytest.raises(NonConvergenceError):
-        solve_rectangle(p, max_iters=1, initial=u)
-    pinned, = direct
-    assert pinned.ravel()[-1] == 0.0
-    ref = _bordered_step(disc, u)
-    assert np.abs(pinned.ravel() - pinned.mean() - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-@_STEP_CASES
 def test_krylov_step_meets_the_forcing_test_and_is_the_bordered_step(a, b, gammas, grid_n):
     p = RectangleProblem(a, b, gammas, grid_n=grid_n)
     disc, u = _Discretization(p), _initial_guess(p)
     res, partials = disc.residual(u)
-    J = disc.jacobian(partials)
-    delta, iterations, ok = disc.krylov_step(J.dot, res, 1e-10)
+    J = _kron_jacobian(disc, u)
+    delta, iterations, ok = disc.krylov_step(disc.jacobian_operator(partials), res, 1e-10)
     assert ok and 0 < iterations
     linear = np.linalg.norm(J @ delta.ravel() + res.ravel()) / np.linalg.norm(res)
     assert linear <= _FORCING
@@ -412,16 +372,25 @@ def test_newton_iteration_counts_and_trace(a, b, gammas, grid_n, iterations):
     residuals, steps = f.trace["residuals"], f.trace["steps"]
     assert len(residuals) == iterations + 1 and residuals[-1] == f.final_residual < 1e-10
     assert len(steps) == iterations and all(0.0 < s <= 1.0 for s in steps)
-    # every step is a Krylov step: none fell back to the direct solve
+    # every step's GMRES met the acceptance test
     assert len(f.trace["krylov"]) == iterations and all(k > 0 for k in f.trace["krylov"])
-    assert f.trace["direct"] == (False,) * iterations
+    assert f.trace["missed"] == (False,) * iterations
+
+
+def test_steps_that_miss_the_acceptance_test_are_taken_and_the_solve_converges():
+    # a corner of this 1 x 2 problem lies outside the admissible rectangle (D2)
+    p = RectangleProblem(1.0, 2.0, (3.0824991829626978, 1.1162449389371245,
+                                    0.5701775555732299, 1.2413151926152466), grid_n=16)
+    f = solve_rectangle(p)
+    assert f.iterations == 10 and f.final_residual < 1e-10
+    assert sum(f.trace["missed"]) == 4 and len(f.trace["missed"]) == 10
 
 
 def test_trace_records_the_damped_steps_of_a_far_start():
     p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24)
     f = solve_rectangle(p, initial=3.0 * _initial_guess(p))
     assert f.trace["steps"] == (0.25, 1.0, 1.0, 1.0, 1.0, 1.0)
-    assert f.trace["direct"] == (False,) * 6
+    assert f.trace["missed"] == (False,) * 6
     residuals = f.trace["residuals"]
     assert len(residuals) == 7 and residuals[-1] == f.final_residual
     # each accepted step passed the line search's sufficient-decrease test
@@ -494,14 +463,14 @@ def test_gmres_takes_no_step_on_a_zero_right_hand_side():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_krylov_step_passes_a_non_finite_residual_to_the_fallback(bad):
+def test_krylov_step_misses_on_a_non_finite_residual(bad):
     p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=16)
     disc, u = _Discretization(p), _initial_guess(p)
-    res, partials = disc.residual(u)
+    res = disc.residual(u)[0]
     res[3, 5] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        delta, iterations, ok = disc.krylov_step(disc.jacobian(partials).dot, res, 1e-10)
+        delta, iterations, ok = disc.krylov_step(_kron_jacobian(disc, u).dot, res, 1e-10)
     assert not ok and iterations == 0 and delta.shape == res.shape
 
 
@@ -511,31 +480,16 @@ def test_trace_splits_the_solve_time_by_stage():
     f = solve_rectangle(p)
     wall = time.perf_counter() - start
     seconds = f.trace["seconds"]
-    assert list(seconds) == ["setup", "residual", "jacobian", "krylov", "fallback",
-                             "line_search"]
-    assert all(t >= 0.0 for t in seconds.values()) and seconds["fallback"] == 0.0
+    assert list(seconds) == ["setup", "residual", "krylov", "line_search"]
+    assert all(t >= 0.0 for t in seconds.values())
     assert 0.0 < sum(seconds.values()) <= wall
-
-
-def _counting_jacobian(monkeypatch):
-    """Spy on the assembled Jacobian: the list each assembly appends to."""
-    calls = []
-    jacobian = _Discretization.jacobian
-
-    def counting(self, partials):
-        calls.append(partials)
-        return jacobian(self, partials)
-
-    monkeypatch.setattr(_Discretization, "jacobian", counting)
-    return calls
 
 
 @pytest.mark.parametrize("a, b, gammas, grid_n", _JACOBIAN_CASES)
 def test_jacobian_operator_applies_the_assembled_jacobian(a, b, gammas, grid_n):
     disc = _Discretization(RectangleProblem(a, b, gammas, grid_n=grid_n))
     u, rng = _smooth_field(disc)
-    partials = disc.residual(u)[1]
-    J, matvec = disc.jacobian(partials), disc.jacobian_operator(partials)
+    J, matvec = _kron_jacobian(disc, u), disc.jacobian_operator(disc.residual(u)[1])
     for v in (rng.standard_normal(J.shape[1]), np.ones(J.shape[1])):
         # 2.1e-16 measured: the two sum the same terms in different orders
         bound = 1e-14 * abs(J).max() * np.abs(v).max()
@@ -543,40 +497,6 @@ def test_jacobian_operator_applies_the_assembled_jacobian(a, b, gammas, grid_n):
         assert np.abs(matvec(v) - J @ v).max() <= bound
         # a grid-shaped v is the same vector
         assert np.array_equal(matvec(v.reshape(disc.nx, disc.ny)), matvec(v))
-
-
-def test_a_solve_without_a_direct_step_assembles_no_jacobian(monkeypatch):
-    calls = _counting_jacobian(monkeypatch)
-    # the problems of test_newton_iteration_counts_and_trace
-    for a, b, gammas, grid_n in [
-        (1.0, 1.0, (np.pi / 3,) * 4, 32),
-        (1.0, 1.0, (np.pi / 3,) * 4, 64),
-        (1.0, 1.0, (np.pi / 3,) * 4, 128),
-        (1.0, 2.0, (1.2,) * 4, 64),
-        (1.0, 2.0, (1.2,) * 4, 96),
-        (1.0, 2.0, (1.2,) * 4, 128),
-        (1.0, 1.0, (np.pi / 3,) * 4, 96),
-        (1.0, 2.0, (1.2, 1.2, 1.3, 1.3), 24),
-        (1.3, 0.7, (1.1, 0.9, 1.4, 1.0), 20),
-    ]:
-        f = solve_rectangle(RectangleProblem(a, b, gammas, grid_n=grid_n))
-        assert not any(f.trace["direct"])
-    assert calls == []
-
-
-@_STEP_CASES
-def test_each_direct_step_assembles_one_jacobian(monkeypatch, a, b, gammas, grid_n):
-    p = RectangleProblem(a, b, gammas, grid_n=grid_n)
-    u, _ = _smooth_field(_Discretization(p), seed=3)
-    # fail every Krylov step, so the solve takes the direct fallback
-    krylov_step = _Discretization.krylov_step
-    monkeypatch.setattr(_Discretization, "krylov_step",
-                        lambda self, J, res, tol: (*krylov_step(self, J, res, tol)[:2], False))
-    direct = _recording_pinned_step(monkeypatch)
-    calls = _counting_jacobian(monkeypatch)
-    with pytest.raises(NonConvergenceError):
-        solve_rectangle(p, max_iters=3, initial=u - u.mean())
-    assert len(direct) == len(calls) == 3
 
 
 @pytest.mark.parametrize("initial, message", [
