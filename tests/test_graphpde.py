@@ -386,6 +386,60 @@ def test_steps_that_miss_the_acceptance_test_are_taken_and_the_solve_converges()
     assert sum(f.trace["missed"]) == 4 and len(f.trace["missed"]) == 10
 
 
+@pytest.mark.parametrize("b, gammas", [
+    # sample problems 77 (D2 corner) and 150 of the 160-problem sample
+    (2.0, (3.0824991829626978, 1.1162449389371245, 0.5701775555732299, 1.2413151926152466)),
+    (1.0, (0.06878739705274245, 2.243492557073295, 2.1079551647907784, 2.048026624226423)),
+])
+def test_the_step_after_a_missed_step_is_solved_tight(monkeypatch, b, gammas):
+    steps = []
+    krylov_step = _Discretization.krylov_step
+
+    def recording(self, J, res, tol, eta=_GMRES_RTOL):
+        step = krylov_step(self, J, res, tol, eta)
+        steps.append((eta, not step[2]))
+        return step
+
+    monkeypatch.setattr(_Discretization, "krylov_step", recording)
+    f = solve_rectangle(RectangleProblem(1.0, b, gammas, grid_n=16))
+    assert f.final_residual < 1e-10
+    assert f.trace["missed"] == tuple(missed for _, missed in steps)
+    assert any(f.trace["missed"])
+    assert all(eta == _GMRES_RTOL for (_, missed), (eta, _) in zip(steps, steps[1:]) if missed)
+
+
+@_STEP_CASES
+def test_a_solve_whose_every_step_misses_takes_them_tight_to_the_same_field(
+        monkeypatch, a, b, gammas, grid_n):
+    p = RectangleProblem(a, b, gammas, grid_n=grid_n)
+    ref = solve_rectangle(p)
+    etas = []
+    krylov_step = _Discretization.krylov_step
+
+    def missing(self, J, res, tol, eta=_GMRES_RTOL):
+        etas.append(eta)
+        return (*krylov_step(self, J, res, tol, eta)[:2], False)
+
+    monkeypatch.setattr(_Discretization, "krylov_step", missing)
+    f = solve_rectangle(p)
+    # every missed step is taken, and the next one is solved tight
+    assert f.final_residual < 1e-10
+    assert f.trace["missed"] == (True,) * f.iterations
+    assert etas == [_GMRES_RTOL] * f.iterations
+    # 5.7e-16 relative measured (1 x 2); the square's fields are identical
+    assert np.abs(f.u - ref.u).max() <= 1e-13 * np.abs(ref.u).max()
+
+
+def test_a_solve_on_singular_pinned_data_fails_with_no_warning():
+    # sample problem 68: its pinned Jacobian is exactly singular
+    p = RectangleProblem(1.0, 2.0, (0.47257357456288734, 2.1906296255029334,
+                                    2.5474611215010237, 3.0363218139332355), grid_n=48)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergenceError, match="line search stagnated"):
+            solve_rectangle(p)
+
+
 def test_trace_records_the_damped_steps_of_a_far_start():
     p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24)
     f = solve_rectangle(p, initial=3.0 * _initial_guess(p))
