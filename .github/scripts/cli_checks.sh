@@ -2,7 +2,9 @@
 # Console-script checks of the classify, cap and evolve scenarios: one classify,
 # one spherical cap, one planar cap and one evolve config must each exit 0,
 # write non-empty artifacts and report exactly their stage timings, in stage
-# order. A seed outside [0, 2**64) must exit 2 and write nothing.
+# order. A cylinder cap given the curvature its walls fix must write cap.obj.
+# A seed outside [0, 2**64), and a cylinder evolve whose h the walls do not
+# fix, must each exit 2 and write nothing.
 # Usage: .github/scripts/cli_checks.sh  (with `capvertex` installed)
 set -euo pipefail
 tmp=$(mktemp -d)
@@ -22,6 +24,8 @@ scenario classify classify '{"kind": "classify", "alpha": 0.7853981633974483, "g
   classify,write classification.csv
 scenario cap spherical-cap '{"kind": "cap", "support": "wedge", "alpha": 0.7853981633974483, "gammas": [2.0943951023931953, 2.0943951023931953], "h": 1.0}' \
   cap,seed,write cap.obj
+scenario cap cylinder-cap '{"kind": "cap", "support": "cylinder", "gammas": [1.9, 1.9, 1.9], "h": 0.32328956686350335}' \
+  cap,seed,write cap.obj
 scenario cap planar-cap '{"kind": "cap", "support": "cylinder", "gammas": [1.5707963267948966, 1.5707963267948966, 1.5707963267948966]}' \
   cap,write
 test ! -e "$tmp/planar-cap/cap.obj"
@@ -34,3 +38,11 @@ capvertex evolve --config "$tmp/evolve.json" --out "$tmp/bad-seed" --seed -1 || 
 echo "seed -1: exit $code"
 test "$code" -eq 2
 test ! -e "$tmp/bad-seed"
+
+# a cylinder's walls fix its curvature: evolve refuses another h, as cap does
+echo '{"kind": "evolve", "support": "cylinder", "gammas": [1.9, 1.9, 1.9], "h": 5.0, "refinement": 0, "max_iters": 20}' > "$tmp/bad-h.json"
+code=0
+capvertex evolve --config "$tmp/bad-h.json" --out "$tmp/bad-h" || code=$?
+echo "cylinder h 5.0: exit $code"
+test "$code" -eq 2
+test ! -e "$tmp/bad-h"

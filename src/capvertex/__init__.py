@@ -38,6 +38,7 @@ from .analytic import (
     cartesian_cmc_residual,
     cylinder_cap,
     spherical_cmc_residual,
+    support_cap,
     trihedral_cap,
     wedge_cap,
     wente_halfcylinder,

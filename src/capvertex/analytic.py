@@ -35,6 +35,7 @@ __all__ = [
     "wedge_cap",
     "trihedral_cap",
     "cylinder_cap",
+    "support_cap",
     "wente_halfcylinder",
     "cartesian_cmc_residual",
     "spherical_cmc_residual",
@@ -278,6 +279,19 @@ def cylinder_cap(config: TrihedralConfig, h: float | None = None):
     center = c1 * b1 + c2 * b2  # generator coordinate 0 representative
     return SphericalCap(center=center, radius=float(radius), h_signed=h_signed,
                         config_ref=config)
+
+
+def support_cap(config: WedgeConfig | TrihedralConfig, h: float | None = None):
+    """``wedge_cap``, ``trihedral_cap`` or ``cylinder_cap``, by the support's kind.
+
+    ``h = None`` is curvature 1 in a wedge or trihedral angle; a cylinder's
+    walls fix its curvature, which ``None`` takes and a given ``h`` must match.
+    """
+    if isinstance(config, WedgeConfig):
+        return wedge_cap(config, 1.0 if h is None else h)
+    if config.kind is TrihedralKind.APEX:
+        return trihedral_cap(config, 1.0 if h is None else h)
+    return cylinder_cap(config, h)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .analytic import (
     cylinder_cap,
     edge_vertices,
     spherical_cmc_residual,
+    support_cap,
     trihedral_cap,
     wedge_cap,
     wedge_vertex_tangents,
@@ -35,7 +36,6 @@ from .errors import (DomainError, IncompatibleDataError, MeshDegenerationError,
 from .geometry import (
     QTag,
     TrihedralConfig,
-    TrihedralKind,
     WedgeConfig,
     check_numerator_sign,
     classify_data,
@@ -60,7 +60,8 @@ _CSV_CHUNK = 1024
 _SEED_LIMIT = 2 ** 64
 # size ceilings of a config, past which its arrays would take gigabytes: a
 # classify grid of n points per side has n^2 cells, and refinement r seeds
-# 32 * 4**(r + 1) triangles (the graph solver bounds its own cell count)
+# 32 * 4**r triangles in a wedge, 36 * 4**r in a trihedral angle or cylinder
+# and 12 * 4**r for the planar seed (the graph solver bounds its own cell count)
 _MAX_GRID = 2049
 _MAX_REFINEMENT = 5
 # the largest vertex displacement, as a fraction of the drop's diameter
@@ -168,12 +169,12 @@ def _write_grid_csv(path, header, x, y, coord, cell, columns):
         f.write("".join(templates) % tuple(cells))
 
 
-def _seed_sphere(config, h, refinement, target_volume=None):
-    """``seed_mesh`` at the curvature ``h`` (1.0 when None), except in a
-    cylinder, whose walls fix the curvature."""
-    cylinder = isinstance(config, TrihedralConfig) and config.kind is TrihedralKind.CYLINDER
-    return seed_mesh(config, h=None if cylinder else (1.0 if h is None else h),
-                     refinement_level=refinement, target_volume=target_volume)
+def _seed(config, h, refinement, planar=False, target_volume=None):
+    """The seed of an evolve: the flat trihedral seed when ``planar``, else
+    the mesh of ``support_cap(config, h)``."""
+    if planar:
+        return seed_planar_trihedral(config, refinement_level=refinement)
+    return seed_mesh(config, h=h, refinement_level=refinement, target_volume=target_volume)
 
 
 def _support_from_config(cfg, where):
@@ -218,32 +219,19 @@ def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
     h = _number(cfg, "h", where, None)
     refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
     clock = _Stopwatch()
-    if isinstance(config, WedgeConfig):
-        cap = wedge_cap(config, h if h is not None else 1.0)
-    elif config.kind is TrihedralKind.APEX:
-        cap = trihedral_cap(config, h if h is not None else 1.0)
-    else:
-        cap = cylinder_cap(config, h)
+    cap = support_cap(config, h)
     clock.lap("cap")
+    report = {"scenario": "cap", "seed": seed, "version": __version__}
     mesh = None
     if isinstance(cap, SphericalCap):
-        report = {
-            "scenario": "cap", "seed": seed, "version": __version__,
-            "kind": "spherical",
-            "center": list(map(float, cap.center)),
-            "radius": float(cap.radius),
-            "h_signed": float(cap.h_signed),
-            "degenerate": bool(cap.degenerate),
-        }
-        mesh = _seed_sphere(config, h, refinement)
+        report.update(kind="spherical", center=list(map(float, cap.center)),
+                      radius=float(cap.radius), h_signed=float(cap.h_signed),
+                      degenerate=bool(cap.degenerate))
+        mesh = seed_mesh(config, h, refinement_level=refinement)
         clock.lap("seed")
     else:
-        report = {
-            "scenario": "cap", "seed": seed, "version": __version__,
-            "kind": "planar",
-            "normal": list(map(float, cap.normal)),
-            "point": list(map(float, cap.point)),
-        }
+        report.update(kind="planar", normal=list(map(float, cap.normal)),
+                      point=list(map(float, cap.point)))
     out.mkdir(parents=True, exist_ok=True)
     if mesh is not None:
         write_obj(mesh, out / "cap.obj")
@@ -283,7 +271,7 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
 
 def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
-    h = _number(cfg, "h", where, 1.0)
+    h = _number(cfg, "h", where, None)
     refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
     planar = _flag(cfg, "planar", where, False)
     target_volume = _number(cfg, "target_volume", where, None)
@@ -295,10 +283,7 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
                "grad_tol": _number(cfg, "grad_tol", where, 1e-6),
                "fixed_volume": _flag(cfg, "fixed_volume", where, True)}
     clock = _Stopwatch()
-    if planar:
-        mesh = seed_planar_trihedral(config, refinement_level=refinement)
-    else:
-        mesh = _seed_sphere(config, h, refinement, target_volume)
+    mesh = _seed(config, h, refinement, planar, target_volume)
     if amp > 0.0:
         mesh = perturb(mesh, amp, seed=seed)
     clock.lap("seed")
@@ -508,11 +493,8 @@ def _suite_counterexample(opts) -> list:
 
 def _evolve_sphere_check(config, refinement, seed, max_iters, planar=False):
     """The perturbed seed relaxed by ``evolve``: the mesh and its convergence report."""
-    if planar:
-        mesh = seed_planar_trihedral(config, refinement_level=refinement)
-    else:
-        mesh = _seed_sphere(config, 1.0, refinement)
-    return evolve(perturb(mesh, _SUITE_PERTURBATION, seed=seed), max_iters=max_iters)
+    return evolve(perturb(_seed(config, None, refinement, planar), _SUITE_PERTURBATION,
+                          seed=seed), max_iters=max_iters)
 
 
 def _suite_theorem1(opts) -> list:
@@ -600,7 +582,7 @@ def _suite_gradient(opts) -> list:
     for config in (WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3),
                    TrihedralConfig.orthant((np.pi / 2,) * 3),
                    TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3)):
-        mesh = perturb(_seed_sphere(config, 1.0, 2), 0.005, seed=opts["seed"])
+        mesh = perturb(seed_mesh(config, refinement_level=2), 0.005, seed=opts["seed"])
         g = energy_gradient(mesh)
         scale = np.linalg.norm(g)
         for _ in range(17):

@@ -167,6 +167,8 @@ def _rank(R, n):
 _PRATT = np.array([[0, 0, 0, 0, -2.0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
                    [-2.0, 0, 0, 0, 0]])
 _PRATT_INV = np.linalg.inv(_PRATT)
+# the Gauss-Newton steps a sphere fit takes at most after its Pratt seed
+_MAX_NEWTON = 10
 
 
 def _distances(coef, x, sq, mask):
@@ -177,7 +179,7 @@ def _distances(coef, x, sq, mask):
     return np.where(mask, 2.0 * P / (1.0 + s), 0.0), s
 
 
-def _fit_spheres(pts, mask, max_newton=10):
+def _fit_spheres(pts, mask, max_newton=_MAX_NEWTON):
     """Stacked ``fit_sphere``: centroids (k, 3), coefficients (k, 5) and rms (k,).
 
     ``pts`` is (k, m, 3), zero-padded where ``mask`` (k, m) is False; row
@@ -254,10 +256,10 @@ def fit_plane(points: np.ndarray) -> PlaneFit:
     return PlaneFit(tuple(normal), float(np.einsum("j,j->", normal, centroid)), float(rms))
 
 
-def fit_sphere(points: np.ndarray, max_newton: int = 10) -> SphereFit:
+def fit_sphere(points: np.ndarray) -> SphereFit:
     """Least-squares sphere, or plane, through a point cloud: the stacked fit of one cloud."""
     pts = np.asarray(points, dtype=float)
-    origin, coef, rms = _fit_spheres(pts[None], np.ones((1, len(pts)), dtype=bool), max_newton)
+    origin, coef, rms = _fit_spheres(pts[None], np.ones((1, len(pts)), dtype=bool))
     return SphereFit(tuple(map(float, origin[0])), tuple(map(float, coef[0])), float(rms[0]))
 
 

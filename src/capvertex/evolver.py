@@ -111,9 +111,10 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
 
     Each triangle's cross product and each wall's wetted polygon are computed
     once. The free-surface volume term is the flux of position through the
-    surface; a wall contributes its offset times its wetted area, and for a
-    cylindrical support the base patch closes the region at the base gauge
-    plane. A wetted polygon is the wall's contact polyline closed through the
+    surface; a wall contributes its offset times its wetted area. In a
+    cylinder the base patch closes the region in the base plane, which is
+    orthogonal to the generator and passes through the origin: its offset
+    is 0, so it adds no term. A wetted polygon is the wall's contact polyline closed through the
     apex, through the base corners (cylinder), or by the chord between the
     edge crossings, which lies in the wall (wedge); only the polyline
     vertices move, so only they carry shoelace gradients.
@@ -151,8 +152,8 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
         if sup.kind == "apex":
             pts = np.concatenate((pts, sup.config.apex[None]))
         elif sup.kind == "cylinder":  # drop both ends onto the base plane
-            g, ends = sup.base_normal, pts[[-1, 0]]
-            pts = np.concatenate((pts, ends - (np.vecdot(ends, g) - sup.base_offset)[:, None] * g))
+            g, ends = sup.config.generator, pts[[-1, 0]]
+            pts = np.concatenate((pts, ends - np.vecdot(ends, g)[:, None] * g))
         # x and y stay strided columns of one array: contiguous copies would
         # change the summation order of np.dot
         x, y = sup.wall_coords(j, pts).T
@@ -168,8 +169,6 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
     vol = float(np.einsum("ij,ij->", s.T.copy(), w.T.copy())) / 6.0
     for j, offset in enumerate(sup.offsets):
         vol -= offset * wet[j]
-    if sup.kind == "cylinder":
-        vol -= sup.base_offset * sup.base_area
     total = area - sum(sup.cos_gammas[j] * wet[j] for j in wet)
     breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
     return _Evaluation(breakdown, wet, area_grad, energy_grad, flux_grad / 3.0)

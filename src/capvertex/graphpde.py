@@ -54,13 +54,15 @@ __all__ = ["RectangleProblem", "GraphField", "compatibility_h", "solve_rectangle
 # this fraction of the residual
 _STALL_STEPS = 5
 _STALL_RATIO = 0.9
+# a solve ends once its max-norm residual is below _TOL, or fails after _MAX_ITERS steps
+_TOL, _MAX_ITERS = 1e-10, 60
 # the largest grid a problem may ask for; its sparse operators and its GMRES
 # basis of _GMRES_RESTART + 1 fields grow with the cell count, and a side of
 # 9036 at 32 cells per unit asks for 8.4e10 cells, 670 GB per field
 _MAX_CELLS = 512 * 512
 # GMRES for a Newton step: restart length, restart cycles, and the tight
 # relative tolerance, which is also the least forcing term eta. GMRES stops at
-# eta times the Newton residual's 2-norm, or _FORCING_FLOOR times tol; the
+# eta times the Newton residual's 2-norm, or _FORCING_FLOOR times _TOL; the
 # step is kept when its true linear residual is at most _FORCING / _GMRES_RTOL
 # = 100 times that target (so _FORCING times the 2-norm at the tight eta)
 _GMRES_RESTART = 40
@@ -71,7 +73,7 @@ _FORCING_FLOOR = 1e-3
 # adaptive forcing (Eisenstat & Walker's choice 2): after a full Krylov step
 # that cut the residual's 2-norm by the ratio r < _FAST_RATIO, the next step's
 # eta is max(_GMRES_RTOL, _FORCING_GAMMA * r**2), unless eta times the max-norm
-# residual, the residual that step is predicted to leave, is already below tol;
+# residual, the residual that step is predicted to leave, is already below _TOL;
 # any other step is tight
 _FAST_RATIO = 0.1
 _FORCING_GAMMA = 0.9
@@ -470,8 +472,7 @@ class _Stopwatch:
         self._last = now
 
 
-def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
-                    max_iters: int = 60, initial: np.ndarray | None = None) -> GraphField:
+def solve_rectangle(prob: RectangleProblem, initial: np.ndarray | None = None) -> GraphField:
     """Damped Newton solve of the discrete CMC system.
 
     Returns the mean-zero height field with its Newton trace. Raises
@@ -495,9 +496,9 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
     # the next step's forcing term; empty for krylov_step's tight default
     forcing = ()
     clock.lap("residual")
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         trace.append(rnorm)
-        if rnorm < tol:
+        if rnorm < _TOL:
             return GraphField(u=u, hx=disc.hx, hy=disc.hy, a=prob.a, b=prob.b,
                               iterations=it, final_residual=rnorm,
                               trace={"residuals": tuple(trace), "steps": tuple(steps),
@@ -508,7 +509,7 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
                 new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
             raise NonConvergenceError(
                 f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
-        delta, its, ok = disc.krylov_step(disc.jacobian_operator(partials), res, tol, *forcing)
+        delta, its, ok = disc.krylov_step(disc.jacobian_operator(partials), res, _TOL, *forcing)
         clock.lap("krylov")
         step = 1.0
         for _ in range(30):
@@ -518,7 +519,7 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
             cres, cpartials = disc.residual(cand)
             clock.lap("residual")
             cnorm = float(np.abs(cres).max())
-            if cnorm < rnorm * (1.0 - 1e-4 * step) or cnorm < tol:
+            if cnorm < rnorm * (1.0 - 1e-4 * step) or cnorm < _TOL:
                 break
             step *= 0.5
         else:
@@ -530,12 +531,12 @@ def solve_rectangle(prob: RectangleProblem, tol: float = 1e-10,
         ratio = float(np.linalg.norm(cres) / np.linalg.norm(res))
         eta = max(_GMRES_RTOL, _FORCING_GAMMA * ratio ** 2)
         fast = ok and step == 1.0 and ratio < _FAST_RATIO
-        forcing = (eta,) if fast and eta * cnorm >= tol else ()
+        forcing = (eta,) if fast and eta * cnorm >= _TOL else ()
         u, res, partials, rnorm = cand, cres, cpartials, cnorm
         steps.append(step)
         krylov.append(its)
         missed.append(not ok)
         clock.lap("line_search")
     raise NonConvergenceError(
-        f"no convergence in {max_iters} iterations (residual {rnorm:.3e})",
+        f"no convergence in {_MAX_ITERS} iterations (residual {rnorm:.3e})",
         trace=trace)

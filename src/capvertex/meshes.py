@@ -31,19 +31,10 @@ meshes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from .analytic import (
-    SphericalCap,
-    _orthonormal_complement,
-    edge_vertices,
-    trihedral_cap,
-    wedge_cap,
-    cylinder_cap,
-)
+from .analytic import SphericalCap, _orthonormal_complement, edge_vertices, support_cap
 from .errors import DomainError, MeshDegenerationError, NoSolutionError
 from .geometry import TrihedralConfig, TrihedralKind, WedgeConfig
 
@@ -58,71 +49,61 @@ __all__ = [
 FREE, ON_PLANE, ON_EDGE = 0, 1, 2
 
 _MIN_AREA = 1e-14
+# the largest distance of a tagged vertex from its plane or line that validate allows
+_CONSTRAINT_TOL = 1e-9
 # the planar trihedral seed's corners lie this far along the edge lines
 _PLANAR_EXTENT = 1.0
 
 
-@dataclass(frozen=True)
-class SupportEdge:
-    plane_ids: tuple[int, int]
-    point: np.ndarray
-    direction: np.ndarray
-
-
 class SupportAdapter:
-    """Uniform view of a support configuration: planes, edge lines, closures."""
+    """Uniform view of a support configuration: its planes and edge lines, stacked.
+
+    Edge k is the line where the planes ``edge_planes[k]`` meet, through
+    ``edge_points[k]`` along ``edge_dirs[k]``. The three edges of a trihedral
+    angle or cylinder are built in the order (0, 1), (1, 2), (2, 0), so wall
+    j runs from edge ``(j - 1) % 3`` to edge ``j``.
+    """
 
     def __init__(self, config):
         self.config = config
         if isinstance(config, WedgeConfig):
             self.kind = "wedge"
-            self.planes = list(config.planes)
-            self.edges = [SupportEdge((0, 1), config.edge_point, config.edge_dir)]
-            self.reference = config.edge_point
-        elif isinstance(config, TrihedralConfig) and config.kind is TrihedralKind.APEX:
-            self.kind = "apex"
-            self.planes = list(config.planes)
-            self.edges = []
-            for (i, j) in ((0, 1), (1, 2), (2, 0)):
-                ni, nj = self.planes[i].normal, self.planes[j].normal
-                d = np.cross(ni, nj)
-                d /= np.linalg.norm(d)
-                k = 3 - i - j
-                if np.dot(d, self.planes[k].normal) < 0:
-                    d = -d
-                self.edges.append(SupportEdge((i, j), config.apex, d))
-            self.reference = config.apex
+            pairs, points, dirs = [(0, 1)], [config.edge_point], [config.edge_dir]
         elif isinstance(config, TrihedralConfig):
-            self.kind = "cylinder"
-            self.planes = list(config.planes)
-            g = config.generator
-            b1, b2 = _orthonormal_complement(g)
-            self.edges = []
-            for (i, j) in ((0, 1), (1, 2), (2, 0)):
-                pi, pj = self.planes[i], self.planes[j]
-                A = np.array([[np.dot(pi.normal, b1), np.dot(pi.normal, b2)],
-                              [np.dot(pj.normal, b1), np.dot(pj.normal, b2)]])
-                c = np.linalg.solve(A, np.array([pi.offset, pj.offset]))
-                self.edges.append(SupportEdge((i, j), c[0] * b1 + c[1] * b2, g))
-            self.reference = np.zeros(3)
-            # base of the container: plane orthogonal to the generator at
-            # generator coordinate 0 (the gauge used by the cylinder builders)
-            self.base_normal = g
-            self.base_offset = 0.0
-            # cross-section area of the base, a constant of the support
-            p = [e.point for e in self.edges]
-            self.base_area = 0.5 * abs(float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))))
+            pairs = [(0, 1), (1, 2), (2, 0)]
+            normals = [p.normal for p in config.planes]
+            if config.kind is TrihedralKind.APEX:
+                self.kind = "apex"
+                points, dirs = [config.apex] * 3, []
+                for i, j in pairs:
+                    d = np.cross(normals[i], normals[j])
+                    d /= np.linalg.norm(d)
+                    if np.dot(d, normals[3 - i - j]) < 0:
+                        d = -d
+                    dirs.append(d)
+            else:
+                self.kind = "cylinder"
+                g = config.generator
+                b1, b2 = _orthonormal_complement(g)
+                points, dirs = [], [g] * 3
+                for i, j in pairs:
+                    A = np.array([[np.dot(normals[i], b1), np.dot(normals[i], b2)],
+                                  [np.dot(normals[j], b1), np.dot(normals[j], b2)]])
+                    c = np.linalg.solve(A, np.array([config.planes[i].offset,
+                                                     config.planes[j].offset]))
+                    points.append(c[0] * b1 + c[1] * b2)
         else:
             raise DomainError(f"unsupported configuration type {type(config)!r}")
+        self.planes = list(config.planes)
         # the same data stacked, to be indexed by a vertex's tag_id
         self.normals = _frozen([p.normal for p in self.planes], float)
         self.offsets = _frozen([p.offset for p in self.planes], float)
         self.cos_gammas = _frozen([np.cos(p.gamma) for p in self.planes], float)
         self.origins = _frozen(self.offsets[:, None] * self.normals, float)
         self.frames = _frozen([_orthonormal_complement(n) for n in self.normals], float)
-        self.edge_points = _frozen([e.point for e in self.edges], float)
-        self.edge_dirs = _frozen([e.direction for e in self.edges], float)
-        self.edge_planes = _frozen([e.plane_ids for e in self.edges], np.int64)
+        self.edge_points = _frozen(points, float)
+        self.edge_dirs = _frozen(dirs, float)
+        self.edge_planes = _frozen(pairs, np.int64)
 
     def wall_coords(self, j, pts):
         """In-plane coordinates of the points ``pts`` (k, 3) of wall j, as one (k, 2) array."""
@@ -131,12 +112,6 @@ class SupportAdapter:
         out[:, 0] = rel @ self.frames[j, 0]
         out[:, 1] = rel @ self.frames[j, 1]
         return out
-
-    def edge_for_planes(self, i, j) -> int:
-        k = np.flatnonzero(np.isin(self.edge_planes, (i, j)).all(axis=1))
-        if k.size == 0:
-            raise DomainError(f"no support edge between planes {i} and {j}")
-        return int(k[0])
 
 
 def _cross(a, b, axis=-1) -> np.ndarray:
@@ -396,7 +371,7 @@ class TriMeshDrop:
         cross = _cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
         return 0.5 * np.linalg.norm(cross, axis=1)
 
-    def validate(self, tol: float = 1e-9):
+    def validate(self):
         """Check disk topology, constraint satisfaction, and element quality."""
         if self.euler_characteristic() != 1:
             raise DomainError("mesh is not a topological disk")
@@ -409,14 +384,14 @@ class TriMeshDrop:
             raise DomainError("boundary vertices must carry a constraint tag")
         sup, v = self.support, self.vertices
         plane = np.flatnonzero(self.tag_kind == ON_PLANE)
-        bad = plane[np.abs(_plane_distance(sup, v[plane], self.tag_id[plane])) > tol]
+        bad = plane[np.abs(_plane_distance(sup, v[plane], self.tag_id[plane])) > _CONSTRAINT_TOL]
         if bad.size:
             raise DomainError(f"vertex {bad[0]} violates its plane constraint")
         edge = np.flatnonzero(self.tag_kind == ON_EDGE)
         d = sup.edge_dirs[self.tag_id[edge]]
         rel = v[edge] - sup.edge_points[self.tag_id[edge]]
         off = rel - np.vecdot(rel, d)[:, None] * d
-        bad = edge[np.sqrt(np.vecdot(off, off)) > tol]
+        bad = edge[np.sqrt(np.vecdot(off, off)) > _CONSTRAINT_TOL]
         if bad.size:
             raise DomainError(f"vertex {bad[0]} violates its line constraint")
 
@@ -465,12 +440,12 @@ def _arc_samples(cap: SphericalCap, support: SupportAdapter, j: int,
 
 
 def _choose_corner(cap: SphericalCap, support: SupportAdapter, k: int) -> np.ndarray:
-    """The sphere/edge-line crossing on the outward side of the edge."""
-    e = support.edges[k]
-    pts = edge_vertices(cap, e.point, e.direction)
+    """The sphere/edge-line crossing on the outward side of edge k."""
+    point, direction = support.edge_points[k], support.edge_dirs[k]
+    pts = edge_vertices(cap, point, direction)
     if not pts:
         raise NoSolutionError("cap sphere does not reach a support edge")
-    return max(pts, key=lambda p: np.dot(p - e.point, e.direction))
+    return max(pts, key=lambda p: np.dot(p - point, direction))
 
 
 def _edge_walls(tag_kind, tag_id, a, b, support) -> np.ndarray:
@@ -534,54 +509,46 @@ def _finish_seed(v, t, tk, ti, support, refinement_level, cap=None,
     mesh.target_volume = volume(mesh)
     if target_volume is not None:
         if support.kind != "cylinder":
+            # about the wedge's edge point or the apex, which the scaling fixes
             lam = (target_volume / mesh.target_volume) ** (1.0 / 3.0)
-            mesh.vertices = support.reference + lam * (mesh.vertices - support.reference)
+            origin = support.edge_points[0]
+            mesh.vertices = origin + lam * (mesh.vertices - origin)
         mesh.target_volume = target_volume
     mesh.validate()
     return mesh
 
 
-def seed_mesh(config, h: float | None = 1.0, target_volume: float | None = None,
+def seed_mesh(config, h: float | None = None, target_volume: float | None = None,
               refinement_level: int = 2) -> TriMeshDrop:
-    """Seed a drop mesh from the analytic spherical cap of the configuration.
+    """Seed a drop mesh from the support's cap, ``support_cap(config, h)``.
 
-    Refinement level ``r`` yields roughly ``4**r * 32`` triangles. When a
-    target volume is given and the support is scale invariant (wedge or
-    trihedral angle), the seed is rescaled about the support's reference point
-    to enclose it exactly.
+    Refinement level ``r`` yields ``32 * 4**r`` triangles in a wedge and
+    ``36 * 4**r`` in a trihedral angle or cylinder. When a target volume is
+    given and the support is scale invariant (wedge or trihedral angle), the
+    seed is rescaled about the wedge's edge point or the apex to enclose it
+    exactly.
     """
     if target_volume is not None and not target_volume > 0.0:
         raise DomainError(f"target volume must be positive, got {target_volume}")
     support = SupportAdapter(config)
-    if support.kind == "cylinder":
-        # the walls fix the sphere radius, so the curvature is not a free input
-        cap = cylinder_cap(config, h)
-        per_arc = 2
-    elif h is None:
-        raise DomainError("a mean curvature is required for this support")
-    elif support.kind == "wedge":
-        cap = wedge_cap(config, h)
-        per_arc = 3
-    else:
-        cap = trihedral_cap(config, h)
-        per_arc = 2
+    cap = support_cap(config, h)
+    per_arc = 3 if support.kind == "wedge" else 2
     if not isinstance(cap, SphericalCap):
         raise DomainError("configuration admits no spherical seed; use the planar seeder")
 
     if support.kind == "wedge":
         # two arcs between the two edge crossings
-        e = support.edges[0]
-        pts = edge_vertices(cap, e.point, e.direction)
+        pts = edge_vertices(cap, support.edge_points[0], support.edge_dirs[0])
         if len(pts) < 2:
             raise NoSolutionError("cap sphere does not cross the wedge edge twice")
         arcs = [(0, pts[-1], pts[0]), (1, pts[0], pts[-1])]
         corner_ids = [0, 0]
     else:
-        # wall j runs from the edge it shares with wall j-1 to the one with wall j+1
+        # wall j runs from edge (j - 1) % 3, which it shares with wall j - 1,
+        # to edge j, which it shares with wall j + 1
         corners = [_choose_corner(cap, support, k) for k in range(3)]
-        corner_ids = [support.edge_for_planes((j - 1) % 3, j) for j in range(3)]
-        arcs = [(j, corners[k], corners[support.edge_for_planes(j, (j + 1) % 3)])
-                for j, k in enumerate(corner_ids)]
+        corner_ids = [2, 0, 1]
+        arcs = [(j, corners[k], corners[j]) for j, k in enumerate(corner_ids)]
 
     # the boundary: each arc's start corner, then its interior samples
     boundary = np.concatenate([_arc_samples(cap, support, j, p0, p1, per_arc)[:-1]

@@ -10,6 +10,7 @@ from capvertex.analytic import (
     edge_vertices,
     spherical_cmc_residual,
     SphericalGraphField,
+    support_cap,
     trihedral_cap,
     wedge_cap,
     wedge_vertex_tangents,
@@ -141,6 +142,23 @@ def test_cylinder_cap_orthogonal_data_returns_planar_slice():
     sol = cylinder_cap(cfg)
     assert isinstance(sol, PlanarSolution)
     assert abs(np.dot(sol.normal, cfg.generator)) == pytest.approx(1.0)
+
+
+# -- support caps ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("config, make, default, h", [
+    (WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3), wedge_cap, 1.0, 0.5),
+    (TrihedralConfig.orthant((1.5, 1.6, 1.7)), trihedral_cap, 1.0, 2.0),
+    # the walls fix the cylinder's curvature, and h = -cos(1.9) is theirs
+    (TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3), cylinder_cap, None, -np.cos(1.9)),
+], ids=["wedge", "orthant", "cylinder"])
+def test_support_cap_is_its_kinds_constructor_bit_for_bit(config, make, default, h):
+    for given, want in ((None, make(config, default)), (h, make(config, h))):
+        got = support_cap(config, given)
+        assert np.array_equal(got.center, want.center)
+        assert (got.radius, got.h_signed, got.degenerate) == \
+            (want.radius, want.h_signed, want.degenerate)
 
 
 # -- half-cylinder ---------------------------------------------------------

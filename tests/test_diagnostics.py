@@ -103,7 +103,8 @@ def test_fit_sphere_reaches_the_least_squares_sphere():
         return np.abs(J.T @ (dist - fit.radius)).max()
 
     assert stationarity(fit_sphere(pts)) < 1e-12
-    assert stationarity(fit_sphere(pts, max_newton=2)) > 1e-11
+    origin, coef, rms = _fit_spheres(pts[None], np.ones((1, len(pts)), dtype=bool), 2)
+    assert stationarity(SphereFit(tuple(origin[0]), tuple(coef[0]), float(rms[0]))) > 1e-11
 
 
 def test_fit_plane_recovers_tilted_plane():

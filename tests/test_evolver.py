@@ -87,7 +87,7 @@ def test_project_tangent_respects_constraints(octant):
             n = octant.support.planes[octant.tag_id[i]].normal
             assert abs(np.dot(p[i], n)) < 1e-14
         elif octant.tag_kind[i] == 2:
-            d = octant.support.edges[octant.tag_id[i]].direction
+            d = octant.support.edge_dirs[octant.tag_id[i]]
             assert np.linalg.norm(p[i] - np.dot(p[i], d) * d) < 1e-14
 
 
@@ -223,7 +223,7 @@ def _reference_evaluation(mesh):
         if sup.kind == "apex":
             pts = np.vstack([pts, sup.config.apex])
         elif sup.kind == "cylinder":
-            g, z0 = sup.base_normal, sup.base_offset
+            g, z0 = sup.config.generator, 0.0
             pts = np.vstack([pts] + [p - (np.dot(g, p) - z0) * g for p in pts[[-1, 0]]])
         eu, ev = sup.frames[j]
         rel = np.atleast_2d(pts) - sup.planes[j].offset * sup.planes[j].normal
@@ -242,7 +242,7 @@ def _reference_evaluation(mesh):
     if sup.kind == "cylinder":
         e = sup.edge_points
         base = 0.5 * abs(float(np.linalg.norm(np.cross(e[1] - e[0], e[2] - e[0]))))
-        vol -= sup.base_offset * base
+        vol -= 0.0 * base
     total = area - sum(np.cos(sup.planes[j].gamma) * wet[j] for j in wet)
     breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
     return breakdown, wet, area_grad, energy_grad, flux_grad / 3.0
@@ -270,8 +270,8 @@ def _aos_evaluation(mesh):
         if sup.kind == "apex":
             pts = np.concatenate((pts, sup.config.apex[None]))
         elif sup.kind == "cylinder":
-            g, ends = sup.base_normal, pts[[-1, 0]]
-            pts = np.concatenate((pts, ends - (np.vecdot(ends, g) - sup.base_offset)[:, None] * g))
+            g, ends = sup.config.generator, pts[[-1, 0]]
+            pts = np.concatenate((pts, ends - (np.vecdot(ends, g) - 0.0)[:, None] * g))
         x, y = sup.wall_coords(j, pts).T
         xn, yn = x[nxt], y[nxt]
         wet[j] = 0.5 * float(np.dot(x, yn) - np.dot(y, xn))
@@ -284,7 +284,8 @@ def _aos_evaluation(mesh):
     for j, offset in enumerate(sup.offsets):
         vol -= offset * wet[j]
     if sup.kind == "cylinder":
-        vol -= sup.base_offset * sup.base_area
+        e = sup.edge_points
+        vol -= 0.0 * (0.5 * abs(float(np.linalg.norm(np.cross(e[1] - e[0], e[2] - e[0])))))
     total = area - sum(sup.cos_gammas[j] * wet[j] for j in wet)
     breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
     return breakdown, wet, area_grad, energy_grad, flux_grad / 3.0
@@ -360,7 +361,7 @@ def test_constraint_basis_rows_are_orthonormal_per_vertex(drop):
         if kind == ON_PLANE:
             assert np.abs(rows @ sup.planes[drop.tag_id[i]].normal).max() <= 1e-15
         elif kind == ON_EDGE:
-            assert abs(abs(rows[0] @ sup.edges[drop.tag_id[i]].direction) - 1.0) <= 1e-15
+            assert abs(abs(rows[0] @ sup.edge_dirs[drop.tag_id[i]]) - 1.0) <= 1e-15
 
 
 def test_project_tangent_matches_normal_subtraction(drop):
@@ -370,7 +371,7 @@ def test_project_tangent_matches_normal_subtraction(drop):
         n = drop.support.planes[drop.tag_id[i]].normal
         expected[i] -= np.dot(expected[i], n) * n
     for i in np.nonzero(drop.tag_kind == ON_EDGE)[0]:
-        d = drop.support.edges[drop.tag_id[i]].direction
+        d = drop.support.edge_dirs[drop.tag_id[i]]
         expected[i] = np.dot(expected[i], d) * d
     got = project_tangent(drop, g)
     assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()

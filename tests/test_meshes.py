@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from capvertex import meshes
+from capvertex.analytic import cylinder_cap
 from capvertex.errors import DomainError
 from capvertex.evolver import energy, energy_gradient, evolve, volume, volume_gradient
 from capvertex.geometry import TrihedralConfig, WedgeConfig
@@ -144,12 +145,12 @@ def test_structured_surface_triangles_in_cell_order():
 def test_support_adapter_edges():
     cyl = SupportAdapter(TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3))
     assert cyl.kind == "cylinder"
-    assert len(cyl.edges) == 3
-    for e in cyl.edges:
+    assert len(cyl.edge_points) == 3
+    for point, direction, pair in zip(cyl.edge_points, cyl.edge_dirs, cyl.edge_planes):
         # edge lines run along the generator and lie in both planes
-        assert np.allclose(e.direction, cyl.config.generator)
-        for j in e.plane_ids:
-            assert abs(cyl.planes[j].signed_distance(e.point)) < 1e-12
+        assert np.allclose(direction, cyl.config.generator)
+        for j in pair:
+            assert abs(cyl.planes[j].signed_distance(point)) < 1e-12
 
 
 def test_validate_rejects_constraint_violation(octant_mesh):
@@ -161,8 +162,9 @@ def test_validate_rejects_constraint_violation(octant_mesh):
     # an edge vertex moved off its line, within one of its two planes
     bad = octant_mesh.copy()
     i = int(np.nonzero(bad.tag_kind == ON_EDGE)[0][0])
-    e = bad.support.edges[bad.tag_id[i]]
-    bad.vertices[i] += 1e-3 * np.cross(bad.support.planes[e.plane_ids[0]].normal, e.direction)
+    k = bad.tag_id[i]
+    bad.vertices[i] += 1e-3 * np.cross(bad.support.planes[bad.support.edge_planes[k, 0]].normal,
+                                       bad.support.edge_dirs[k])
     with pytest.raises(DomainError, match=f"vertex {i} violates its line"):
         bad.validate()
 
@@ -241,7 +243,7 @@ def _subdivide_reference(v, t, tk, ti, support, cap=None):
     def planes_of(i):
         if tk[i] == ON_PLANE:
             return {ti[i]}
-        return set(support.edges[ti[i]].plane_ids) if tk[i] == ON_EDGE else set()
+        return set(support.edge_planes[ti[i]].tolist()) if tk[i] == ON_EDGE else set()
 
     def get_mid(a, b):
         if (min(a, b), max(a, b)) not in midpoint:
@@ -289,9 +291,10 @@ def _project_reference(mesh):
         p = mesh.support.planes[mesh.tag_id[i]]
         mesh.vertices[i] -= p.signed_distance(mesh.vertices[i]) * p.normal
     for i in np.nonzero(mesh.tag_kind == ON_EDGE)[0]:
-        e = mesh.support.edges[mesh.tag_id[i]]
-        rel = mesh.vertices[i] - e.point
-        mesh.vertices[i] = e.point + np.dot(rel, e.direction) * e.direction
+        point, direction = (mesh.support.edge_points[mesh.tag_id[i]],
+                            mesh.support.edge_dirs[mesh.tag_id[i]])
+        rel = mesh.vertices[i] - point
+        mesh.vertices[i] = point + np.dot(rel, direction) * direction
 
 
 def _perturb_reference(mesh, amplitude, seed):
@@ -310,7 +313,7 @@ def _perturb_reference(mesh, amplitude, seed):
             d /= max(np.linalg.norm(d), 1e-30)
             out.vertices[i] += scale * noise[i] * d
         else:
-            out.vertices[i] += scale * noise[i] * mesh.support.edges[mesh.tag_id[i]].direction
+            out.vertices[i] += scale * noise[i] * mesh.support.edge_dirs[mesh.tag_id[i]]
     _project_reference(out)
     return out
 
@@ -334,6 +337,21 @@ _SEEDS = {
     "cylinder": lambda r: seed_mesh(_CYLINDER, h=None, refinement_level=r),
     "planar": lambda r: seed_planar_trihedral(_FLAT, refinement_level=r),
 }
+
+
+@pytest.mark.parametrize("name, base", [("wedge", 32), ("orthant", 36), ("cylinder", 36),
+                                        ("planar", 12)])
+def test_a_seed_of_refinement_r_has_base_times_4_to_the_r_triangles(name, base):
+    for r in range(3):
+        assert len(_SEEDS[name](r).triangles) == base * 4 ** r
+
+
+def test_a_cylinder_seed_without_h_follows_the_walls_cap():
+    mesh = seed_mesh(_CYLINDER, refinement_level=1)
+    cap = cylinder_cap(_CYLINDER)
+    r = np.linalg.norm(mesh.vertices - cap.center, axis=1)
+    assert np.abs(r - cap.radius).max() <= 1e-12 * cap.radius
+    assert np.array_equal(mesh.vertices, seed_mesh(_CYLINDER, h=None, refinement_level=1).vertices)
 
 
 @pytest.mark.parametrize("level", range(4))
