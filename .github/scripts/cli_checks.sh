@@ -3,8 +3,10 @@
 # one spherical cap, one planar cap and one evolve config must each exit 0,
 # write non-empty artifacts and report exactly their stage timings, in stage
 # order. A cylinder cap given the curvature its walls fix must write cap.obj.
-# A seed outside [0, 2**64), and a cylinder evolve whose h the walls do not
-# fix, must each exit 2 and write nothing.
+# An h = 0 evolve of the flat orthant must write the evolved.obj bytes of its
+# alias "planar": true. A seed outside [0, 2**64), a cylinder evolve whose h
+# the walls do not fix, and "planar" with another h must each exit 2 and
+# write nothing.
 # Usage: .github/scripts/cli_checks.sh  (with `capvertex` installed)
 set -euo pipefail
 tmp=$(mktemp -d)
@@ -46,3 +48,19 @@ capvertex evolve --config "$tmp/bad-h.json" --out "$tmp/bad-h" || code=$?
 echo "cylinder h 5.0: exit $code"
 test "$code" -eq 2
 test ! -e "$tmp/bad-h"
+
+# h = 0 is the flat drop, and "planar": true is its alias: the same mesh
+flat='"support": "orthant", "gammas": [0.9553166181245093, 0.9553166181245093, 0.9553166181245093], "refinement": 1, "perturbation": 0.01, "max_iters": 50'
+scenario evolve flat-h0 "{\"kind\": \"evolve\", $flat, \"h\": 0.0}" \
+  seed,evolve,diagnostics,write evolved.obj
+scenario evolve flat-planar "{\"kind\": \"evolve\", $flat, \"planar\": true}" \
+  seed,evolve,diagnostics,write evolved.obj
+cmp "$tmp/flat-h0/evolved.obj" "$tmp/flat-planar/evolved.obj"
+
+# "planar" means h = 0, so it conflicts with any other h
+echo "{\"kind\": \"evolve\", $flat, \"planar\": true, \"h\": 5.0}" > "$tmp/bad-planar.json"
+code=0
+capvertex evolve --config "$tmp/bad-planar.json" --out "$tmp/bad-planar" || code=$?
+echo "planar with h 5.0: exit $code"
+test "$code" -eq 2
+test ! -e "$tmp/bad-planar"

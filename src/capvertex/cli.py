@@ -46,7 +46,7 @@ from .geometry import (
 )
 from .graphpde import (RectangleProblem, compatibility_h, exact_square_cap, solve_rectangle,
                        _Stopwatch)
-from .meshes import seed_mesh, seed_planar_trihedral, perturb, structured_surface, write_obj
+from .meshes import seed_mesh, perturb, structured_surface, write_obj
 from .evolver import energy, energy_gradient, evolve, volume
 
 __all__ = ["main", "run", "verify_suite"]
@@ -61,7 +61,7 @@ _SEED_LIMIT = 2 ** 64
 # size ceilings of a config, past which its arrays would take gigabytes: a
 # classify grid of n points per side has n^2 cells, and refinement r seeds
 # 32 * 4**r triangles in a wedge, 36 * 4**r in a trihedral angle or cylinder
-# and 12 * 4**r for the planar seed (the graph solver bounds its own cell count)
+# and 12 * 4**r for a flat seed (the graph solver bounds its own cell count)
 _MAX_GRID = 2049
 _MAX_REFINEMENT = 5
 # the largest vertex displacement, as a fraction of the drop's diameter
@@ -169,14 +169,6 @@ def _write_grid_csv(path, header, x, y, coord, cell, columns):
         f.write("".join(templates) % tuple(cells))
 
 
-def _seed(config, h, refinement, planar=False, target_volume=None):
-    """The seed of an evolve: the flat trihedral seed when ``planar``, else
-    the mesh of ``support_cap(config, h)``."""
-    if planar:
-        return seed_planar_trihedral(config, refinement_level=refinement)
-    return seed_mesh(config, h=h, refinement_level=refinement, target_volume=target_volume)
-
-
 def _support_from_config(cfg, where):
     kind = _require(cfg, "support", str, where)
     if kind == "wedge":
@@ -188,7 +180,7 @@ def _support_from_config(cfg, where):
     if kind == "cylinder":
         r = _number(cfg, "inradius", where, 1.0)
         return TrihedralConfig.regular_cylinder(r, tuple(_angles(cfg, "gammas", 3, where)))
-    raise ConfigError(f"{where}: unknown support kind '{kind}'")
+    raise ConfigError(f"{where}: unknown support kind {kind!r}")
 
 
 # -- scenarios -------------------------------------------------------------
@@ -272,8 +264,11 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
 def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
     config = _support_from_config(cfg, where)
     h = _number(cfg, "h", where, None)
+    if _flag(cfg, "planar", where, False):      # another spelling of h = 0
+        if h not in (None, 0.0):
+            raise ConfigError(f"{where}: key 'planar' means h = 0 and conflicts with h = {h:g}")
+        h = 0.0
     refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
-    planar = _flag(cfg, "planar", where, False)
     target_volume = _number(cfg, "target_volume", where, None)
     amp = _number(cfg, "perturbation", where, 0.0)
     if not 0.0 <= amp <= _MAX_PERTURBATION:
@@ -283,7 +278,7 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
                "grad_tol": _number(cfg, "grad_tol", where, 1e-6),
                "fixed_volume": _flag(cfg, "fixed_volume", where, True)}
     clock = _Stopwatch()
-    mesh = _seed(config, h, refinement, planar, target_volume)
+    mesh = seed_mesh(config, h, target_volume, refinement)
     if amp > 0.0:
         mesh = perturb(mesh, amp, seed=seed)
     clock.lap("seed")
@@ -491,10 +486,10 @@ def _suite_counterexample(opts) -> list:
     ]]
 
 
-def _evolve_sphere_check(config, refinement, seed, max_iters, planar=False):
+def _evolve_sphere_check(config, refinement, seed, max_iters, h=None):
     """The perturbed seed relaxed by ``evolve``: the mesh and its convergence report."""
-    return evolve(perturb(_seed(config, None, refinement, planar), _SUITE_PERTURBATION,
-                          seed=seed), max_iters=max_iters)
+    return evolve(perturb(seed_mesh(config, h, refinement_level=refinement),
+                          _SUITE_PERTURBATION, seed=seed), max_iters=max_iters)
 
 
 def _suite_theorem1(opts) -> list:
@@ -524,7 +519,7 @@ def _suite_theorem3(opts) -> list:
     outcomes = []
     flat_cfg = TrihedralConfig.orthant((float(np.arccos(np.sqrt(3.0) / 3.0)),) * 3)
     evolved, rep = _evolve_sphere_check(flat_cfg, refinement, opts["seed"],
-                                        opts.get("max_iters", 600), planar=True)
+                                        opts.get("max_iters", 600), h=0.0)
     plane = fit_plane(evolved.vertices)
     diam = float(np.ptp(evolved.vertices, axis=0).max())
     outcomes += _with_solve(rep, [_outcome("planar-mode", plane.rms < 1e-4 * diam,
@@ -624,7 +619,7 @@ def verify_suite(name: str, seed: int = 0, **opts) -> list:
 def _run_verify(cfg, out: Path, seed: int, where: str) -> int:
     suite = _require(cfg, "suite", str, where)
     if suite not in _SUITES:
-        raise ConfigError(f"{where}: unknown suite '{suite}'")
+        raise ConfigError(f"{where}: unknown suite {suite!r}")
     bounds = {"refinement": (0, _MAX_REFINEMENT), "grid_n": (1, None), "max_iters": (1, None)}
     opts = {k: _integer(cfg, k, where, None, *bounds[k]) for k in bounds if k in cfg}
     clock = _Stopwatch()
@@ -675,7 +670,7 @@ def run(config_path, out_dir=None, seed: int = 0, subcommand=None) -> int:
         cfg = _load_config(config_path)
         kind = _require(cfg, "kind", str, str(config_path))
         if kind not in _SCENARIOS:
-            raise ConfigError(f"{config_path}: unrecognized kind '{kind}'")
+            raise ConfigError(f"{config_path}: unrecognized kind {kind!r}")
         if subcommand is not None and kind != subcommand:
             raise ConfigError(
                 f"{config_path}: config kind '{kind}' does not match "

@@ -2,7 +2,7 @@
 
 Vertices carry one of three constraint tags: free, confined to a support
 plane, or confined to an intersection line of two support planes. Seeds are
-sampled from the analytic spherical caps and refined by midpoint subdivision,
+sampled from the support's cap or plane and refined by midpoint subdivision,
 all in array operations. One rule places a new vertex. Each round splits
 every triangle in four at its edge midpoints. A wall edge is an edge that
 occurs once; its wall is the one support plane its two ends share. The
@@ -51,8 +51,10 @@ FREE, ON_PLANE, ON_EDGE = 0, 1, 2
 _MIN_AREA = 1e-14
 # the largest distance of a tagged vertex from its plane or line that validate allows
 _CONSTRAINT_TOL = 1e-9
-# the planar trihedral seed's corners lie this far along the edge lines
+# a flat seed's nearest corner lies this far along its edge line
 _PLANAR_EXTENT = 1.0
+# a plane at this cosine or less to an edge misses it on the liquid side
+_EDGE_CROSSING_TOL = 1e-12
 
 
 class SupportAdapter:
@@ -520,60 +522,62 @@ def _finish_seed(v, t, tk, ti, support, refinement_level, cap=None,
 
 def seed_mesh(config, h: float | None = None, target_volume: float | None = None,
               refinement_level: int = 2) -> TriMeshDrop:
-    """Seed a drop mesh from the support's cap, ``support_cap(config, h)``.
+    """Seed a drop mesh from the support's cap or plane, ``support_cap(config, h)``.
 
-    Refinement level ``r`` yields ``32 * 4**r`` triangles in a wedge and
-    ``36 * 4**r`` in a trihedral angle or cylinder. When a target volume is
-    given and the support is scale invariant (wedge or trihedral angle), the
-    seed is rescaled about the wedge's edge point or the apex to enclose it
-    exactly.
+    A plane gives the triangle of its crossings with the edge lines, moved
+    parallel until the nearest lies ``_PLANAR_EXTENT`` along its edge.
+    Refinement level ``r`` yields ``32 * 4**r`` triangles in a wedge,
+    ``36 * 4**r`` from a cap in a trihedral angle or cylinder and
+    ``12 * 4**r`` from a plane. A target volume rescales a seed in a wedge or
+    trihedral angle about the edge point or the apex to enclose it exactly.
     """
     if target_volume is not None and not target_volume > 0.0:
         raise DomainError(f"target volume must be positive, got {target_volume}")
     support = SupportAdapter(config)
-    cap = support_cap(config, h)
-    per_arc = 3 if support.kind == "wedge" else 2
-    if not isinstance(cap, SphericalCap):
-        raise DomainError("configuration admits no spherical seed; use the planar seeder")
-
-    if support.kind == "wedge":
-        # two arcs between the two edge crossings
-        pts = edge_vertices(cap, support.edge_points[0], support.edge_dirs[0])
-        if len(pts) < 2:
-            raise NoSolutionError("cap sphere does not cross the wedge edge twice")
-        arcs = [(0, pts[-1], pts[0]), (1, pts[0], pts[-1])]
-        corner_ids = [0, 0]
+    surface = support_cap(config, h)
+    cap = surface if isinstance(surface, SphericalCap) else None
+    if cap is None:
+        s = support.edge_dirs @ surface.normal
+        if np.any(s <= _EDGE_CROSSING_TOL):
+            raise NoSolutionError(f"the plane misses edge {int(np.argmin(s))} on the liquid side")
+        offsets = support.edge_points @ surface.normal
+        t = ((_PLANAR_EXTENT * s + offsets).max() - offsets) / s
+        boundary = support.edge_points + t[:, None] * support.edge_dirs
+        centre, kinds, ids = boundary.mean(axis=0), [ON_EDGE] * 3, [0, 1, 2]
     else:
-        # wall j runs from edge (j - 1) % 3, which it shares with wall j - 1,
-        # to edge j, which it shares with wall j + 1
-        corners = [_choose_corner(cap, support, k) for k in range(3)]
-        corner_ids = [2, 0, 1]
-        arcs = [(j, corners[k], corners[j]) for j, k in enumerate(corner_ids)]
-
-    # the boundary: each arc's start corner, then its interior samples
-    boundary = np.concatenate([_arc_samples(cap, support, j, p0, p1, per_arc)[:-1]
-                               for j, p0, p1 in arcs])
-    walls = [j for j, _, _ in arcs]
+        per_arc = 3 if support.kind == "wedge" else 2
+        if support.kind == "wedge":
+            # two arcs between the two edge crossings
+            pts = edge_vertices(cap, support.edge_points[0], support.edge_dirs[0])
+            if len(pts) < 2:
+                raise NoSolutionError("cap sphere does not cross the wedge edge twice")
+            arcs = [(0, pts[-1], pts[0]), (1, pts[0], pts[-1])]
+            corner_ids = [0, 0]
+        else:
+            # wall j runs from edge (j - 1) % 3, which it shares with wall j - 1,
+            # to edge j, which it shares with wall j + 1
+            corners = [_choose_corner(cap, support, k) for k in range(3)]
+            corner_ids = [2, 0, 1]
+            arcs = [(j, corners[k], corners[j]) for j, k in enumerate(corner_ids)]
+        # the boundary: each arc's start corner, then its interior samples
+        boundary = np.concatenate([_arc_samples(cap, support, j, p0, p1, per_arc)[:-1]
+                                   for j, p0, p1 in arcs])
+        centre = cap.surface_point(boundary.mean(axis=0) - cap.center)
+        kinds = np.tile([ON_EDGE] + [ON_PLANE] * per_arc, len(arcs))
+        walls = [j for j, _, _ in arcs]
+        ids = np.repeat(np.column_stack([corner_ids, walls]), [1, per_arc], axis=1)
+    # a fan from the centre over the boundary loop
     m = len(boundary)
     i = np.arange(m)
     return _finish_seed(
-        np.vstack([cap.surface_point(boundary.mean(axis=0) - cap.center), boundary]),
+        np.vstack([centre, boundary]),
         np.column_stack([np.zeros(m, dtype=np.int64), 1 + i, 1 + (i + 1) % m]),
-        np.append(FREE, np.tile([ON_EDGE] + [ON_PLANE] * per_arc, len(arcs))),
-        np.append(-1, np.repeat(np.column_stack([corner_ids, walls]), [1, per_arc], axis=1)),
-        support, refinement_level, cap, target_volume)
+        np.append(FREE, kinds), np.append(-1, ids), support, refinement_level, cap, target_volume)
 
 
 def seed_planar_trihedral(config: TrihedralConfig, refinement_level: int = 2) -> TriMeshDrop:
-    """Flat triangular seed spanning the three edges of a trihedral angle."""
-    support = SupportAdapter(config)
-    if support.kind != "apex":
-        raise DomainError("planar seed requires an apex configuration")
-    corners = support.edge_points + _PLANAR_EXTENT * support.edge_dirs
-    return _finish_seed(np.vstack([corners.mean(axis=0), corners]),
-                        np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]),
-                        np.array([FREE, ON_EDGE, ON_EDGE, ON_EDGE]),
-                        np.array([-1, 0, 1, 2]), support, refinement_level)
+    """The flat seed, ``seed_mesh(config, h=0.0)``; the benchmark still imports this name."""
+    return seed_mesh(config, h=0.0, refinement_level=refinement_level)
 
 
 def refine(mesh: TriMeshDrop) -> TriMeshDrop:

@@ -320,6 +320,9 @@ def test_verify_outcomes_carry_the_state_of_their_evolve(tmp_path, suite):
 
 _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
             "refinement": 1}
+_FLAT_ORTHANT = {"kind": "evolve", "support": "orthant",
+                 "gammas": [float(np.arccos(np.sqrt(3.0) / 3.0))] * 3, "refinement": 0,
+                 "max_iters": 5}
 
 
 @pytest.mark.parametrize("payload", [
@@ -376,6 +379,16 @@ _ORTHANT = {"kind": "evolve", "support": "orthant", "gammas": [math.pi / 2] * 3,
     {**_ORTHANT, "perturbation": 1.0000001},
     {**_ORTHANT, "perturbation": -0.01},
     {**_ORTHANT, "planar": "no"},
+    # "planar" means h = 0: it conflicts with any other h, and it refuses data
+    # that admit no plane, or a plane that misses an edge on the liquid side
+    {**_FLAT_ORTHANT, "planar": True, "h": 5.0, "target_volume": 7.0},
+    {**_FLAT_ORTHANT, "planar": True, "gammas": [1.2] * 3},
+    {**_FLAT_ORTHANT, "planar": True,
+     "gammas": np.arccos(np.array([-0.9, 0.3, 0.3]) / np.sqrt(0.99)).tolist()},
+    # a name the config gives, with a line break in it, still makes one line
+    {"kind": "cap", "support": "\r", "gammas": [1.0] * 3},
+    {"kind": "verify", "suite": "a\nb"},
+    {"kind": "\n"},
     {"kind": "verify", "suite": "wente", "grid_n": False},
 ], ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items() if k != "gammas"))
 def test_bad_config_exits_2_with_one_line_and_no_artifacts(tmp_path, capsys, payload):
@@ -388,6 +401,18 @@ def test_bad_config_exits_2_with_one_line_and_no_artifacts(tmp_path, capsys, pay
     assert [str(w.message) for w in caught] == []
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+def test_h_0_seeds_the_flat_drop_and_planar_is_its_alias(tmp_path):
+    for name, keys in (("planar", {"planar": True}), ("h0", {"h": 0.0}),
+                       ("volume", {"planar": True, "target_volume": 7.0})):
+        assert run(_write_config(tmp_path, f"{name}.json", {**_FLAT_ORTHANT, **keys}),
+                   tmp_path / name) == 0
+    assert (tmp_path / "h0" / "evolved.obj").read_bytes() == \
+        (tmp_path / "planar" / "evolved.obj").read_bytes()
+    # the flat seed is rescaled about the apex to the target volume
+    report = json.loads((tmp_path / "volume" / "report.json").read_text())
+    assert report["volume"] == pytest.approx(7.0, abs=1e-9)
 
 
 _SEED_CONFIGS = [

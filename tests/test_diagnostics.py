@@ -28,7 +28,6 @@ from capvertex.meshes import (
     TriMeshDrop,
     perturb,
     seed_mesh,
-    seed_planar_trihedral,
     structured_surface,
     vertex_normals,
 )
@@ -463,7 +462,7 @@ def test_planar_mode_drop_fits_do_not_depend_on_vertex_order():
     # the mean of the local ones move by rounding only when the vertices are
     # renumbered: measured 8.8e-11 and 3.8e-11 relative
     flat = float(np.arccos(np.sqrt(3.0) / 3.0))
-    mesh = seed_planar_trihedral(TrihedralConfig.orthant((flat,) * 3), refinement_level=2)
+    mesh = seed_mesh(TrihedralConfig.orthant((flat,) * 3), h=0.0, refinement_level=2)
     mesh, _ = evolve(perturb(mesh, 0.01, seed=3), max_iters=150, grad_tol=1e-6)
     scale = 1.0 / np.ptp(mesh.vertices, axis=0).max()
     rng = np.random.default_rng(0)
@@ -477,7 +476,7 @@ def test_planar_mode_drop_fits_do_not_depend_on_vertex_order():
 
 def test_planar_mode_fits_are_planes():
     flat = float(np.arccos(np.sqrt(3.0) / 3.0))
-    mesh = seed_planar_trihedral(TrihedralConfig.orthant((flat,) * 3), refinement_level=2)
+    mesh = seed_mesh(TrihedralConfig.orthant((flat,) * 3), h=0.0, refinement_level=2)
     free = np.nonzero(mesh.tag_kind == FREE)[0]
     # every local fit is the plane: curvature 0 up to rounding of the unit scale
     h = sphere_curvature_field(mesh)
@@ -490,7 +489,7 @@ def test_planar_mode_fits_are_planes():
 
 def test_report_measures_a_flat_drop_against_its_extent():
     flat = float(np.arccos(np.sqrt(3.0) / 3.0))
-    mesh = seed_planar_trihedral(TrihedralConfig.orthant((flat,) * 3), refinement_level=2)
+    mesh = seed_mesh(TrihedralConfig.orthant((flat,) * 3), h=0.0, refinement_level=2)
     rep = diagnostics_report(mesh)
     # the exact plane scores rounding (measured 9.5e-17)
     assert rep.sphere_relative_rms < 1e-15

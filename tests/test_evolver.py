@@ -11,7 +11,6 @@ from capvertex.meshes import (
     TriMeshDrop,
     perturb,
     seed_mesh,
-    seed_planar_trihedral,
     vertex_normals,
 )
 from capvertex.evolver import (
@@ -139,8 +138,7 @@ def test_volume_restoration_fails_on_a_non_finite_volume(octant):
 
 def test_planar_mode_stays_planar():
     g = float(np.arccos(np.sqrt(3.0) / 3.0))
-    m = seed_planar_trihedral(TrihedralConfig.orthant((g,) * 3),
-                              refinement_level=2)
+    m = seed_mesh(TrihedralConfig.orthant((g,) * 3), h=0.0, refinement_level=2)
     # the flat solution wets at zero net energy
     assert energy(m).total == pytest.approx(0.0, abs=1e-12)
     mp = perturb(m, 0.01, seed=5)
@@ -185,7 +183,7 @@ def test_evolve_builds_the_wall_layout_and_basis_transpose_once(monkeypatch):
 def drop(request):
     if request.param == "planar":
         flat = float(np.arccos(np.sqrt(3.0) / 3.0))
-        seed = seed_planar_trihedral(TrihedralConfig.orthant((flat,) * 3), refinement_level=2)
+        seed = seed_mesh(TrihedralConfig.orthant((flat,) * 3), h=0.0, refinement_level=2)
         return perturb(seed, 0.01, seed=1)
     if request.param == "wedge":
         cfg, h = WedgeConfig.canonical(np.pi / 4, 2.0, 2.1), 1.0

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from capvertex import meshes
-from capvertex.analytic import cylinder_cap
-from capvertex.errors import DomainError
+from capvertex.analytic import PlanarSolution, cylinder_cap, support_cap
+from capvertex.diagnostics import measure_contact_angles
+from capvertex.errors import DomainError, NoSolutionError
 from capvertex.evolver import energy, energy_gradient, evolve, volume, volume_gradient
 from capvertex.geometry import TrihedralConfig, WedgeConfig
 from capvertex.meshes import (
@@ -16,7 +17,6 @@ from capvertex.meshes import (
     read_obj,
     refine,
     seed_mesh,
-    seed_planar_trihedral,
     structured_surface,
     vertex_normals,
     write_obj,
@@ -90,8 +90,7 @@ def test_target_volume_rescaling():
 
 def test_planar_trihedral_seed():
     g = float(np.arccos(np.sqrt(3.0) / 3.0))
-    m = seed_planar_trihedral(TrihedralConfig.orthant((g,) * 3),
-                              refinement_level=2)
+    m = seed_mesh(TrihedralConfig.orthant((g,) * 3), h=0.0, refinement_level=2)
     m.validate()
     assert m.euler_characteristic() == 1
     # all vertices in the plane x + y + z = const
@@ -335,7 +334,7 @@ _SEEDS = {
     "wedge": lambda r: seed_mesh(_WEDGE, h=1.0, refinement_level=r),
     "orthant": lambda r: seed_mesh(_ORTHANT, h=1.0, refinement_level=r, target_volume=0.3),
     "cylinder": lambda r: seed_mesh(_CYLINDER, h=None, refinement_level=r),
-    "planar": lambda r: seed_planar_trihedral(_FLAT, refinement_level=r),
+    "planar": lambda r: seed_mesh(_FLAT, h=0.0, refinement_level=r),
 }
 
 
@@ -352,6 +351,54 @@ def test_a_cylinder_seed_without_h_follows_the_walls_cap():
     r = np.linalg.norm(mesh.vertices - cap.center, axis=1)
     assert np.abs(r - cap.radius).max() <= 1e-12 * cap.radius
     assert np.array_equal(mesh.vertices, seed_mesh(_CYLINDER, h=None, refinement_level=1).vertices)
+
+
+def _flat_seed_reference(config, level):
+    """The flat seed built directly: the triangle whose corners lie
+    ``_PLANAR_EXTENT`` along each edge line, the plane's own at the flat angle."""
+    support = SupportAdapter(config)
+    corners = support.edge_points + meshes._PLANAR_EXTENT * support.edge_dirs
+    return meshes._finish_seed(np.vstack([corners.mean(axis=0), corners]),
+                               np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]),
+                               np.array([FREE, ON_EDGE, ON_EDGE, ON_EDGE]),
+                               np.array([-1, 0, 1, 2]), support, level)
+
+
+@pytest.mark.parametrize("level", range(4))
+def test_the_flat_seed_at_the_flat_angle_is_the_edge_triangle_bit_for_bit(level):
+    _assert_same_mesh(seed_mesh(_FLAT, h=0.0, refinement_level=level),
+                      _flat_seed_reference(_FLAT, level))
+
+
+def test_a_flat_seed_lies_in_the_datas_plane_and_meets_the_walls_at_their_angles():
+    gammas = tuple(np.arccos([0.48, 0.6, 0.64]))
+    config = TrihedralConfig.orthant(gammas)
+    plane = support_cap(config, 0.0)
+    mesh = seed_mesh(config, h=0.0, refinement_level=2)
+    # every outward vertex normal is the plane's; the (1, 1, 1) plane's is up to 0.097 off
+    assert np.abs(vertex_normals(mesh) - plane.normal).max() <= 1e-12
+    for j, angles in measure_contact_angles(mesh).items():
+        assert np.abs(angles - gammas[j]).max() <= 1e-9
+    # so the seed is the equilibrium, and the evolver takes no step
+    assert evolve(mesh)[1].iterations == 0
+
+
+def test_a_plane_that_misses_an_edge_on_the_liquid_side_has_no_seed():
+    cos = np.array([-0.9, 0.3, 0.3]) / np.sqrt(0.99)
+    config = TrihedralConfig.orthant(tuple(np.arccos(cos)))
+    assert isinstance(support_cap(config, 0.0), PlanarSolution)
+    with pytest.raises(NoSolutionError, match="misses edge"):
+        seed_mesh(config, h=0.0, refinement_level=0)
+
+
+def test_an_all_orthogonal_cylinder_seeds_a_flat_prism():
+    config = TrihedralConfig.regular_cylinder(1.0, (np.pi / 2,) * 3)
+    mesh = seed_mesh(config, refinement_level=1)
+    # the equilateral cross-section of inradius 1 has area 3 sqrt(3)
+    assert volume(mesh) == pytest.approx(3.0 * np.sqrt(3.0) * meshes._PLANAR_EXTENT, rel=1e-12)
+    for angles in measure_contact_angles(mesh).values():
+        assert np.abs(angles - np.pi / 2).max() <= 1e-9
+    _assert_same_mesh(seed_mesh(config, h=0.0, refinement_level=1), mesh)
 
 
 @pytest.mark.parametrize("level", range(4))
