@@ -6,11 +6,23 @@
 # applies the Jacobian unassembled, and the solve at grid_n 256 (131,072
 # cells) takes about 1.6 s. The 1x2 rectangle's GMRES iterations must total
 # at most 26 (35 when every step is solved to the tight forcing term), so
-# that the adaptive forcing cannot silently fall back to tight.
+# that the adaptive forcing cannot silently fall back to tight. The square at
+# gamma = 1.9, above a right angle, must solve with no missed step; the square
+# at gamma = 0.5 has D1 corners, which admit no solution, and must exit 2 and
+# write nothing.
 # Usage: .github/scripts/solve_graph_checks.sh  (with `capvertex` installed)
 set -euo pipefail
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+refused() {  # name, config JSON
+  echo "$2" > "$tmp/$1.json"
+  code=0
+  capvertex solve-graph --config "$tmp/$1.json" --out "$tmp/$1" || code=$?
+  echo "$1: exit $code"
+  test "$code" -eq 2
+  test ! -e "$tmp/$1"
+}
 
 solve() {  # name, config JSON
   echo "$2" > "$tmp/$1.json"
@@ -36,3 +48,6 @@ solve large '{"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [1.2, 1.2, 1.
 no_missed_step large
 solve mixed '{"kind": "solve-graph", "a": 1.3, "b": 0.7, "gammas": [1.1, 0.9, 1.4, 1.0], "grid_n": 20}'
 no_missed_step mixed
+solve upper '{"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [1.9, 1.9, 1.9, 1.9], "grid_n": 64}'
+no_missed_step upper
+refused d1 '{"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [0.5, 0.5, 0.5, 0.5], "grid_n": 16}'

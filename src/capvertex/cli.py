@@ -252,7 +252,8 @@ def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
     report = {
         "scenario": "solve-graph", "seed": seed, "version": __version__,
         "a": a, "b": b, "gammas": list(gammas), "grid_n": grid_n,
-        "h": prob.h, "iterations": field.iterations,
+        "h": prob.h, "corners": {k: tag.value for k, tag in prob.corners.items()},
+        "iterations": field.iterations,
         "final_residual": field.final_residual, "trace": field.trace,
         "sphere_fit_relative_rms": fit.relative_rms,
         "timings": clock.seconds,

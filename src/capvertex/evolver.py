@@ -56,6 +56,9 @@ _SMOOTHING = 0.2
 # volume restoration: at most this many Newton steps, to this relative error
 _RESTORE_STEPS = 12
 _RESTORE_RTOL = 1e-10
+# at most this many outer loops: an L-BFGS run, then smoothing and volume
+# restoration before the next
+_OUTER_LOOPS = 12
 
 
 @dataclass(frozen=True)
@@ -272,7 +275,7 @@ def _residual_norm(mesh: TriMeshDrop, fixed_volume: bool):
 
 
 def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
-           fixed_volume: bool = True, n_outer: int = 12):
+           fixed_volume: bool = True):
     """Minimize the capillary energy at fixed enclosed volume.
 
     Quasi-Newton descent in constraint-reduced coordinates with an augmented
@@ -312,7 +315,7 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
         return e, reduce_grad(g)
 
     best_state, best_resid = None, np.inf
-    for outer in range(n_outer):
+    for outer in range(_OUTER_LOOPS):
         if inner_budget <= 0:
             break
         if outer > 0:
@@ -366,5 +369,4 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
     report.lagrange_h = 0.5 * lam
     report.final_energy = state.total
     report.volume_error = abs(state.volume - target)
-    work.lagrange_h = report.lagrange_h
     return work, report

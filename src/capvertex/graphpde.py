@@ -30,9 +30,9 @@ the residual's 2-norm less than tenfold, and at a step predicted to end the
 solve; otherwise it is their choice 2, 0.9 times the last reduction ratio
 squared, so that GMRES does not over-solve while Newton converges
 quadratically. A step that misses the test is still taken, under the line
-search, and the next one is solved tight. Only data with a corner outside
-Concus & Finn's admissible rectangle (D1 or D2) have been seen to miss it.
-The step differs from the mean-zero one by a constant that the line search's
+search, and the next one is solved tight. Only data with a D2 corner have
+been seen to miss it (``RectangleProblem`` refuses D1 corners). The step
+differs from the mean-zero one by a constant that the line search's
 re-centring removes.
 """
 
@@ -46,7 +46,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from .errors import DomainError, IncompatibleDataError, NonConvergenceError
+from .errors import DomainError, IncompatibleDataError, NoSolutionError, NonConvergenceError
+from .geometry import _CODE_TO_TAG, QTag, classify_grid
 
 __all__ = ["RectangleProblem", "GraphField", "compatibility_h", "solve_rectangle"]
 
@@ -77,6 +78,19 @@ _FORCING_FLOOR = 1e-3
 # any other step is tight
 _FAST_RATIO = 0.1
 _FORCING_GAMMA = 0.9
+# each corner's two walls, as (side, end) indices into the (left, right,
+# bottom, top) angles; every corner is a right-angled wedge, alpha = pi/4
+_CORNERS = {"left-bottom": (0, 2), "left-top": (0, 3),
+            "right-bottom": (1, 2), "right-top": (1, 3)}
+# the corner classes near which a solution may exist
+_SOLVABLE = (QTag.INTERIOR_Q, QTag.D2)
+
+
+def _cosines(gammas) -> np.ndarray:
+    """cos(gamma) per angle, with the float pi/2 taken as the exact right
+    angle so that its cosine is a true zero."""
+    c = np.cos(np.asarray(gammas, dtype=float))
+    return np.where(np.abs(c) < 4e-16, 0.0, c)
 
 
 def compatibility_h(a: float, b: float, gammas) -> float:
@@ -87,9 +101,7 @@ def compatibility_h(a: float, b: float, gammas) -> float:
     """
     if a <= 0 or b <= 0:
         raise DomainError("side lengths must be positive")
-    # treat the float pi/2 as the exact right angle so its cosine is a true zero
-    c = np.cos(np.asarray(gammas, dtype=float))
-    cl, cr, cb, ct = np.where(np.abs(c) < 4e-16, 0.0, c)
+    cl, cr, cb, ct = _cosines(gammas)
     return (b * (cl + cr) + a * (cb + ct)) / (2.0 * a * b)
 
 
@@ -99,6 +111,13 @@ class RectangleProblem:
 
     ``h`` may be omitted, in which case the compatibility value is used; a
     supplied ``h`` must match it to 1e-10.
+
+    Each corner is a right-angled wedge, and its (side, end) angle pair is
+    classified against Concus & Finn's admissible rectangle at alpha = pi/4
+    (``corners``). No solution exists near a D1 corner (Acta Math. 132, 1974;
+    SIAM J. Math. Anal. 27, 1996), so a corner in D1 or on the rectangle's
+    boundary raises ``NoSolutionError``. InteriorQ and D2 corners are solved;
+    near a D2 corner the solution may be discontinuous.
     """
 
     a: float
@@ -133,13 +152,18 @@ class RectangleProblem:
             raise IncompatibleDataError(
                 f"prescribed h = {self.h} violates the flux balance (want {h0})"
             )
-        if self.equal_angles:
-            g = self.gammas[0]
-            # existence window for the single-angle rectangle problem
-            if not np.pi / 4 < g < np.pi / 2:
-                raise DomainError(
-                    "equal-angle rectangle data require pi/4 < gamma < pi/2"
-                )
+        for name, tag in self.corners.items():
+            if tag not in _SOLVABLE:
+                raise NoSolutionError(
+                    f"corner {name} classifies as {tag.value}; no solution exists near it")
+
+    @property
+    def corners(self) -> dict[str, QTag]:
+        """The class of each corner's (side, end) angle pair, by corner name."""
+        g = np.array(self.gammas)
+        sides, ends = zip(*_CORNERS.values())
+        codes, _ = classify_grid(np.pi / 4, g[list(sides)], g[list(ends)])
+        return {name: _CODE_TO_TAG[code] for name, code in zip(_CORNERS, codes.tolist())}
 
     @property
     def equal_angles(self) -> bool:
@@ -425,10 +449,13 @@ def _initial_guess(prob: RectangleProblem) -> np.ndarray:
     x = (np.arange(nx) + 0.5) * hx - prob.a / 2
     y = (np.arange(ny) + 0.5) * hy - prob.b / 2
     xx, yy = np.meshgrid(x, y, indexing="ij")
-    if prob.equal_angles and abs(prob.a - prob.b) < 1e-14:
-        # the exact lower cap solves the square problem
-        radius = prob.a / (2.0 * np.cos(prob.gammas[0]))
-        u = -np.sqrt(radius ** 2 - xx ** 2 - yy ** 2)
+    c = float(_cosines(prob.gammas[0]))
+    if prob.equal_angles and abs(prob.a - prob.b) < 1e-14 and c != 0.0:
+        # an exact cap solves the square problem: the lower one for
+        # cos(gamma) > 0, the upper one for cos(gamma) < 0; at a right angle
+        # the compatible h is 0 and the paraboloid below is flat
+        radius = prob.a / (2.0 * c)
+        u = -np.sign(c) * np.sqrt(radius ** 2 - xx ** 2 - yy ** 2)
     else:
         u = 0.5 * prob.h * (xx ** 2 + yy ** 2)
     return u - u.mean()
@@ -450,7 +477,9 @@ def _checked_initial(initial, shape) -> np.ndarray:
 
 
 def exact_square_cap(prob: RectangleProblem) -> np.ndarray:
-    """Mean-zero samples of the exact spherical-cap solution (square, equal angles)."""
+    """Mean-zero samples of the exact spherical-cap solution (square, equal
+    angles): the lower cap for cos(gamma) > 0, the upper one for
+    cos(gamma) < 0, and the flat field at a right angle."""
     if not prob.equal_angles or abs(prob.a - prob.b) > 1e-14:
         raise DomainError("exact cap exists only for the equal-angle square")
     return _initial_guess(prob)

@@ -269,17 +269,16 @@ class TriMeshDrop:
     """Oriented triangulated disk with per-vertex constraint tags."""
 
     def __init__(self, vertices, triangles, tag_kind, tag_id, support: SupportAdapter,
-                 target_volume: float | None = None, lagrange_h: float = 0.0):
+                 target_volume: float | None = None):
         self.vertices = np.array(vertices, dtype=float)
         self._topology = _Topology(triangles, tag_kind, tag_id)
         self.support = support
         self.target_volume = target_volume
-        self.lagrange_h = float(lagrange_h)
 
     def copy(self) -> "TriMeshDrop":
         """Independent vertices; the topology is shared, as it cannot change in place."""
         out = TriMeshDrop(self.vertices, self.triangles, self.tag_kind, self.tag_id,
-                          self.support, self.target_volume, self.lagrange_h)
+                          self.support, self.target_volume)
         out._topology = self._topology
         return out
 
@@ -584,7 +583,7 @@ def refine(mesh: TriMeshDrop) -> TriMeshDrop:
     """Uniform 4-to-1 subdivision; wall midpoints are projected onto their walls."""
     v, t, tk, ti = _subdivide(mesh.vertices, mesh.triangles, mesh.tag_kind,
                               mesh.tag_id, mesh.support)
-    out = TriMeshDrop(v, t, tk, ti, mesh.support, mesh.target_volume, mesh.lagrange_h)
+    out = TriMeshDrop(v, t, tk, ti, mesh.support, mesh.target_volume)
     out.validate()
     return out
 

@@ -79,6 +79,19 @@ def test_solve_graph_scenario_reports_sphere_fit(tmp_path):
     assert header == "x,y,u"
 
 
+def test_solve_graph_reports_each_corners_class(tmp_path):
+    # equal angles above a right angle: the upper cap, every corner interior
+    cfg = _write_config(tmp_path, "g.json", {
+        "kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [1.9] * 4, "grid_n": 16,
+    })
+    out = tmp_path / "out"
+    assert run(cfg, out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["corners"] == dict.fromkeys(
+        ["left-bottom", "left-top", "right-bottom", "right-top"], "InteriorQ")
+    assert report["trace"]["missed"] == [False] * report["iterations"]
+
+
 # cells whose shortest round-trip text is unusual: signed zero, the smallest
 # subnormal, and a power of ten that %g and format() could write differently
 _EDGE_VALUES = [-0.0, 5e-324, 1e22, -1e22, 1e16, 0.1, 1.0 / 3.0, -2.5e-300]
@@ -338,10 +351,11 @@ _FLAT_ORTHANT = {"kind": "evolve", "support": "orthant",
     {"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [math.pi / 3] * 4,
      "grid_n": "32"},
     {"kind": "solve-graph", "a": 0.1, "b": 1.0, "gammas": [math.pi / 3] * 4, "grid_n": 16},
-    # data with a corner outside the admissible rectangle whose solve stalls:
-    # the stall is the one line, with no linear-algebra warning before it
+    # data with a D1 corner, right-bottom here, admit no solution: refused on
+    # that corner before any solve (this one's solve used to stall)
     {"kind": "solve-graph", "a": 1.0, "b": 2.0, "gammas": [0.47257357456288734,
      2.1906296255029334, 2.5474611215010237, 3.0363218139332355], "grid_n": 48},
+    {"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [0.5] * 4, "grid_n": 16},
     # sizes past their ceilings; the first two would ask for 11 GiB and 1.2 TiB
     {"kind": "classify", "alpha": 0.0, "grid": 38452},
     {"kind": "solve-graph", "a": 9036.0, "b": 9036.0, "gammas": [0, 0, 0, 1.42]},

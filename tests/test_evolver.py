@@ -109,10 +109,11 @@ def test_evolve_perturbed_octant_returns_to_sphere():
     assert rep.final_energy <= energy(m).total + 1e-12
 
 
-def test_evolve_traces_each_outer_loop():
+def test_evolve_traces_each_outer_loop(monkeypatch):
     m = perturb(seed_mesh(TrihedralConfig.orthant((np.pi / 2,) * 3), h=1.0,
                           refinement_level=1), 0.01, seed=3)
-    out, rep = evolve(m, max_iters=120, n_outer=4)
+    monkeypatch.setattr(evolver, "_OUTER_LOOPS", 4)
+    out, rep = evolve(m, max_iters=120)
     assert 1 <= len(rep.trace) <= 4
     assert sum(r["nit"] for r in rep.trace) == rep.iterations
     for r in rep.trace:
@@ -171,7 +172,8 @@ def test_evolve_builds_the_wall_layout_and_basis_transpose_once(monkeypatch):
     monkeypatch.setattr(evolver, "_build_wall_layout",
                         counted("layout", evolver._build_wall_layout))
     monkeypatch.setattr(meshes, "_build_transpose", counted("transpose", meshes._build_transpose))
-    evolve(m, max_iters=60, n_outer=3)
+    monkeypatch.setattr(evolver, "_OUTER_LOOPS", 3)
+    evolve(m, max_iters=60)
     assert calls["evaluate"] > 0
     assert calls["wall_polylines"] == calls["layout"] == calls["transpose"] == 1
 

@@ -8,7 +8,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from capvertex.errors import DomainError, IncompatibleDataError, NonConvergenceError
+from capvertex.errors import (DomainError, IncompatibleDataError, NoSolutionError,
+                              NonConvergenceError)
+from capvertex.geometry import QTag
 from capvertex.graphpde import (
     _FORCING,
     _GMRES_RTOL,
@@ -22,6 +24,10 @@ from capvertex.graphpde import (
     exact_square_cap,
     solve_rectangle,
 )
+
+
+# corner names in the order RectangleProblem reports them
+_CORNER_NAMES = ["left-bottom", "left-top", "right-bottom", "right-top"]
 
 
 def _difference(n: int) -> sp.csr_matrix:
@@ -154,12 +160,25 @@ def test_problem_derives_h_and_validates():
         RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, h=0.123, grid_n=16)
 
 
-def test_equal_angle_existence_window_enforced():
-    with pytest.raises(DomainError):
-        RectangleProblem(1.0, 1.0, (0.5,) * 4, grid_n=16)   # below pi/4
-    with pytest.raises(DomainError):
-        RectangleProblem(1.0, 1.0, (1.6,) * 4, grid_n=16)   # above pi/2
-    RectangleProblem(1.0, 1.0, (1.0,) * 4, grid_n=16)
+@pytest.mark.parametrize("gamma, tag", [
+    # |2 gamma - pi| > pi/2: no solution near any corner; on the boundary at
+    # pi/4 and 3pi/4
+    (0.5, "D1"), (np.pi / 4, "BoundaryQ_D1"), (3 * np.pi / 4, "BoundaryQ_D1"), (2.5, "D1"),
+    # interior corners, both sides of the right angle
+    (1.6, None), (1.9, None), (2.3, None), (np.pi / 2, None),
+])
+def test_an_equal_angle_square_is_decided_by_its_corners(gamma, tag):
+    if tag is not None:
+        with pytest.raises(NoSolutionError, match=f"^corner left-bottom classifies as {tag};"):
+            RectangleProblem(1.0, 1.0, (gamma,) * 4, grid_n=16)
+        return
+    p = RectangleProblem(1.0, 1.0, (gamma,) * 4, grid_n=16)
+    assert list(p.corners.values()) == [QTag.INTERIOR_Q] * 4
+    f = solve_rectangle(p)
+    assert f.final_residual < 1e-10 and not any(f.trace["missed"])
+    if gamma == np.pi / 2:
+        # walls at right angles: the flat field, h = 0
+        assert p.h == 0.0 and not f.u.any()
 
 
 def test_grid_floor():
@@ -387,7 +406,8 @@ def test_steps_that_miss_the_acceptance_test_are_taken_and_the_solve_converges()
 
 
 @pytest.mark.parametrize("b, gammas", [
-    # sample problems 77 (D2 corner) and 150 of the 160-problem sample
+    # problems 77 (D2 corner) and 150 of the earlier draw that problem 68 below
+    # comes from
     (2.0, (3.0824991829626978, 1.1162449389371245, 0.5701775555732299, 1.2413151926152466)),
     (1.0, (0.06878739705274245, 2.243492557073295, 2.1079551647907784, 2.048026624226423)),
 ])
@@ -430,14 +450,77 @@ def test_a_solve_whose_every_step_misses_takes_them_tight_to_the_same_field(
     assert np.abs(f.u - ref.u).max() <= 1e-13 * np.abs(ref.u).max()
 
 
-def test_a_solve_on_singular_pinned_data_fails_with_no_warning():
-    # sample problem 68: its pinned Jacobian is exactly singular
-    p = RectangleProblem(1.0, 2.0, (0.47257357456288734, 2.1906296255029334,
-                                    2.5474611215010237, 3.0363218139332355), grid_n=48)
+def test_singular_pinned_data_are_refused_at_their_d1_corner_with_no_warning():
+    # problem 68 of an earlier draw (angles default_rng(0).uniform(0.05,
+    # pi - 0.05, (160, 4)), b cycling through 1, 1.5, 2), whose pinned
+    # Jacobian is exactly singular and whose solve stalled: its right-bottom
+    # angle pair sums to more than 3 pi/2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NonConvergenceError, match="line search stagnated"):
-            solve_rectangle(p)
+        with pytest.raises(NoSolutionError, match="^corner right-bottom classifies as D1;"):
+            RectangleProblem(1.0, 2.0, (0.47257357456288734, 2.1906296255029334,
+                                        2.5474611215010237, 3.0363218139332355), grid_n=48)
+
+
+def _random_problems():
+    """The 160-problem sample: a = 1, b drawn from (1, 1.5, 2), then four
+    angles uniform in [0.05, pi - 0.05], as (b, gammas)."""
+    rng = np.random.default_rng(0)
+    return [(float(rng.choice([1, 1.5, 2])), tuple(rng.uniform(0.05, np.pi - 0.05, 4)))
+            for _ in range(160)]
+
+
+def _corner_tags(gammas):
+    """The four corners' classes, from the admissible rectangle's own tests
+    at alpha = pi/4: D1 beyond |g1 + g2 - pi| = pi/2, D2 beyond
+    |g1 - g2| = pi/2 (no sample pair is within 1e-9 of either)."""
+    left, right, bottom, top = gammas
+    return ["D1" if abs(s + e - np.pi) > np.pi / 2 else
+            "D2" if abs(s - e) > np.pi / 2 else "InteriorQ"
+            for s, e in ((left, bottom), (left, top), (right, bottom), (right, top))]
+
+
+def test_the_random_sample_is_refused_at_d1_corners_and_solves_inside(monkeypatch):
+    misses = _recording_misses(monkeypatch)
+    counts = {"D1": 0, "D2": 0, "InteriorQ": 0}
+    for b, gammas in _random_problems():
+        tags = _corner_tags(gammas)
+        if "D1" in tags:
+            counts["D1"] += 1
+            steps = len(misses)
+            name = _CORNER_NAMES[tags.index("D1")]
+            with pytest.raises(NoSolutionError, match=f"^corner {name} classifies as D1;"):
+                solve_rectangle(RectangleProblem(1.0, b, gammas, grid_n=16))
+            assert len(misses) == steps                 # no Newton step was taken
+        elif "D2" in tags:
+            # solved, perhaps with missed steps; too slow to repeat here
+            counts["D2"] += 1
+            assert [t.value for t in RectangleProblem(1.0, b, gammas, grid_n=16)
+                    .corners.values()] == tags
+        else:
+            counts["InteriorQ"] += 1
+            f = solve_rectangle(RectangleProblem(1.0, b, gammas, grid_n=16))
+            assert f.final_residual < 1e-10
+            assert f.trace["missed"] == (False,) * f.iterations
+    assert counts == {"D1": 89, "D2": 39, "InteriorQ": 32}
+
+
+@pytest.mark.parametrize("b, gamma", [(1.0, 1.0), (1.0, 1.2), (2.0, 1.0), (2.0, 1.2)])
+def test_the_field_for_pi_minus_gamma_is_minus_the_field_for_gamma(b, gamma):
+    # reflecting the surface in a horizontal plane turns each angle into its
+    # supplement; 5.2e-16 of the field's scale measured
+    u = solve_rectangle(RectangleProblem(1.0, b, (gamma,) * 4, grid_n=32)).u
+    v = solve_rectangle(RectangleProblem(1.0, b, (np.pi - gamma,) * 4, grid_n=32)).u
+    assert np.abs(u + v).max() <= 1e-15 * np.abs(u).max()
+
+
+def test_the_exact_cap_above_a_right_angle_is_the_upper_cap():
+    # the criterion-05 tolerance; 1.6e-6 measured at 64^2
+    p = RectangleProblem(1.0, 1.0, (1.9,) * 4, grid_n=64)
+    u = exact_square_cap(p)
+    assert np.abs(solve_rectangle(p).u - u).max() < 5e-3
+    # the upper cap bulges up: its centre is its highest point
+    assert u[32, 32] == u.max()
 
 
 def test_trace_records_the_damped_steps_of_a_far_start():
