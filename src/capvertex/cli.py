@@ -3,8 +3,9 @@
 Scenarios are described by JSON config files. Artifacts are OBJ meshes (with
 constraint tags in comment records), RFC-4180 CSV fields, and JSON reports.
 Exit codes: 0 success / all criteria pass, 1 criterion failure, 2 error. No
-partial artifacts are written on exit 2: every scenario computes first and
-writes at the end.
+partial artifacts are written on exit 2: the scenario runners parse and
+compute, and ``run`` alone writes, after them. A config key that no reader
+consumed is refused before any computation.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .analytic import (
     SphericalGraphField,
 )
 from .diagnostics import diagnostics_report, fit_plane, fit_sphere, umbilicity_rms
-from .errors import (DomainError, IncompatibleDataError, MeshDegenerationError,
-                     NoSolutionError, NonConvergenceError)
+from .errors import DomainError, MeshDegenerationError, NoSolutionError, NonConvergenceError
 from .geometry import (
     QTag,
     TrihedralConfig,
@@ -89,12 +89,14 @@ def _load_config(path) -> dict:
 
 
 def _require(cfg: dict, key, types, where):
+    """Takes ``key`` out of ``cfg``: every reader consumes the keys it reads."""
     if key not in cfg:
         raise ConfigError(f"{where}: missing required key '{key}'")
+    value = cfg.pop(key)
     # bool is a subclass of int, but true/false never stand for a number
-    if isinstance(cfg[key], bool) or not isinstance(cfg[key], types):
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"{where}: key '{key}' has the wrong type")
-    return cfg[key]
+    return value
 
 
 _REQUIRED = object()
@@ -103,6 +105,7 @@ _REQUIRED = object()
 def _number(cfg: dict, key, where, default=_REQUIRED):
     """A finite real value; an absent or null key gives ``default`` when one is set."""
     if default is not _REQUIRED and cfg.get(key) is None:
+        cfg.pop(key, None)
         return default
     value = float(_require(cfg, key, (int, float), where))
     if not np.isfinite(value):
@@ -122,7 +125,7 @@ def _integer(cfg: dict, key, where, default, minimum=1, maximum=None):
 
 
 def _flag(cfg: dict, key, where, default):
-    value = cfg.get(key, default)
+    value = cfg.pop(key, default)
     if not isinstance(value, bool):
         raise ConfigError(f"{where}: key '{key}' must be true or false")
     return value
@@ -136,6 +139,14 @@ def _angles(cfg, key, n, where):
     if not all(0.0 <= v <= np.pi for v in vals):
         raise ConfigError(f"{where}: angles must lie in [0, pi]")
     return [float(v) for v in vals]
+
+
+def _parsed(cfg: dict, where) -> _Stopwatch:
+    """Ends parsing: refuses any key no reader consumed, then starts the stage clock."""
+    if cfg:
+        raise ConfigError(f"{where}: unused key{'s' if len(cfg) > 1 else ''} "
+                          + ", ".join(map(repr, cfg)))
+    return _Stopwatch()
 
 
 def _write_grid_csv(path, header, x, y, coord, cell, columns):
@@ -184,85 +195,66 @@ def _support_from_config(cfg, where):
 
 
 # -- scenarios -------------------------------------------------------------
+#
+# Each runner returns its stage clock, its report fields and the writer of its
+# artifacts, or None when it has none.
 
 
-def _run_classify(cfg, out: Path, seed: int, where: str) -> int:
+def _run_classify(cfg, seed: int, where: str):
     alpha = _number(cfg, "alpha", where)
     n = _integer(cfg, "grid", where, 181, maximum=_MAX_GRID)
-    clock = _Stopwatch()
+    clock = _parsed(cfg, where)
     g = np.linspace(0.0, np.pi, n)
     # a broadcast grid: classify_grid checks alpha before any n^2 array exists
     codes, numer = classify_grid(alpha, g[:, None], g[None, :])
     clock.lap("classify")
     # the codes number the tags 0, 1, ...
     names = np.array([tag.name for tag in sorted(TAG_CODES, key=TAG_CODES.get)], dtype=object)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_grid_csv(out / "classification.csv", ["gamma1", "gamma2", "class", "numerator"],
-                    g, g, "%.12g", "%s,%.17g", [names[codes], numer])
-    clock.lap("write")
-    report = {"scenario": "classify", "alpha": alpha, "grid": n, "seed": seed,
-              "version": __version__, "timings": clock.seconds}
-    (out / "report.json").write_text(json.dumps(report, indent=2))
-    return 0
+    return clock, {"alpha": alpha, "grid": n}, lambda out: _write_grid_csv(
+        out / "classification.csv", ["gamma1", "gamma2", "class", "numerator"],
+        g, g, "%.12g", "%s,%.17g", [names[codes], numer])
 
 
-def _run_cap(cfg, out: Path, seed: int, where: str) -> int:
+def _run_cap(cfg, seed: int, where: str):
     config = _support_from_config(cfg, where)
     h = _number(cfg, "h", where, None)
     refinement = _integer(cfg, "refinement", where, 2, minimum=0, maximum=_MAX_REFINEMENT)
-    clock = _Stopwatch()
+    clock = _parsed(cfg, where)
     cap = support_cap(config, h)
     clock.lap("cap")
-    report = {"scenario": "cap", "seed": seed, "version": __version__}
-    mesh = None
-    if isinstance(cap, SphericalCap):
-        report.update(kind="spherical", center=list(map(float, cap.center)),
-                      radius=float(cap.radius), h_signed=float(cap.h_signed),
-                      degenerate=bool(cap.degenerate))
-        mesh = seed_mesh(config, h, refinement_level=refinement)
-        clock.lap("seed")
-    else:
-        report.update(kind="planar", normal=list(map(float, cap.normal)),
-                      point=list(map(float, cap.point)))
-    out.mkdir(parents=True, exist_ok=True)
-    if mesh is not None:
-        write_obj(mesh, out / "cap.obj")
-    clock.lap("write")
-    report["timings"] = clock.seconds
-    (out / "report.json").write_text(json.dumps(report, indent=2))
-    return 0
+    if not isinstance(cap, SphericalCap):
+        return clock, {"kind": "planar", "normal": list(map(float, cap.normal)),
+                       "point": list(map(float, cap.point))}, None
+    mesh = seed_mesh(config, h, refinement_level=refinement)
+    clock.lap("seed")
+    return clock, {"kind": "spherical", "center": list(map(float, cap.center)),
+                   "radius": float(cap.radius), "h_signed": float(cap.h_signed),
+                   "degenerate": bool(cap.degenerate)}, lambda out: write_obj(mesh, out / "cap.obj")
 
 
-def _run_solve_graph(cfg, out: Path, seed: int, where: str) -> int:
+def _run_solve_graph(cfg, seed: int, where: str):
     a = _number(cfg, "a", where)
     b = _number(cfg, "b", where)
     gammas = tuple(_angles(cfg, "gammas", 4, where))
     grid_n = _integer(cfg, "grid_n", where, 32)
-    clock = _Stopwatch()
+    clock = _parsed(cfg, where)
     prob = RectangleProblem(a, b, gammas, grid_n=grid_n)
     field = solve_rectangle(prob)
     pts = field.points()
     clock.lap("solve")
     fit = fit_sphere(pts)
     clock.lap("fit")
-    out.mkdir(parents=True, exist_ok=True)
-    _write_grid_csv(out / "field.csv", ["x", "y", "u"], field.x, field.y, "%.17g", "%.17g",
-                    [field.u])
-    clock.lap("write")
-    report = {
-        "scenario": "solve-graph", "seed": seed, "version": __version__,
+    return clock, {
         "a": a, "b": b, "gammas": list(gammas), "grid_n": grid_n,
         "h": prob.h, "corners": {k: tag.value for k, tag in prob.corners.items()},
         "iterations": field.iterations,
         "final_residual": field.final_residual, "trace": field.trace,
         "sphere_fit_relative_rms": fit.relative_rms,
-        "timings": clock.seconds,
-    }
-    (out / "report.json").write_text(json.dumps(report, indent=2))
-    return 0
+    }, lambda out: _write_grid_csv(out / "field.csv", ["x", "y", "u"], field.x, field.y,
+                                   "%.17g", "%.17g", [field.u])
 
 
-def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
+def _run_evolve(cfg, seed: int, where: str):
     config = _support_from_config(cfg, where)
     h = _number(cfg, "h", where, None)
     if _flag(cfg, "planar", where, False):      # another spelling of h = 0
@@ -275,23 +267,18 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
     if not 0.0 <= amp <= _MAX_PERTURBATION:
         raise ConfigError(f"{where}: key 'perturbation' must lie in [0, "
                           f"{_MAX_PERTURBATION:g}], got {amp}")
-    options = {"max_iters": _integer(cfg, "max_iters", where, 1000),
-               "grad_tol": _number(cfg, "grad_tol", where, 1e-6),
-               "fixed_volume": _flag(cfg, "fixed_volume", where, True)}
-    clock = _Stopwatch()
+    max_iters = _integer(cfg, "max_iters", where, 1000)
+    grad_tol = _number(cfg, "grad_tol", where, 1e-6)
+    clock = _parsed(cfg, where)
     mesh = seed_mesh(config, h, target_volume, refinement)
     if amp > 0.0:
         mesh = perturb(mesh, amp, seed=seed)
     clock.lap("seed")
-    evolved, rep = evolve(mesh, **options)
+    evolved, rep = evolve(mesh, max_iters=max_iters, grad_tol=grad_tol)
     clock.lap("evolve")
     diag = diagnostics_report(evolved)
     clock.lap("diagnostics")
-    out.mkdir(parents=True, exist_ok=True)
-    write_obj(evolved, out / "evolved.obj")
-    clock.lap("write")
-    report = {
-        "scenario": "evolve", "seed": seed, "version": __version__,
+    return clock, {
         "iterations": rep.iterations, "converged": rep.converged,
         "final_energy": rep.final_energy,
         "final_gradient_norm": rep.final_gradient_norm,
@@ -299,10 +286,7 @@ def _run_evolve(cfg, out: Path, seed: int, where: str) -> int:
         "lagrange_h": rep.lagrange_h,
         "trace": rep.trace,
         "diagnostics": json.loads(diag.to_json()),
-        "timings": clock.seconds,
-    }
-    (out / "report.json").write_text(json.dumps(report, indent=2))
-    return 0
+    }, lambda out: write_obj(evolved, out / "evolved.obj")
 
 
 # -- verification suites ---------------------------------------------------
@@ -607,35 +591,28 @@ _SUITE_RUNNERS = {
     "umbilicity": _suite_umbilicity,
     "gradient": _suite_gradient,
 }
-_SUITES = tuple(_SUITE_RUNNERS)
 
 
 def verify_suite(name: str, seed: int = 0, **opts) -> list:
     """Run a named verification recipe; returns a list of outcome records."""
-    if name not in _SUITES:
-        raise DomainError(f"unknown suite '{name}'; choose from {_SUITES}")
+    if name not in _SUITE_RUNNERS:
+        raise DomainError(f"unknown suite {name!r}; choose from {', '.join(_SUITE_RUNNERS)}")
     return _SUITE_RUNNERS[name]({"seed": _check_seed(seed), **opts})
 
 
-def _run_verify(cfg, out: Path, seed: int, where: str) -> int:
+def _run_verify(cfg, seed: int, where: str):
     suite = _require(cfg, "suite", str, where)
-    if suite not in _SUITES:
-        raise ConfigError(f"{where}: unknown suite {suite!r}")
     bounds = {"refinement": (0, _MAX_REFINEMENT), "grid_n": (1, None), "max_iters": (1, None)}
     opts = {k: _integer(cfg, k, where, None, *bounds[k]) for k in bounds if k in cfg}
-    clock = _Stopwatch()
+    clock = _parsed(cfg, where)
     outcomes = verify_suite(suite, seed=seed, **opts)
     clock.lap("suite")
-    out.mkdir(parents=True, exist_ok=True)
-    report = {"scenario": "verify", "suite": suite, "seed": seed,
-              "version": __version__, "outcomes": outcomes,
-              "pass": all(o["pass"] for o in outcomes), "timings": clock.seconds}
-    (out / "report.json").write_text(json.dumps(report, indent=2))
     for o in outcomes:
         status = "PASS" if o["pass"] else "FAIL"
         print(f"[{status}] {suite}/{o['criterion']}: measured {o['measured']} "
               f"vs threshold {o['threshold']}")
-    return 0 if report["pass"] else 1
+    return clock, {"suite": suite, "outcomes": outcomes,
+                   "pass": all(o["pass"] for o in outcomes)}, None
 
 
 _SCENARIOS = {
@@ -665,29 +642,38 @@ def _seed_arg(text: str) -> int:
 
 def run(config_path, out_dir=None, seed: int = 0, subcommand=None) -> int:
     """Execute one scenario config; returns the process exit code. A ``seed``
-    other than an integer in [0, 2**64) is refused with exit 2."""
+    other than an integer in [0, 2**64) is refused with exit 2, and a
+    failing ``verify`` report exits 1."""
+    where = str(config_path)
     try:
         seed = _check_seed(seed)
         cfg = _load_config(config_path)
-        kind = _require(cfg, "kind", str, str(config_path))
+        kind = _require(cfg, "kind", str, where)
         if kind not in _SCENARIOS:
-            raise ConfigError(f"{config_path}: unrecognized kind {kind!r}")
+            raise ConfigError(f"{where}: unrecognized kind {kind!r}")
         if subcommand is not None and kind != subcommand:
             raise ConfigError(
-                f"{config_path}: config kind '{kind}' does not match "
-                f"subcommand '{subcommand}'")
-        out = Path(out_dir) if out_dir is not None else Path(cfg.get("out", "out"))
-        return _SCENARIOS[kind](cfg, out, seed, str(config_path))
+                f"{where}: config kind '{kind}' does not match subcommand '{subcommand}'")
+        out = _require(cfg, "out", str, where) if "out" in cfg else "out"
+        out = Path(out_dir if out_dir is not None else out)
+        clock, fields, write = _SCENARIOS[kind](cfg, seed, where)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, NoSolutionError, IncompatibleDataError,
-            NonConvergenceError, MeshDegenerationError) as exc:
+    except (DomainError, NoSolutionError, NonConvergenceError, MeshDegenerationError) as exc:
         # a solve that failed to converge ends the line with its last residuals
         last = getattr(exc, "trace", [])[-_TRACE_TAIL:]
         tail = "; last residuals " + ", ".join(f"{r:.6e}" for r in last) if last else ""
         print(f"error: {exc}{tail}", file=sys.stderr)
         return 2
+    out.mkdir(parents=True, exist_ok=True)
+    if write is not None:
+        write(out)
+        clock.lap("write")
+    report = {"scenario": kind, "seed": seed, "version": __version__, **fields,
+              "timings": clock.seconds}
+    (out / "report.json").write_text(json.dumps(report, indent=2))
+    return 0 if report.get("pass", True) else 1
 
 
 def main(argv=None) -> int:

@@ -13,10 +13,6 @@ class NoSolutionError(Exception):
     """The requested configuration admits no solution of the requested type."""
 
 
-class IncompatibleDataError(ValueError):
-    """Boundary data violate the divergence-theorem compatibility identity."""
-
-
 class NonConvergenceError(RuntimeError):
     """An iterative solve failed to reach its residual target."""
 

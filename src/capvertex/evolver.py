@@ -224,14 +224,14 @@ def vertex_dual_areas(mesh: TriMeshDrop) -> np.ndarray:
 # -- volume restoration ----------------------------------------------------
 
 
-def _restore_volume(mesh: TriMeshDrop, target: float) -> float:
+def _restore_volume(mesh: TriMeshDrop, target: float):
     """Move along the projected volume gradient until the volume matches."""
     scale = max(abs(target), 1e-30)
     for _ in range(_RESTORE_STEPS):
         ev = _evaluate(mesh)
         err = ev.breakdown.volume - target
         if abs(err) <= _RESTORE_RTOL * scale:
-            return err
+            return
         m = project_tangent(mesh, ev.volume_gradient)
         denom = float(np.einsum("ij,ij->", m, m))
         if denom < 1e-30:
@@ -240,7 +240,6 @@ def _restore_volume(mesh: TriMeshDrop, target: float) -> float:
     err = volume(mesh) - target
     if not abs(err) <= 1e-8 * scale:    # a NaN error fails too
         raise NonConvergenceError("volume restoration stalled", trace=[err])
-    return err
 
 
 def _smooth(mesh: TriMeshDrop, coeff: float):
@@ -259,23 +258,21 @@ def _smooth(mesh: TriMeshDrop, coeff: float):
     mesh.vertices += coeff * project_tangent(mesh, disp)
 
 
-def _residual_norm(mesh: TriMeshDrop, fixed_volume: bool):
+def _residual_norm(mesh: TriMeshDrop):
     """Max constrained-force residual, the Lagrange multiplier estimate and
     the energy breakdown, all from one evaluation of the mesh."""
     ev = _evaluate(mesh)
     ge = project_tangent(mesh, ev.energy_gradient)
     lam = 0.0
-    if fixed_volume:
-        gv = project_tangent(mesh, ev.volume_gradient)
-        gv2 = float(np.einsum("ij,ij->", gv, gv))
-        if gv2 > 1e-30:
-            lam = float(np.einsum("ij,ij->", ge, gv)) / gv2
-            ge = ge - lam * gv
+    gv = project_tangent(mesh, ev.volume_gradient)
+    gv2 = float(np.einsum("ij,ij->", gv, gv))
+    if gv2 > 1e-30:
+        lam = float(np.einsum("ij,ij->", ge, gv)) / gv2
+        ge = ge - lam * gv
     return float(np.linalg.norm(ge, axis=1).max()), lam, ev.breakdown
 
 
-def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
-           fixed_volume: bool = True):
+def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8):
     """Minimize the capillary energy at fixed enclosed volume.
 
     Quasi-Newton descent in constraint-reduced coordinates with an augmented
@@ -288,7 +285,7 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
     from scipy.optimize import minimize
 
     work = mesh.copy()
-    _, lam_aug, state = _residual_norm(work, fixed_volume)
+    _, lam_aug, state = _residual_norm(work)
     target = work.target_volume if work.target_volume is not None else state.volume
     work.target_volume = target
     report = ConvergenceReport()
@@ -308,10 +305,9 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
         set_q(q)
         ev = _evaluate(work)
         e, g = ev.breakdown.total, ev.energy_gradient
-        if fixed_volume:
-            dv = ev.breakdown.volume - target
-            e += -lam_aug * dv + 0.5 * mu * dv * dv
-            g = g + (mu * dv - lam_aug) * ev.volume_gradient
+        dv = ev.breakdown.volume - target
+        e += -lam_aug * dv + 0.5 * mu * dv * dv
+        g = g + (mu * dv - lam_aug) * ev.volume_gradient
         return e, reduce_grad(g)
 
     best_state, best_resid = None, np.inf
@@ -322,8 +318,7 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
             trial = work.copy()
             _smooth(trial, _SMOOTHING)
             try:
-                if fixed_volume:
-                    _restore_volume(trial, target)
+                _restore_volume(trial, target)
                 ok = (trial.triangle_areas().min() > 1e-14)
             except (MeshDegenerationError, NonConvergenceError):
                 ok = False
@@ -341,27 +336,24 @@ def evolve(mesh: TriMeshDrop, max_iters: int = 2000, grad_tol: float = 1e-8,
         if min_area <= 1e-14:
             raise MeshDegenerationError("triangle collapsed during evolution")
 
-        gnorm, lam, state = _residual_norm(work, fixed_volume)
+        gnorm, lam, state = _residual_norm(work)
         dv = state.volume - target
-        if fixed_volume:
-            lam_aug -= mu * dv
-            if abs(dv) > 1e-4 * scale:
-                mu *= 10.0
+        lam_aug -= mu * dv
+        if abs(dv) > 1e-4 * scale:
+            mu *= 10.0
         if gnorm < best_resid:
             best_resid, best_state = gnorm, work.copy()
         report.trace.append({"nit": int(res.nit), "energy": float(state.total),
                              "residual": gnorm, "volume_error": float(dv), "mu": float(mu),
                              "multiplier": float(lam_aug), "min_area": min_area})
-        vol_ok = (not fixed_volume) or abs(dv) < 1e-6 * scale
-        if gnorm < grad_tol and vol_ok:
+        if gnorm < grad_tol and abs(dv) < 1e-6 * scale:
             report.converged = True
             break
 
     if best_state is not None:
         work = best_state
-    if fixed_volume:
-        _restore_volume(work, target)
-    gnorm, lam, state = _residual_norm(work, fixed_volume)
+    _restore_volume(work, target)
+    gnorm, lam, state = _residual_norm(work)
     if not (np.isfinite(work.vertices).all() and np.isfinite(state.total)):
         raise MeshDegenerationError("evolution reached non-finite vertices or energy")
     report.final_gradient_norm = gnorm

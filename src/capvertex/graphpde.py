@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from .errors import DomainError, IncompatibleDataError, NoSolutionError, NonConvergenceError
+from .errors import DomainError, NoSolutionError, NonConvergenceError
 from .geometry import _CODE_TO_TAG, QTag, classify_grid
 
 __all__ = ["RectangleProblem", "GraphField", "compatibility_h", "solve_rectangle"]
@@ -109,8 +109,8 @@ def compatibility_h(a: float, b: float, gammas) -> float:
 class RectangleProblem:
     """A rectangle with one constant contact angle per wall.
 
-    ``h`` may be omitted, in which case the compatibility value is used; a
-    supplied ``h`` must match it to 1e-10.
+    ``h``, the graph's mean curvature, is not given: the flux balance fixes it
+    (``compatibility_h``).
 
     Each corner is a right-angled wedge, and its (side, end) angle pair is
     classified against Concus & Finn's admissible rectangle at alpha = pi/4
@@ -123,7 +123,7 @@ class RectangleProblem:
     a: float
     b: float
     gammas: tuple[float, float, float, float]
-    h: float | None = None
+    h: float = field(init=False)
     grid_n: int = 32
 
     def __post_init__(self):
@@ -145,13 +145,7 @@ class RectangleProblem:
             raise DomainError(
                 f"grid of {self.shape[0]} x {self.shape[1]} cells: at most {_MAX_CELLS} allowed"
             )
-        h0 = compatibility_h(self.a, self.b, self.gammas)
-        if self.h is None:
-            object.__setattr__(self, "h", float(h0))
-        elif abs(self.h - h0) > 1e-10:
-            raise IncompatibleDataError(
-                f"prescribed h = {self.h} violates the flux balance (want {h0})"
-            )
+        object.__setattr__(self, "h", float(compatibility_h(self.a, self.b, self.gammas)))
         for name, tag in self.corners.items():
             if tag not in _SOLVABLE:
                 raise NoSolutionError(

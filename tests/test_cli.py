@@ -387,7 +387,7 @@ _FLAT_ORTHANT = {"kind": "evolve", "support": "orthant",
     {**_ORTHANT, "perturbation": math.inf},
     {**_ORTHANT, "target_volume": -1.0},
     # a perturbation is a fraction of the drop's diameter, at most 1
-    {**_ORTHANT, "perturbation": 1e100, "max_iters": 1, "fixed_volume": False},
+    {**_ORTHANT, "perturbation": 1e100, "max_iters": 1},
     {"kind": "evolve", "support": "wedge", "alpha": 0.40625, "gammas": [1.5, 2.0],
      "perturbation": 8.5e101, "target_volume": 2.0, "max_iters": 1},
     {**_ORTHANT, "perturbation": 1.0000001},
@@ -404,6 +404,8 @@ _FLAT_ORTHANT = {"kind": "evolve", "support": "orthant",
     {"kind": "verify", "suite": "a\nb"},
     {"kind": "\n"},
     {"kind": "verify", "suite": "wente", "grid_n": False},
+    # the output directory, when the config names it, is a string
+    {"kind": "classify", "alpha": math.pi / 4, "grid": 5, "out": 5},
 ], ids=lambda p: "-".join(f"{k}={v}" for k, v in p.items() if k != "gammas"))
 def test_bad_config_exits_2_with_one_line_and_no_artifacts(tmp_path, capsys, payload):
     cfg = _write_config(tmp_path, "bad.json", payload)
@@ -415,6 +417,44 @@ def test_bad_config_exits_2_with_one_line_and_no_artifacts(tmp_path, capsys, pay
     assert [str(w.message) for w in caught] == []
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, keys", [
+    ({"kind": "classify", "alpha": math.pi / 4, "grid_m": 9}, ["grid_m"]),
+    ({"kind": "cap", "support": "wedge", "alpha": math.pi / 4, "gammas": [2.0, 2.0],
+      "gamma": 2.0}, ["gamma"]),
+    ({"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [math.pi / 3] * 4, "grid_m": 16},
+     ["grid_m"]),
+    # both misspelt, this config used to run 155 unperturbed iterations
+    ({**_ORTHANT, "max_iter": 3, "perturbaton": 0.5}, ["max_iter", "perturbaton"]),
+    ({"kind": "verify", "suite": "wente", "suit": "caps"}, ["suit"]),
+    # only a wedge reads alpha
+    ({**_ORTHANT, "alpha": math.pi / 4, "max_iters": 5}, ["alpha"]),
+    # a key with a line break in it still makes one line
+    ({"kind": "classify", "alpha": math.pi / 4, "grid": 5, "a\nb": 1}, ["a\nb"]),
+], ids=lambda p: p["kind"] if isinstance(p, dict) else "-".join(p))
+def test_a_key_no_reader_consumes_exits_2_before_any_computation(
+        tmp_path, capsys, monkeypatch, payload, keys):
+    def computed(*args, **kwargs):
+        raise AssertionError("computation started before the config was refused")
+    for name in ("classify_grid", "support_cap", "RectangleProblem", "seed_mesh",
+                 "verify_suite"):
+        monkeypatch.setattr(cli, name, computed)
+    cfg = _write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert run(cfg, out) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert all(repr(key) in err for key in keys)
+    assert not out.exists()
+
+
+def test_the_out_key_is_read_when_the_output_directory_is_given(tmp_path):
+    cfg = _write_config(tmp_path, "c.json", {"kind": "classify", "alpha": math.pi / 4,
+                                             "grid": 5, "out": str(tmp_path / "unused")})
+    assert run(cfg, tmp_path / "given") == 0
+    assert (tmp_path / "given" / "report.json").exists()
+    assert not (tmp_path / "unused").exists()
 
 
 def test_h_0_seeds_the_flat_drop_and_planar_is_its_alias(tmp_path):
@@ -475,7 +515,8 @@ def test_the_seed_option_takes_the_ends_of_the_64_bit_range(tmp_path, text, seed
     ({"kind": "classify", "alpha": math.pi / 4, "grid": 9}, {"classify", "write"}),
     ({"kind": "cap", "support": "orthant", "gammas": [math.pi / 2] * 3, "refinement": 0},
      {"cap", "seed", "write"}),
-    ({"kind": "cap", "support": "cylinder", "gammas": [math.pi / 2] * 3}, {"cap", "write"}),
+    # a planar cap has no mesh to seed or write
+    ({"kind": "cap", "support": "cylinder", "gammas": [math.pi / 2] * 3}, {"cap"}),
     ({"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [math.pi / 3] * 4, "grid_n": 16},
      {"solve", "fit", "write"}),
     ({**_ORTHANT, "refinement": 0, "perturbation": 0.01, "max_iters": 5},
@@ -542,46 +583,64 @@ def _mostly(strategy, other=_OTHER):
 # triangles in a wedge and 36 * 4**r in a trihedral angle or cylinder, so it
 # stops at 3
 _SIZE = _mostly(st.integers(-3, 12))
+_REFINEMENT = _mostly(st.integers(-3, 3))
 # mostly positive: every number the scenarios read is valid there
 _NUMBER = _mostly(st.floats(0.0, 3.0), st.one_of(_OTHER, st.integers(), st.floats(-3.0, 0.0)))
-_SUPPORTS = {"wedge": 2, "orthant": 3, "cylinder": 3}      # support: its wall count
-# the keys each kind reads, present in most examples; grid_n and max_iters
-# always: an absent grid_n means 32 cells per unit of the unbounded sides a
-# and b, an absent max_iters 1000 evolve iterations
-_REQUIRED = {
-    "classify": {"alpha": _NUMBER},
-    "cap": {"alpha": _NUMBER},
-    "solve-graph": {"a": _NUMBER, "b": _NUMBER, "grid_n": _SIZE},
-    "evolve": {"alpha": _NUMBER, "max_iters": _SIZE},
-    "verify": {"suite": _mostly(st.sampled_from(["formulas", "wente", "caps"]))},
+# the keys each kind reads: (required, present in every example; optional,
+# present in some). grid_n and max_iters are always there: an absent grid_n
+# means 32 cells per unit of the unbounded sides a and b, an absent max_iters
+# 1000 evolve iterations
+_KEYS = {
+    "classify": ({"alpha": _NUMBER}, {"grid": _SIZE}),
+    "cap": ({}, {"h": _NUMBER, "refinement": _REFINEMENT}),
+    "solve-graph": ({"a": _NUMBER, "b": _NUMBER, "grid_n": _SIZE}, {}),
+    "evolve": ({"max_iters": _SIZE},
+               {"h": _NUMBER, "refinement": _REFINEMENT, "planar": _mostly(st.booleans()),
+                **{key: _NUMBER for key in ("perturbation", "grad_tol", "target_volume")}}),
+    "verify": ({"suite": _mostly(st.sampled_from(["formulas", "wente", "caps"]))},
+               {"refinement": _REFINEMENT, "grid_n": _SIZE, "max_iters": _SIZE}),
 }
-_OPTIONAL = {
-    "grid": _SIZE, "grid_n": _SIZE, "refinement": _mostly(st.integers(-3, 3)),
-    "planar": _mostly(st.booleans()), "fixed_volume": _mostly(st.booleans()),
-    **{key: _NUMBER for key in ("h", "inradius", "perturbation", "grad_tol", "target_volume")},
-}
+# each support of a cap or evolve: its wall count and the keys it reads
+_SUPPORTS = {"wedge": (2, {"alpha": _NUMBER}, {}), "orthant": (3, {}, {}),
+             "cylinder": (3, {}, {"inradius": _NUMBER})}
+# every key some scenario reads, and a few misspellings of them
+_NAMES = sorted({"kind", "out", "support", "gammas", "alpha", "inradius",
+                 *(key for keys in _KEYS.values() for part in keys for key in part),
+                 "max_iter", "perturbaton", "grid_m", "gamma", "suit"})
 
 
 @st.composite
 def _configs(draw):
-    kind = draw(st.sampled_from(sorted(_REQUIRED)))
-    keys = _REQUIRED[kind]
-    cfg = draw(st.fixed_dictionaries(keys, optional={k: v for k, v in _OPTIONAL.items()
-                                                     if k not in keys}))
+    """A config of the keys its kind (and support) read, and in about one of
+    five examples a stray key, which none of them reads."""
+    kind = draw(st.sampled_from(sorted(_KEYS)))
+    required, optional = _KEYS[kind]
+    cfg, read = {"kind": kind}, {"kind", "out"}
     walls = 4
     if kind in ("cap", "evolve"):
-        cfg["support"] = draw(_mostly(st.sampled_from(sorted(_SUPPORTS))))
-        walls = _SUPPORTS.get(cfg["support"], 3) if isinstance(cfg["support"], str) else 3
+        support = draw(st.sampled_from(sorted(_SUPPORTS)))
+        walls, more, more_optional = _SUPPORTS[support]
+        required, optional = {**required, **more}, {**optional, **more_optional}
+        cfg["support"] = draw(_mostly(st.just(support)))
+        read.add("support")
+    cfg.update(draw(st.fixed_dictionaries(required, optional=optional)))
+    read.update(required, optional)
     if kind in ("cap", "evolve", "solve-graph"):
         # mostly near the right angle, where most supports admit a drop
         angle = _mostly(st.floats(1.2, 2.0), st.floats(0.0, math.pi))
         cfg["gammas"] = draw(_mostly(st.lists(angle, min_size=walls, max_size=walls)))
-    return {"kind": kind, **cfg}
+        read.add("gammas")
+    stray = draw(_mostly(st.none(), st.one_of(st.sampled_from(_NAMES), st.text(max_size=3))
+                         .filter(lambda key: key not in read)))
+    if stray is not None:
+        cfg[stray] = draw(_OTHER)
+    return cfg, stray is not None
 
 
 @settings(max_examples=60, deadline=None)
-@given(cfg=_configs())
-def test_any_config_exits_0_1_or_2_and_exit_2_writes_nothing(cfg):
+@given(example=_configs())
+def test_any_config_exits_0_1_or_2_and_exit_2_writes_nothing(example):
+    cfg, stray = example
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "out"
         path.write_text(json.dumps(cfg))
@@ -589,6 +648,7 @@ def test_any_config_exits_0_1_or_2_and_exit_2_writes_nothing(cfg):
         with contextlib.redirect_stderr(err):
             code = run(path, out)
         assert code in (0, 1, 2)
+        assert code == 2 or not stray
         if code == 2:
             assert not out.exists()
             assert len(err.getvalue().strip().splitlines()) == 1

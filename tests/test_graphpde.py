@@ -8,8 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from capvertex.errors import (DomainError, IncompatibleDataError, NoSolutionError,
-                              NonConvergenceError)
+from capvertex.errors import DomainError, NoSolutionError, NonConvergenceError
 from capvertex.geometry import QTag
 from capvertex.graphpde import (
     _FORCING,
@@ -153,11 +152,9 @@ def test_compatibility_h_mixed_walls():
     assert h == 1.0
 
 
-def test_problem_derives_h_and_validates():
+def test_problem_derives_h():
     p = RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, grid_n=16)
     assert p.h == pytest.approx(np.cos(np.pi / 3) * 2.0)
-    with pytest.raises(IncompatibleDataError):
-        RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, h=0.123, grid_n=16)
 
 
 @pytest.mark.parametrize("gamma, tag", [
