@@ -7,8 +7,10 @@
 # flat orthant must write the evolved.obj bytes of its alias "planar": true.
 # A seed outside [0, 2**64), a cylinder evolve whose h the walls do not fix,
 # "planar" with another h, and a key the scenario does not read (an evolve's
-# misspelt "max_iter", a classify's graph key "grid_n") must each exit 2 and
-# write nothing.
+# misspelt "max_iter", a classify's graph key "grid_n", and a verify option
+# the suite does not read: "grid_n" for formulas, which reads none, and for
+# theorem1-wedge, which reads only refinement and max_iters) must each exit 2
+# and write nothing.
 # Usage: .github/scripts/cli_checks.sh  (with `capvertex` installed)
 set -euo pipefail
 tmp=$(mktemp -d)
@@ -67,3 +69,5 @@ refused evolve bad-planar "{\"kind\": \"evolve\", $flat, \"planar\": true, \"h\"
 # a key the scenario does not read is refused before any computation
 refused evolve max-iter '{"kind": "evolve", "support": "orthant", "gammas": [1.5707963267948966, 1.5707963267948966, 1.5707963267948966], "refinement": 1, "max_iter": 3}'
 refused classify grid-n '{"kind": "classify", "alpha": 0.7853981633974483, "grid_n": 181}'
+refused verify formulas-grid-n '{"kind": "verify", "suite": "formulas", "grid_n": 5}'
+refused verify theorem1-grid-n '{"kind": "verify", "suite": "theorem1-wedge", "grid_n": 64}'

@@ -340,9 +340,6 @@ class HalfCylinderSolution:
         div = (self.flux(y + _FD_STEP) - self.flux(y - _FD_STEP)) / (2.0 * _FD_STEP)
         return div - 2.0 * self.h
 
-    def sample_band(self, n: int, lo: float = 0.05, hi: float = 0.95):
-        return np.linspace(lo * self.b, hi * self.b, n)
-
 
 def wente_halfcylinder(a: float, b: float) -> HalfCylinderSolution:
     """The explicit mixed-angle rectangle solution: half-cylinder of radius b/2."""

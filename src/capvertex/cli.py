@@ -11,6 +11,7 @@ consumed is refused before any computation.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from itertools import chain
@@ -304,8 +305,8 @@ def _with_solve(rep, outcomes) -> list:
     return [{**o, **state} for o in outcomes]
 
 
-def _suite_formulas(opts) -> list:
-    rng = np.random.default_rng(opts["seed"])
+def _suite_formulas(seed) -> list:
+    rng = np.random.default_rng(seed)
     interior = TAG_CODES[QTag.INTERIOR_Q]
     outcomes = []
     worst = 0
@@ -355,7 +356,7 @@ def _suite_formulas(opts) -> list:
     return outcomes
 
 
-def _suite_wente(opts) -> list:
+def _suite_wente(seed) -> list:
     a, b = 1.0, 2.0
     sol = wente_halfcylinder(a, b)
     ys = np.linspace(0.05 * b, 0.95 * b, 2001)
@@ -368,8 +369,8 @@ def _suite_wente(opts) -> list:
     ]
 
 
-def _suite_caps(opts) -> list:
-    rng = np.random.default_rng(opts["seed"])
+def _suite_caps(seed) -> list:
+    rng = np.random.default_rng(seed)
     worst_angle, found = 0.0, 0
     while found < 100:
         alpha = rng.uniform(0.05, np.pi / 2 - 0.05)
@@ -442,15 +443,13 @@ def _suite_caps(opts) -> list:
     ]
 
 
-def _suite_counterexample(opts) -> list:
-    grid_n = opts.get("grid_n", 96)
+def _suite_counterexample(seed, grid_n=96) -> list:
     # the square's observed order needs a second, coarser solve
     coarse_n = max(grid_n // 4, 16)
     square, coarse = (RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, grid_n=n)
                       for n in (grid_n, coarse_n))
     solves = {"coarse-square": solve_rectangle(coarse), "square": solve_rectangle(square),
-              "rectangle": solve_rectangle(RectangleProblem(1.0, 2.0, (1.2,) * 4,
-                                                            grid_n=grid_n))}
+              "rectangle": solve_rectangle(RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=grid_n))}
     err, err_coarse = (float(np.abs(solves[k].u - exact_square_cap(p)).max())
                        for k, p in (("square", square), ("coarse-square", coarse)))
     # at grid_n 16 both solves are the same grid, which has no order
@@ -477,11 +476,9 @@ def _evolve_sphere_check(config, refinement, seed, max_iters, h=None):
                           _SUITE_PERTURBATION, seed=seed), max_iters=max_iters)
 
 
-def _suite_theorem1(opts) -> list:
-    refinement = opts.get("refinement", 4)
+def _suite_theorem1(seed, refinement=4, max_iters=1100) -> list:
     config = WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3)
-    evolved, rep = _evolve_sphere_check(config, refinement, opts["seed"],
-                                        opts.get("max_iters", 1100))
+    evolved, rep = _evolve_sphere_check(config, refinement, seed, max_iters)
     diag = diagnostics_report(evolved)
     two_beta = vertex_angle(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3).two_beta
     worst_beta = max(abs(v - two_beta) for v in diag.vertex_angles.values())
@@ -499,44 +496,38 @@ def _suite_theorem1(opts) -> list:
     ])
 
 
-def _suite_theorem3(opts) -> list:
-    refinement = opts.get("refinement", 3)
-    outcomes = []
+def _suite_theorem3(seed, refinement=3, max_iters=None) -> list:
     flat_cfg = TrihedralConfig.orthant((float(np.arccos(np.sqrt(3.0) / 3.0)),) * 3)
-    evolved, rep = _evolve_sphere_check(flat_cfg, refinement, opts["seed"],
-                                        opts.get("max_iters", 600), h=0.0)
+    evolved, rep = _evolve_sphere_check(flat_cfg, refinement, seed,
+                                        600 if max_iters is None else max_iters, h=0.0)
     plane = fit_plane(evolved.vertices)
     diam = float(np.ptp(evolved.vertices, axis=0).max())
-    outcomes += _with_solve(rep, [_outcome("planar-mode", plane.rms < 1e-4 * diam,
-                                           plane.rms / diam, 1e-4, "flat drop stays flat")])
+    flat = _with_solve(rep, [_outcome("planar-mode", plane.rms < 1e-4 * diam,
+                                      plane.rms / diam, 1e-4, "flat drop stays flat")])
     round_cfg = TrihedralConfig.orthant((np.pi / 2,) * 3)
-    evolved, rep = _evolve_sphere_check(round_cfg, refinement, opts["seed"],
-                                        opts.get("max_iters", 800))
+    evolved, rep = _evolve_sphere_check(round_cfg, refinement, seed,
+                                        800 if max_iters is None else max_iters)
     diag = diagnostics_report(evolved)
-    outcomes += _with_solve(rep, [
+    return flat + _with_solve(rep, [
         _outcome("sphere-fit", diag.sphere_relative_rms < 1e-3, diag.sphere_relative_rms, 1e-3),
         _outcome("volume-error", rep.volume_error < 1e-8, rep.volume_error, 1e-8),
     ])
-    return outcomes
 
 
-def _suite_theorem4(opts) -> list:
-    refinement = opts.get("refinement", 3)
-    gam = 1.9
-    config = TrihedralConfig.regular_cylinder(1.0, (gam,) * 3)
+def _suite_theorem4(seed, refinement=3, max_iters=800) -> list:
+    config = TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3)
     cap = cylinder_cap(config)
     # signed: the center sits at -R cos(gamma) from each wall
     worst = max(abs(-p.signed_distance(cap.center) / cap.radius - np.cos(p.gamma))
                 for p in config.planes)
-    evolved, rep = _evolve_sphere_check(config, refinement, opts["seed"],
-                                        opts.get("max_iters", 800))
+    evolved, rep = _evolve_sphere_check(config, refinement, seed, max_iters)
     diag = diagnostics_report(evolved)
     return [_outcome("cap-contact-angles", worst < 1e-12, float(worst), 1e-12),
             *_with_solve(rep, [_outcome("sphere-fit", diag.sphere_relative_rms < 1e-3,
                                         diag.sphere_relative_rms, 1e-3)])]
 
 
-def _suite_umbilicity(opts) -> list:
+def _suite_umbilicity(seed) -> list:
     config = WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3)
     u_sphere = umbilicity_rms(seed_mesh(config, h=0.25, refinement_level=4))
     sol = wente_halfcylinder(2.0, 1.0)
@@ -555,14 +546,14 @@ def _suite_umbilicity(opts) -> list:
     ]
 
 
-def _suite_gradient(opts) -> list:
-    rng = np.random.default_rng(opts["seed"])
+def _suite_gradient(seed) -> list:
+    rng = np.random.default_rng(seed)
     eps = 1e-6
     worst = 0.0
     for config in (WedgeConfig.canonical(np.pi / 4, 2 * np.pi / 3, 2 * np.pi / 3),
                    TrihedralConfig.orthant((np.pi / 2,) * 3),
                    TrihedralConfig.regular_cylinder(1.0, (1.9,) * 3)):
-        mesh = perturb(seed_mesh(config, refinement_level=2), 0.005, seed=opts["seed"])
+        mesh = perturb(seed_mesh(config, refinement_level=2), 0.005, seed=seed)
         g = energy_gradient(mesh)
         scale = np.linalg.norm(g)
         for _ in range(17):
@@ -593,24 +584,33 @@ _SUITE_RUNNERS = {
 }
 
 
-def verify_suite(name: str, seed: int = 0, **opts) -> list:
-    """Run a named verification recipe; returns a list of outcome records."""
+def _suite_options(name: str) -> list:
+    """The options suite ``name`` reads: its runner's parameters after ``seed``."""
     if name not in _SUITE_RUNNERS:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(_SUITE_RUNNERS)}")
-    return _SUITE_RUNNERS[name]({"seed": _check_seed(seed), **opts})
+    return list(inspect.signature(_SUITE_RUNNERS[name]).parameters)[1:]
+
+
+def verify_suite(name: str, seed: int = 0, **opts) -> list:
+    """Run a named verification recipe; returns a list of outcome records. ``opts`` set
+    the suite runner's keyword parameters; any other one raises DomainError before any work."""
+    options = _suite_options(name)
+    stray = ", ".join(repr(key) for key in opts if key not in options)
+    if stray:
+        raise DomainError(f"suite {name!r} reads {', '.join(options) or 'no option'}, not {stray}")
+    return _SUITE_RUNNERS[name](_check_seed(seed), **opts)
 
 
 def _run_verify(cfg, seed: int, where: str):
     suite = _require(cfg, "suite", str, where)
     bounds = {"refinement": (0, _MAX_REFINEMENT), "grid_n": (1, None), "max_iters": (1, None)}
-    opts = {k: _integer(cfg, k, where, None, *bounds[k]) for k in bounds if k in cfg}
+    opts = {k: _integer(cfg, k, where, None, *bounds[k]) for k in _suite_options(suite) if k in cfg}
     clock = _parsed(cfg, where)
     outcomes = verify_suite(suite, seed=seed, **opts)
     clock.lap("suite")
     for o in outcomes:
-        status = "PASS" if o["pass"] else "FAIL"
-        print(f"[{status}] {suite}/{o['criterion']}: measured {o['measured']} "
-              f"vs threshold {o['threshold']}")
+        print(f"[{'PASS' if o['pass'] else 'FAIL'}] {suite}/{o['criterion']}: "
+              f"measured {o['measured']} vs threshold {o['threshold']}")
     return clock, {"suite": suite, "outcomes": outcomes,
                    "pass": all(o["pass"] for o in outcomes)}, None
 

@@ -179,12 +179,12 @@ def _distances(coef, x, sq, mask):
     return np.where(mask, 2.0 * P / (1.0 + s), 0.0), s
 
 
-def _fit_spheres(pts, mask, max_newton=_MAX_NEWTON):
+def _fit_spheres(pts, mask):
     """Stacked ``fit_sphere``: centroids (k, 3), coefficients (k, 5) and rms (k,).
 
     ``pts`` is (k, m, 3), zero-padded where ``mask`` (k, m) is False; row
     ``i``'s ``(A, B, C)`` give its sphere about its centroid, with ``A >= 0``.
-    Each row takes the Pratt seed, then at most ``max_newton`` Gauss-Newton
+    Each row takes the Pratt seed, then at most ``_MAX_NEWTON`` Gauss-Newton
     steps: a step removes ``|R step| = |Q^T d|`` of the distances ``d``, and
     they stop once that, or ``d``, is at rounding level or it no longer falls.
     """
@@ -214,7 +214,7 @@ def _fit_spheres(pts, mask, max_newton=_MAX_NEWTON):
     noise = 16.0 * np.finfo(float).eps * np.sqrt(sq.sum(axis=1))
     live = np.nonzero(np.sqrt(rss) > noise)[0]
     last, x, q, m, d, s = np.inf, rel[live], sq[live], mask[live], d[live], s[live]
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         if not live.size:
             break
         c = coef[live]

@@ -10,7 +10,7 @@ Angle conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,13 +140,15 @@ class TrihedralKind(enum.Enum):
 class TrihedralConfig:
     """Three support planes forming a trihedral angle or a three-plane cylinder.
 
-    ``apex`` holds the common intersection point for the apex kind;
-    ``generator`` the common line direction for the cylinder kind.
+    ``apex`` is not an argument: it is computed as the planes' common point
+    for the apex kind, and is None for the cylinder kind. ``generator`` is the
+    cylinder kind's common line direction (the first two normals' cross
+    product when not given), and None for the apex kind.
     """
 
     planes: tuple[PlaneSupport, PlaneSupport, PlaneSupport]
     kind: TrihedralKind
-    apex: np.ndarray | None = None
+    apex: np.ndarray | None = field(init=False, default=None)
     generator: np.ndarray | None = None
 
     def __post_init__(self):
@@ -164,8 +166,6 @@ class TrihedralConfig:
             if abs(det) < 1e-10:
                 raise DomainError("apex kind requires linearly independent normals")
             apex = np.linalg.solve(N, np.array([p.offset for p in planes]))
-            if self.apex is not None and np.linalg.norm(apex - np.asarray(self.apex, dtype=float)) > 1e-9:
-                raise DomainError("given apex is not the common intersection point")
             apex.flags.writeable = False
             object.__setattr__(self, "apex", apex)
             object.__setattr__(self, "generator", None)
@@ -182,7 +182,6 @@ class TrihedralConfig:
                 raise DomainError("generator must be orthogonal to all three normals")
             g.flags.writeable = False
             object.__setattr__(self, "generator", g)
-            object.__setattr__(self, "apex", None)
 
     @property
     def gammas(self) -> tuple[float, float, float]:

@@ -455,21 +455,6 @@ def _initial_guess(prob: RectangleProblem) -> np.ndarray:
     return u - u.mean()
 
 
-def _checked_initial(initial, shape) -> np.ndarray:
-    """A float copy of a caller's initial field, which must have the grid's
-    shape and finite entries."""
-    try:
-        u = np.array(initial, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"initial field is not an array of numbers: {exc}") from None
-    if u.shape != shape:
-        raise DomainError(f"initial field has shape {u.shape}; the grid needs {shape}")
-    bad = int(np.count_nonzero(~np.isfinite(u)))
-    if bad:
-        raise DomainError(f"initial field has {bad} non-finite entries")
-    return u
-
-
 def exact_square_cap(prob: RectangleProblem) -> np.ndarray:
     """Mean-zero samples of the exact spherical-cap solution (square, equal
     angles): the lower cap for cos(gamma) > 0, the upper one for
@@ -495,9 +480,11 @@ class _Stopwatch:
         self._last = now
 
 
-def solve_rectangle(prob: RectangleProblem, initial: np.ndarray | None = None) -> GraphField:
+def solve_rectangle(prob: RectangleProblem) -> GraphField:
     """Damped Newton solve of the discrete CMC system.
 
+    Every solve of a problem starts from the same field: the exact cap on an
+    equal-angle square, and the paraboloid of mean curvature ``h`` elsewhere.
     Returns the mean-zero height field with its Newton trace. Raises
     ``NonConvergenceError`` with the trace of residuals if the residual
     stagnates: the line search finds no decrease, or ``_STALL_STEPS`` steps in
@@ -510,7 +497,7 @@ def solve_rectangle(prob: RectangleProblem, initial: np.ndarray | None = None) -
     """
     clock = _Stopwatch(("setup", "residual", "krylov", "line_search"))
     disc = _Discretization(prob)
-    u = _initial_guess(prob) if initial is None else _checked_initial(initial, prob.shape)
+    u = _initial_guess(prob)
     u -= u.mean()
     trace, steps, krylov, missed = [], [], [], []
     clock.lap("setup")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -294,6 +295,26 @@ def test_unknown_suite_raises():
         verify_suite("no-such-suite")
 
 
+# the options each suite reads: its runner's keyword parameters
+_SUITE_OPTIONS = {"theorem1-wedge": "refinement, max_iters",
+                  "theorem3-trihedral": "refinement, max_iters",
+                  "theorem4-cylinder": "refinement, max_iters", "counterexample-v4": "grid_n",
+                  **dict.fromkeys(["wente", "formulas", "caps", "umbilicity", "gradient"],
+                                  "no option")}
+
+
+@pytest.mark.parametrize("suite, options", _SUITE_OPTIONS.items())
+def test_a_suite_refuses_a_keyword_it_does_not_declare(monkeypatch, suite, options):
+    @functools.wraps(cli._SUITE_RUNNERS[suite])
+    def entered(*args, **kwargs):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(cli._SUITE_RUNNERS, suite, entered)
+    with pytest.raises(DomainError) as refused:
+        verify_suite(suite, undeclared=1)
+    assert str(refused.value) == f"suite {suite!r} reads {options}, not 'undeclared'"
+
+
 def _verify_passes(tmp_path, capsys, suite):
     cfg = _write_config(tmp_path, "v.json", {"kind": "verify", "suite": suite})
     rc = main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -428,6 +449,15 @@ def test_bad_config_exits_2_with_one_line_and_no_artifacts(tmp_path, capsys, pay
     # both misspelt, this config used to run 155 unperturbed iterations
     ({**_ORTHANT, "max_iter": 3, "perturbaton": 0.5}, ["max_iter", "perturbaton"]),
     ({"kind": "verify", "suite": "wente", "suit": "caps"}, ["suit"]),
+    # a verify option the suite does not read, for each suite
+    *(pytest.param({"kind": "verify", "suite": suite, key: 1}, [key], id=f"{suite}-{key}")
+      for suite, key in [("formulas", "grid_n"), ("caps", "refinement"), ("wente", "max_iters"),
+                         ("umbilicity", "refinement"), ("gradient", "grid_n"),
+                         ("counterexample-v4", "refinement"), ("theorem1-wedge", "grid_n"),
+                         ("theorem3-trihedral", "grid_n"), ("theorem4-cylinder", "grid_n")]),
+    # all three verify options, of which formulas reads none
+    ({"kind": "verify", "suite": "formulas", "grid_n": 5, "refinement": 0, "max_iters": 1},
+     ["grid_n", "refinement", "max_iters"]),
     # only a wedge reads alpha
     ({**_ORTHANT, "alpha": math.pi / 4, "max_iters": 5}, ["alpha"]),
     # a key with a line break in it still makes one line
@@ -583,6 +613,8 @@ def _mostly(strategy, other=_OTHER):
 # triangles in a wedge and 36 * 4**r in a trihedral angle or cylinder, so it
 # stops at 3
 _SIZE = _mostly(st.integers(-3, 12))
+# a graph needs at least 16 cells per unit, and some graphs at 16-24 solve
+_GRID_N = _mostly(st.integers(16, 24), st.one_of(_OTHER, st.integers(-3, 15)))
 _REFINEMENT = _mostly(st.integers(-3, 3))
 # mostly positive: every number the scenarios read is valid there
 _NUMBER = _mostly(st.floats(0.0, 3.0), st.one_of(_OTHER, st.integers(), st.floats(-3.0, 0.0)))
@@ -593,12 +625,12 @@ _NUMBER = _mostly(st.floats(0.0, 3.0), st.one_of(_OTHER, st.integers(), st.float
 _KEYS = {
     "classify": ({"alpha": _NUMBER}, {"grid": _SIZE}),
     "cap": ({}, {"h": _NUMBER, "refinement": _REFINEMENT}),
-    "solve-graph": ({"a": _NUMBER, "b": _NUMBER, "grid_n": _SIZE}, {}),
+    "solve-graph": ({"a": _NUMBER, "b": _NUMBER, "grid_n": _GRID_N}, {}),
     "evolve": ({"max_iters": _SIZE},
                {"h": _NUMBER, "refinement": _REFINEMENT, "planar": _mostly(st.booleans()),
                 **{key: _NUMBER for key in ("perturbation", "grad_tol", "target_volume")}}),
-    "verify": ({"suite": _mostly(st.sampled_from(["formulas", "wente", "caps"]))},
-               {"refinement": _REFINEMENT, "grid_n": _SIZE, "max_iters": _SIZE}),
+    # these three suites read no option: an option name comes up only as a stray key
+    "verify": ({"suite": _mostly(st.sampled_from(["formulas", "wente", "caps"]))}, {}),
 }
 # each support of a cap or evolve: its wall count and the keys it reads
 _SUPPORTS = {"wedge": (2, {"alpha": _NUMBER}, {}), "orthant": (3, {}, {}),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from capvertex import meshes
+from capvertex import diagnostics, meshes
 from capvertex.diagnostics import (
     SphereFit,
     diagnostics_report,
@@ -85,7 +85,7 @@ def test_fit_sphere_rejects_tiny_clouds():
         fit_sphere(np.zeros((3, 3)))
 
 
-def test_fit_sphere_reaches_the_least_squares_sphere():
+def test_fit_sphere_reaches_the_least_squares_sphere(monkeypatch):
     # noisy 60-degree cap: the algebraic (Pratt) seed is biased and
     # Gauss-Newton needs several steps to make the distance residuals
     # stationary; measured: 2.2e-2 at the seed, 1.0e-9 after two steps, 3.7e-15
@@ -102,7 +102,8 @@ def test_fit_sphere_reaches_the_least_squares_sphere():
         return np.abs(J.T @ (dist - fit.radius)).max()
 
     assert stationarity(fit_sphere(pts)) < 1e-12
-    origin, coef, rms = _fit_spheres(pts[None], np.ones((1, len(pts)), dtype=bool), 2)
+    monkeypatch.setattr(diagnostics, "_MAX_NEWTON", 2)
+    origin, coef, rms = _fit_spheres(pts[None], np.ones((1, len(pts)), dtype=bool))
     assert stationarity(SphereFit(tuple(origin[0]), tuple(coef[0]), float(rms[0]))) > 1e-11
 
 
@@ -441,7 +442,8 @@ def test_gauss_newton_steps_take_no_singular_values(monkeypatch):
     curvatures = []
     for max_newton in (0, 10):
         calls.update(svd=0, qr=0)
-        curvatures.append(2.0 * _fit_spheres(pts, mask, max_newton)[1][:, 0])
+        monkeypatch.setattr(diagnostics, "_MAX_NEWTON", max_newton)
+        curvatures.append(2.0 * _fit_spheres(pts, mask)[1][:, 0])
         # neither the seed nor the steps read singular values
         assert calls["svd"] == 0
     assert calls["qr"] > 2

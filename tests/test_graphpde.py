@@ -8,6 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+from capvertex import graphpde
 from capvertex.errors import DomainError, NoSolutionError, NonConvergenceError
 from capvertex.geometry import QTag
 from capvertex.graphpde import (
@@ -520,9 +521,14 @@ def test_the_exact_cap_above_a_right_angle_is_the_upper_cap():
     assert u[32, 32] == u.max()
 
 
-def test_trace_records_the_damped_steps_of_a_far_start():
-    p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24)
-    f = solve_rectangle(p, initial=3.0 * _initial_guess(p))
+def _far_start(monkeypatch):
+    """Starts every solve from three times its usual field."""
+    monkeypatch.setattr(graphpde, "_initial_guess", lambda p: 3.0 * _initial_guess(p))
+
+
+def test_trace_records_the_damped_steps_of_a_far_start(monkeypatch):
+    _far_start(monkeypatch)
+    f = solve_rectangle(RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24))
     assert f.trace["steps"] == (0.25, 1.0, 1.0, 1.0, 1.0, 1.0)
     assert f.trace["missed"] == (False,) * 6
     residuals = f.trace["residuals"]
@@ -534,8 +540,8 @@ def test_trace_records_the_damped_steps_of_a_far_start():
 
 def test_forcing_is_adaptive_only_after_steps_that_cut_the_residual_tenfold(monkeypatch):
     etas = _recording_forcing(monkeypatch)
-    p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24)
-    f = solve_rectangle(p, initial=3.0 * _initial_guess(p))
+    _far_start(monkeypatch)
+    f = solve_rectangle(RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=24))
     residuals = f.trace["residuals"]
     assert f.trace["steps"][0] < 1.0 and len(etas) == 6
     # tight at the first step, after the damped one and after the slow one;
@@ -631,29 +637,3 @@ def test_jacobian_operator_applies_the_assembled_jacobian(a, b, gammas, grid_n):
         assert np.abs(matvec(v) - J @ v).max() <= bound
         # a grid-shaped v is the same vector
         assert np.array_equal(matvec(v.reshape(disc.nx, disc.ny)), matvec(v))
-
-
-@pytest.mark.parametrize("initial, message", [
-    (np.zeros((3, 3)), r"shape \(3, 3\); the grid needs \(16, 16\)"),
-    (np.zeros(256), r"shape \(256,\); the grid needs \(16, 16\)"),
-    (np.full((16, 16), np.nan), "256 non-finite entries"),
-    ([[0.0] * 16] * 15 + [[0.0]], "not an array of numbers"),
-], ids=["3x3", "flat", "nan", "ragged"])
-def test_a_malformed_initial_field_is_refused_before_the_first_residual(
-        monkeypatch, initial, message):
-    p = RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, grid_n=16)
-
-    def residual(self, u):
-        raise AssertionError("residual evaluated")
-
-    monkeypatch.setattr(_Discretization, "residual", residual)
-    with pytest.raises(DomainError, match=message):
-        solve_rectangle(p, initial=initial)
-
-
-def test_a_nested_list_initial_field_of_the_grid_shape_solves():
-    p = RectangleProblem(1.0, 1.0, (np.pi / 3,) * 4, grid_n=16)
-    start = _initial_guess(p)
-    f = solve_rectangle(p, initial=start.tolist())
-    assert np.array_equal(f.u, solve_rectangle(p, initial=start).u)
-    assert f.final_residual < 1e-10
