@@ -25,7 +25,6 @@ from .geometry import (
     WedgeConfig,
     classify_data,
     classify_grid,
-    eq_numerator,
     vertex_angle,
     vertex_angle_grid,
 )
@@ -34,7 +33,6 @@ from .analytic import (
     PlanarSolution,
     SphericalCap,
     SphericalGraphField,
-    cartesian_cmc_residual,
     cylinder_cap,
     spherical_cmc_residual,
     support_cap,
@@ -43,7 +41,7 @@ from .analytic import (
     wente_halfcylinder,
 )
 from .graphpde import GraphField, RectangleProblem, compatibility_h, solve_rectangle
-from .meshes import TriMeshDrop, perturb, refine, seed_mesh, seed_planar_trihedral
+from .meshes import TriMeshDrop, perturb, seed_mesh, seed_planar_trihedral
 from .evolver import ConvergenceReport, energy, evolve, volume
 from .diagnostics import (
     DiagnosticsReport,

@@ -2,8 +2,8 @@
 
 Spherical caps in wedge / trihedral / cylinder supports, the half-cylinder
 surface with mixed 0 and pi/2 contact angles on a rectangle, and pointwise
-residual evaluation of the constant-mean-curvature equation in Cartesian and
-spherical coordinates.
+residual evaluation of the constant-mean-curvature equation in spherical
+coordinates.
 
 Sign convention, pinned by the contact-angle measurement tests: a sphere of
 radius R meeting plane ``{n . x = d}`` (inward normal n) in interior angle
@@ -37,7 +37,6 @@ __all__ = [
     "cylinder_cap",
     "support_cap",
     "wente_halfcylinder",
-    "cartesian_cmc_residual",
     "spherical_cmc_residual",
 ]
 
@@ -306,8 +305,8 @@ class HalfCylinderSolution:
     b: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("side lengths must be positive")
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise DomainError("side lengths must be positive and finite")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
 
@@ -344,25 +343,6 @@ class HalfCylinderSolution:
 def wente_halfcylinder(a: float, b: float) -> HalfCylinderSolution:
     """The explicit mixed-angle rectangle solution: half-cylinder of radius b/2."""
     return HalfCylinderSolution(a=a, b=b)
-
-
-def cartesian_cmc_residual(u, hx: float, hy: float, h: float) -> np.ndarray:
-    """Pointwise residual of the nonparametric CMC equation on a height grid.
-
-    Second-order centered differences; two boundary layers are consumed so the
-    result has shape ``(nx - 4, ny - 4)``.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] < 5 or u.shape[1] < 5:
-        raise DomainError("grid too small for centered second differences")
-    ux = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * hx)
-    uy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * hy)
-    w = np.sqrt(1.0 + ux * ux + uy * uy)
-    tux = ux / w
-    tuy = uy / w
-    div = ((tux[2:, 1:-1] - tux[:-2, 1:-1]) / (2.0 * hx)
-           + (tuy[1:-1, 2:] - tuy[1:-1, :-2]) / (2.0 * hy))
-    return div - 2.0 * h
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ finite differences.
 
 One evaluation pass, ``_evaluate``, yields the energy, the volume and their
 gradients at a vertex state: it computes each triangle's cross product and
-builds each wetted wall polygon once. The public functionals and gradients
-are one-line reads of that pass, and code that needs several of them at one
-state calls the pass once and reads its fields.
+builds each wetted wall polygon once. ``energy``, ``volume`` and their
+gradients are one-line reads of that pass, and code that needs several of
+them at one state calls the pass once and reads its fields.
 
 Two sparse operators cached with the mesh topology carry every sum and every
 constraint. The corner incidence ``C`` sums per-corner values onto vertices;
@@ -45,8 +45,7 @@ from .meshes import FREE, TriMeshDrop, _cross, vertex_normals
 
 __all__ = [
     "EnergyBreakdown", "ConvergenceReport",
-    "surface_area", "wetted_areas", "volume", "energy",
-    "surface_area_gradient", "volume_gradient", "energy_gradient",
+    "volume", "energy", "volume_gradient", "energy_gradient",
     "project_tangent", "vertex_dual_areas", "evolve",
 ]
 
@@ -85,8 +84,6 @@ class ConvergenceReport:
 
 class _Evaluation(NamedTuple):
     breakdown: EnergyBreakdown
-    wetted: dict[int, float]            # signed wetted area, in wall-polyline order
-    area_gradient: np.ndarray
     energy_gradient: np.ndarray
     volume_gradient: np.ndarray
 
@@ -146,9 +143,9 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
         np.subtract(w[k], x, out=x)
         np.divide(x, 6.0, out=corner[..., 3 + k])
     grads = mesh.corner_incidence() @ corner.reshape(-1, 6)
-    area_grad, flux_grad = grads[:, :3], grads[:, 3:]
+    # the area and flux gradients; each wall below subtracts its terms in place
+    energy_grad, flux_grad = grads[:, :3], grads[:, 3:]
 
-    energy_grad = area_grad.copy()
     wet = {}
     for j, seg, nxt, prv in mesh._derived("wall_layout", lambda: _build_wall_layout(mesh)):
         pts = v[seg]
@@ -174,19 +171,10 @@ def _evaluate(mesh: TriMeshDrop) -> _Evaluation:
         vol -= offset * wet[j]
     total = area - sum(sup.cos_gammas[j] * wet[j] for j in wet)
     breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
-    return _Evaluation(breakdown, wet, area_grad, energy_grad, flux_grad / 3.0)
+    return _Evaluation(breakdown, energy_grad, flux_grad / 3.0)
 
 
 # -- reads of the pass -----------------------------------------------------
-
-
-def surface_area(mesh: TriMeshDrop) -> float:
-    return _evaluate(mesh).breakdown.free_surface_area
-
-
-def wetted_areas(mesh: TriMeshDrop) -> dict[int, float]:
-    """Signed wetted area on each wall (positive for an outward-oriented mesh)."""
-    return _evaluate(mesh).wetted
 
 
 def volume(mesh: TriMeshDrop) -> float:
@@ -196,10 +184,6 @@ def volume(mesh: TriMeshDrop) -> float:
 
 def energy(mesh: TriMeshDrop) -> EnergyBreakdown:
     return _evaluate(mesh).breakdown
-
-
-def surface_area_gradient(mesh: TriMeshDrop) -> np.ndarray:
-    return _evaluate(mesh).area_gradient
 
 
 def volume_gradient(mesh: TriMeshDrop) -> np.ndarray:

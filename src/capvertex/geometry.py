@@ -20,14 +20,16 @@ __all__ = [
     "PlaneSupport",
     "WedgeConfig",
     "TrihedralConfig",
+    "TrihedralKind",
     "QTag",
     "AdmissibilityClass",
     "VertexAngleResult",
-    "eq_numerator",
+    "TAG_CODES",
     "classify_data",
     "classify_grid",
     "check_numerator_sign",
     "vertex_angle",
+    "vertex_angle_grid",
 ]
 
 _UNIT_TOL = 1e-12
@@ -75,10 +77,6 @@ class PlaneSupport:
     def signed_distance(self, x) -> float:
         """Signed distance of ``x`` from the plane, positive on the accessible side."""
         return float(np.dot(self.normal, np.asarray(x, dtype=float)) - self.offset)
-
-    def project(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x - self.signed_distance(x) * self.normal
 
 
 @dataclass(frozen=True)
@@ -275,18 +273,12 @@ def _check_angles(alpha, gamma1, gamma2):
     return alpha, gamma1, gamma2
 
 
-def eq_numerator(alpha, gamma1, gamma2):
-    """Numerator of the vertex-angle sine formula.
-
-    ``sin^2(2a) - (B1^2 + B2^2 + 2 B1 B2 cos(2a))`` with ``Bj = cos(gamma_j)``.
-    Positive exactly for data interior to the admissible rectangle.
-    Accepts scalars or broadcastable arrays.
-    """
-    return _numerator(*_check_angles(alpha, gamma1, gamma2))
-
-
 def _numerator(alpha, gamma1, gamma2):
-    """``eq_numerator`` of angles that ``_check_angles`` has passed."""
+    """Numerator of the vertex-angle sine formula, of checked angles.
+
+    ``sin^2(2a) - (B1^2 + B2^2 + 2 B1 B2 cos(2a))`` with ``Bj = cos(gamma_j)``,
+    positive exactly for data interior to the admissible rectangle.
+    """
     b1, b2 = np.cos(gamma1), np.cos(gamma2)
     return np.sin(2.0 * alpha) ** 2 - (b1 * b1 + b2 * b2 + 2.0 * b1 * b2 * np.cos(2.0 * alpha))
 

@@ -49,7 +49,8 @@ from scipy.linalg import solve_triangular
 from .errors import DomainError, NoSolutionError, NonConvergenceError
 from .geometry import _CODE_TO_TAG, QTag, classify_grid
 
-__all__ = ["RectangleProblem", "GraphField", "compatibility_h", "solve_rectangle"]
+__all__ = ["RectangleProblem", "GraphField", "compatibility_h", "exact_square_cap",
+           "solve_rectangle"]
 
 # a solve stagnates when this many Newton steps in a row each leave more than
 # this fraction of the residual
@@ -99,8 +100,8 @@ def compatibility_h(a: float, b: float, gammas) -> float:
     ``h = sum(cos(gamma_wall) * wall_length) / (2 a b)``; wall order
     (left, right, bottom, top).
     """
-    if a <= 0 or b <= 0:
-        raise DomainError("side lengths must be positive")
+    if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+        raise DomainError("side lengths must be positive and finite")
     cl, cr, cb, ct = _cosines(gammas)
     return (b * (cl + cr) + a * (cb + ct)) / (2.0 * a * b)
 
@@ -134,6 +135,8 @@ class RectangleProblem:
             raise DomainError("four wall angles required (left, right, bottom, top)")
         if any(not 0.0 <= g <= np.pi for g in self.gammas):
             raise DomainError("contact angles must lie in [0, pi]")
+        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, (int, np.integer)):
+            raise DomainError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n < 16:
             raise DomainError("grid_n must be at least 16")
         if min(self.shape) < 3:

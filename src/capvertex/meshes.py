@@ -25,8 +25,7 @@ it reads the support, which meshes sharing a topology share) with its CSR
 transpose, and the evolver's wall layout. Each is built on first use, at
 most once per triangulation, and no vertex move reaches it. Assignment to
 ``triangles`` (the orientation flip of a new seed) starts a fresh,
-empty topology; subdivision, OBJ reading and structured surfaces build new
-meshes.
+empty topology; seeding and structured surfaces build new meshes.
 """
 
 from __future__ import annotations
@@ -41,9 +40,8 @@ from .geometry import TrihedralConfig, TrihedralKind, WedgeConfig
 __all__ = [
     "FREE", "ON_PLANE", "ON_EDGE",
     "SupportAdapter", "TriMeshDrop",
-    "seed_mesh", "seed_planar_trihedral", "perturb", "refine",
-    "structured_surface", "vertex_normals",
-    "write_obj", "read_obj",
+    "seed_mesh", "seed_planar_trihedral", "perturb",
+    "structured_surface", "vertex_normals", "write_obj",
 ]
 
 FREE, ON_PLANE, ON_EDGE = 0, 1, 2
@@ -461,7 +459,7 @@ def _edge_walls(tag_kind, tag_id, a, b, support) -> np.ndarray:
     return common.argmax(axis=1)
 
 
-def _subdivide(v, t, tk, ti, support, cap: SphericalCap | None = None):
+def _subdivide(v, t, tk, ti, support, cap: SphericalCap | None):
     """One 4-to-1 subdivision round; the module docstring states its rules."""
     n = len(v)
     ends = t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)       # ab, bc, ca of each triangle
@@ -498,8 +496,7 @@ def _subdivide(v, t, tk, ti, support, cap: SphericalCap | None = None):
             np.concatenate([ti, mid_id]))
 
 
-def _finish_seed(v, t, tk, ti, support, refinement_level, cap=None,
-                 target_volume=None) -> TriMeshDrop:
+def _finish_seed(v, t, tk, ti, support, refinement_level, cap, target_volume) -> TriMeshDrop:
     """Refine a coarse seed, orient it outward and give it its target volume."""
     from .evolver import volume  # cycle: evolver needs TriMeshDrop
     for _ in range(refinement_level + 1):
@@ -579,21 +576,14 @@ def seed_planar_trihedral(config: TrihedralConfig, refinement_level: int = 2) ->
     return seed_mesh(config, h=0.0, refinement_level=refinement_level)
 
 
-def refine(mesh: TriMeshDrop) -> TriMeshDrop:
-    """Uniform 4-to-1 subdivision; wall midpoints are projected onto their walls."""
-    v, t, tk, ti = _subdivide(mesh.vertices, mesh.triangles, mesh.tag_kind,
-                              mesh.tag_id, mesh.support)
-    out = TriMeshDrop(v, t, tk, ti, mesh.support, mesh.target_volume)
-    out.validate()
-    return out
-
-
 def perturb(mesh: TriMeshDrop, amplitude: float, seed: int = 0) -> TriMeshDrop:
     """Constraint-respecting random perturbation, relative to the mesh diameter.
 
     Free vertices move along their normals; plane vertices within the plane,
     in a direction drawn per vertex; edge vertices along their lines.
     """
+    if not np.isfinite(amplitude):
+        raise DomainError(f"perturbation amplitude must be finite, got {amplitude}")
     rng = np.random.default_rng(seed)
     out = mesh.copy()
     v, sup = out.vertices, mesh.support
@@ -643,7 +633,7 @@ def structured_surface(points: np.ndarray) -> TriMeshDrop:
                        np.zeros(nx * ny, dtype=np.int64), support=None)
 
 
-# -- OBJ interchange -------------------------------------------------------
+# -- OBJ output ------------------------------------------------------------
 
 
 def _tag_token(kind: int, tid: int) -> str:
@@ -664,30 +654,3 @@ def write_obj(mesh: TriMeshDrop, path):
         f.write(("v %.17g %.17g %.17g\n" * mesh.n_vertices) % tuple(vertices))
         f.write("".join(f"# tag {i} {_tag_token(k, t)}\n" for i, (k, t) in tags))
         f.write(("f %d %d %d\n" * len(mesh.triangles)) % tuple(faces))
-
-
-def read_obj(path, support: SupportAdapter,
-             target_volume: float | None = None) -> TriMeshDrop:
-    verts, tris = [], []
-    tags = {}
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                tris.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
-            elif parts[:2] == ["#", "tag"]:
-                tags[int(parts[2]) - 1] = parts[3]
-    n = len(verts)
-    tag_kind = np.zeros(n, dtype=np.int8)
-    tag_id = np.full(n, -1)
-    for i, tok in tags.items():
-        if tok.startswith("P"):
-            tag_kind[i], tag_id[i] = ON_PLANE, int(tok[1:])
-        elif tok.startswith("E"):
-            tag_kind[i], tag_id[i] = ON_EDGE, int(tok[1:])
-    return TriMeshDrop(np.array(verts), np.array(tris), tag_kind, tag_id,
-                       support, target_volume)

@@ -19,12 +19,9 @@ from capvertex.evolver import (
     energy_gradient,
     evolve,
     project_tangent,
-    surface_area,
-    surface_area_gradient,
     vertex_dual_areas,
     volume,
     volume_gradient,
-    wetted_areas,
 )
 
 
@@ -47,7 +44,7 @@ def test_octant_functionals_match_closed_forms(octant):
 
 
 def test_wetted_areas_positive(octant):
-    for s in wetted_areas(octant).values():
+    for s in energy(octant).wetted_areas:
         assert s > 0.0
 
 
@@ -66,7 +63,6 @@ def _fd_check(mesh, fun, grad, n_probe=6, eps=1e-6, seed=0):
 
 
 def test_gradients_match_finite_differences_octant(octant):
-    assert _fd_check(octant, surface_area, surface_area_gradient) < 1e-6
     assert _fd_check(octant, volume, volume_gradient) < 1e-6
     assert _fd_check(octant, lambda m: energy(m).total, energy_gradient) < 1e-6
 
@@ -92,7 +88,7 @@ def test_project_tangent_respects_constraints(octant):
 
 def test_dual_areas_partition_surface(octant):
     assert vertex_dual_areas(octant).sum() == pytest.approx(
-        surface_area(octant), abs=1e-12)
+        energy(octant).free_surface_area, abs=1e-12)
 
 
 def test_evolve_perturbed_octant_returns_to_sphere():
@@ -202,8 +198,7 @@ def _reference_evaluation(mesh):
     Cross products by ``np.cross``, corner sums by ``np.add.at``; per wall the
     polyline with its closure, in-plane coordinates from the wall frame and
     cyclic neighbours by ``np.roll``; the cylinder base area from its corners.
-    Returns the breakdown, the wetted areas and the area, energy and volume
-    gradients.
+    Returns the breakdown and the energy and volume gradients.
     """
     sup, v, t = mesh.support, mesh.vertices, mesh.triangles
     a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
@@ -212,11 +207,10 @@ def _reference_evaluation(mesh):
     norms = np.linalg.norm(w, axis=1)
     area = float((0.5 * norms).sum())
     nhat = w / norms[:, None]
-    area_grad, flux_grad = np.zeros_like(v), np.zeros_like(v)
+    energy_grad, flux_grad = np.zeros_like(v), np.zeros_like(v)
     for k, edge in enumerate((c - b, a - c, b - a)):
-        np.add.at(area_grad, t[:, k], 0.5 * np.cross(nhat, edge))
+        np.add.at(energy_grad, t[:, k], 0.5 * np.cross(nhat, edge))
         np.add.at(flux_grad, t[:, k], (w - np.cross(edge, s)) / 6.0)
-    energy_grad = area_grad.copy()
     wet = {}
     for j, seg in mesh.wall_polylines().items():
         pts = v[seg]
@@ -245,7 +239,7 @@ def _reference_evaluation(mesh):
         vol -= 0.0 * base
     total = area - sum(np.cos(sup.planes[j].gamma) * wet[j] for j in wet)
     breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
-    return breakdown, wet, area_grad, energy_grad, flux_grad / 3.0
+    return breakdown, energy_grad, flux_grad / 3.0
 
 
 def _aos_evaluation(mesh):
@@ -262,8 +256,7 @@ def _aos_evaluation(mesh):
     corner = np.concatenate([0.5 * meshes._cross(nhat, edges),
                              (w - meshes._cross(edges, s)) / 6.0], axis=2)
     grads = mesh.corner_incidence() @ corner.reshape(-1, 6)
-    area_grad, flux_grad = grads[:, :3], grads[:, 3:]
-    energy_grad = area_grad.copy()
+    energy_grad, flux_grad = grads[:, :3].copy(), grads[:, 3:]
     wet = {}
     for j, seg, nxt, prv in evolver._build_wall_layout(mesh):
         pts = v[seg]
@@ -288,7 +281,7 @@ def _aos_evaluation(mesh):
         vol -= 0.0 * (0.5 * abs(float(np.linalg.norm(np.cross(e[1] - e[0], e[2] - e[0])))))
     total = area - sum(sup.cos_gammas[j] * wet[j] for j in wet)
     breakdown = EnergyBreakdown(total, area, tuple(wet[j] for j in sorted(wet)), vol / 3.0)
-    return breakdown, wet, area_grad, energy_grad, flux_grad / 3.0
+    return breakdown, energy_grad, flux_grad / 3.0
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -296,24 +289,20 @@ def test_component_major_evaluation_equals_the_aos_pass_bit_for_bit(drop, seed):
     mesh = drop.copy()
     mesh.vertices = perturb(drop, 0.01, seed=seed).vertices
     ev = evolver._evaluate(mesh)
-    breakdown, wet, area_grad, energy_grad, volume_grad = _aos_evaluation(mesh)
+    breakdown, energy_grad, volume_grad = _aos_evaluation(mesh)
     assert ev.breakdown == breakdown
-    assert list(ev.wetted.items()) == list(wet.items())
-    for got, want in zip(ev[2:], (area_grad, energy_grad, volume_grad)):
-        assert np.array_equal(got, want)
+    assert np.array_equal(ev.energy_gradient, energy_grad)
+    assert np.array_equal(ev.volume_gradient, volume_grad)
 
 
 def test_evaluation_equals_the_per_call_reference_bit_for_bit(drop):
     ev = evolver._evaluate(drop)
-    breakdown, wet, _, _, _ = _reference_evaluation(drop)
-    assert ev.breakdown == breakdown
-    assert list(ev.wetted.items()) == list(wet.items())
+    assert ev.breakdown == _reference_evaluation(drop)[0]
 
 
 def test_corner_products_equal_the_scatters_bit_for_bit(drop):
     ev = evolver._evaluate(drop)
-    _, _, area_grad, energy_grad, volume_grad = _reference_evaluation(drop)
-    assert np.array_equal(ev.area_gradient, area_grad)
+    _, energy_grad, volume_grad = _reference_evaluation(drop)
     assert np.array_equal(ev.energy_gradient, energy_grad)
     assert np.array_equal(ev.volume_gradient, volume_grad)
 

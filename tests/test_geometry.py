@@ -11,7 +11,6 @@ from capvertex.geometry import (
     WedgeConfig,
     classify_data,
     classify_grid,
-    eq_numerator,
     vertex_angle,
 )
 
@@ -19,7 +18,6 @@ from capvertex.geometry import (
 def test_plane_support_basics():
     p = PlaneSupport(normal=(0.0, 0.0, 1.0), offset=2.0, gamma=np.pi / 3)
     assert p.signed_distance((0.0, 0.0, 5.0)) == pytest.approx(3.0)
-    assert np.allclose(p.project((1.0, 1.0, 5.0)), (1.0, 1.0, 2.0))
     assert p.beta == pytest.approx(np.cos(np.pi / 3))
 
 
@@ -85,11 +83,11 @@ def test_classify_rejects_out_of_range():
 
 
 def test_numerator_positive_interior_negative_outside():
-    assert eq_numerator(np.pi / 4, np.pi / 2, np.pi / 2) > 0
-    assert eq_numerator(np.pi / 6, np.pi, np.pi) < 0
+    assert classify_grid(np.pi / 4, np.pi / 2, np.pi / 2)[1] > 0
+    assert classify_grid(np.pi / 6, np.pi, np.pi)[1] < 0
     # closed-wall limit gamma = 0 on both: numerator = -(1+cos 2a)^2 + sin^2 2a
     alpha = np.pi / 3
-    n = eq_numerator(alpha, 0.0, 0.0)
+    n = classify_grid(alpha, 0.0, 0.0)[1]
     expected = np.sin(2 * alpha) ** 2 - (2 + 2 * np.cos(2 * alpha))
     assert n == pytest.approx(expected, abs=1e-12)
 
@@ -187,8 +185,6 @@ def test_equal_angle_vertex_opening_bounded_by_wedge(alpha, g):
 def test_non_finite_angles_are_rejected(angles):
     with pytest.raises(DomainError):
         classify_grid(*angles)
-    with pytest.raises(DomainError):
-        eq_numerator(*angles)
 
 
 def test_plane_support_rejects_non_finite_offset():

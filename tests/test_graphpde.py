@@ -179,9 +179,10 @@ def test_an_equal_angle_square_is_decided_by_its_corners(gamma, tag):
         assert p.h == 0.0 and not f.u.any()
 
 
-def test_grid_floor():
-    with pytest.raises(DomainError):
-        RectangleProblem(1.0, 1.0, (1.0,) * 4, grid_n=8)
+@pytest.mark.parametrize("grid_n", [8, float("nan"), 20.7, True])
+def test_grid_floor(grid_n):
+    with pytest.raises(DomainError, match="grid_n must be"):
+        RectangleProblem(1.0, 1.0, (1.0,) * 4, grid_n=grid_n)
 
 
 @pytest.mark.parametrize("a, b", [(0.1, 1.0), (1.0, 0.1)])
@@ -249,8 +250,10 @@ def test_compatibility_round_trip(a, b, gammas):
 
 @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0)])
 def test_side_lengths_must_be_positive_and_finite(a, b):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="positive and finite"):
         RectangleProblem(a, b, (1.0,) * 4, grid_n=16)
+    with pytest.raises(DomainError, match="positive and finite"):
+        compatibility_h(a, b, (1.0,) * 4)
 
 
 _JACOBIAN_CASES = [

@@ -14,8 +14,6 @@ from capvertex.meshes import (
     SupportAdapter,
     TriMeshDrop,
     perturb,
-    read_obj,
-    refine,
     seed_mesh,
     structured_surface,
     vertex_normals,
@@ -68,8 +66,15 @@ def test_octant_has_three_corner_vertices(octant_mesh):
         assert octant_mesh.tag_kind[seg[-1]] == ON_EDGE
 
 
+def _refine(mesh):
+    """One ``meshes._subdivide`` round of a mesh, wall midpoints onto their planes."""
+    return TriMeshDrop(*meshes._subdivide(mesh.vertices, mesh.triangles, mesh.tag_kind,
+                                          mesh.tag_id, mesh.support, None),
+                       mesh.support, mesh.target_volume)
+
+
 def test_refinement_quadruples_triangles(wedge_mesh):
-    fine = refine(wedge_mesh)
+    fine = _refine(wedge_mesh)
     assert len(fine.triangles) == 4 * len(wedge_mesh.triangles)
     fine.validate()
 
@@ -107,15 +112,25 @@ def test_perturb_respects_constraints(octant_mesh):
     assert np.array_equal(p.vertices, q.vertices)   # deterministic in the seed
 
 
+@pytest.mark.parametrize("amplitude", [np.nan, np.inf])
+def test_perturb_rejects_a_non_finite_amplitude(octant_mesh, amplitude):
+    with pytest.raises(DomainError, match="amplitude must be finite"):
+        perturb(octant_mesh, amplitude)
+
+
 def test_obj_round_trip(tmp_path, octant_mesh):
     path = tmp_path / "drop.obj"
     write_obj(octant_mesh, path)
-    back = read_obj(path, octant_mesh.support, octant_mesh.target_volume)
-    assert np.allclose(back.vertices, octant_mesh.vertices)
-    assert np.array_equal(back.triangles, octant_mesh.triangles)
-    assert np.array_equal(back.tag_kind, octant_mesh.tag_kind)
-    assert np.array_equal(back.tag_id, octant_mesh.tag_id)
-    back.validate()
+    records = [line.split() for line in path.read_text().splitlines()]
+    vertices = np.array([r[1:] for r in records if r[0] == "v"], dtype=float)
+    faces = np.array([r[1:] for r in records if r[0] == "f"], dtype=int) - 1
+    tags = [r[3] for r in records if r[:2] == ["#", "tag"]]
+    want = [{FREE: "Free", ON_PLANE: f"P{i}", ON_EDGE: f"E{i}"}[k]
+            for k, i in zip(octant_mesh.tag_kind, octant_mesh.tag_id)]
+    # %.17g round-trips every double exactly
+    assert np.array_equal(vertices, octant_mesh.vertices)
+    assert np.array_equal(faces, octant_mesh.triangles)
+    assert tags == want
 
 
 def test_structured_surface_topology():
@@ -233,7 +248,7 @@ def test_evolve_builds_the_boundary_loop_once(monkeypatch, wedge_mesh):
 # -- array construction against per-edge and per-vertex references ----------
 
 
-def _subdivide_reference(v, t, tk, ti, support, cap=None):
+def _subdivide_reference(v, t, tk, ti, support, cap):
     """``meshes._subdivide`` one edge at a time, with dicts of edges and midpoints."""
     v, tk, ti = list(v), list(tk), list(ti)
     directed = {(a, b) for a, b in t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2).tolist()}
@@ -361,7 +376,7 @@ def _flat_seed_reference(config, level):
     return meshes._finish_seed(np.vstack([corners.mean(axis=0), corners]),
                                np.array([[0, 1, 2], [0, 2, 3], [0, 3, 1]]),
                                np.array([FREE, ON_EDGE, ON_EDGE, ON_EDGE]),
-                               np.array([-1, 0, 1, 2]), support, level)
+                               np.array([-1, 0, 1, 2]), support, level, None, None)
 
 
 @pytest.mark.parametrize("level", range(4))
@@ -406,13 +421,13 @@ def test_an_all_orthogonal_cylinder_seeds_a_flat_prism():
 def test_array_construction_matches_references(name, level, monkeypatch):
     got = _SEEDS[name](level)
     assert np.array_equal(got.boundary_loop(), _boundary_loop_reference(got.triangles))
-    fine = refine(got)
+    fine = _refine(got)
     noisy = perturb(got, 0.01, seed=level)
     _assert_same_mesh(noisy, _perturb_reference(got, 0.01, level))
 
     monkeypatch.setattr(meshes, "_subdivide", _subdivide_reference)
     _assert_same_mesh(got, _SEEDS[name](level))
-    _assert_same_mesh(fine, refine(got))
+    _assert_same_mesh(fine, _refine(got))
 
 
 def test_project_constraints_matches_reference(octant_mesh):
@@ -434,7 +449,7 @@ def test_subdivision_rejects_a_wall_edge_without_a_common_wall():
     tag_id[loop[k]] = (tag_id[loop[k]] + 1) % 3      # ends now on two different walls
     bad = TriMeshDrop(m.vertices, m.triangles, m.tag_kind, tag_id, m.support)
     with pytest.raises(DomainError, match="cannot determine the wall of a boundary edge"):
-        refine(bad)
+        _refine(bad)
 
 
 @pytest.mark.parametrize("triangles", [
