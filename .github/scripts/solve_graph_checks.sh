@@ -9,7 +9,11 @@
 # that the adaptive forcing cannot silently fall back to tight. The square at
 # gamma = 1.9, above a right angle, must solve with no missed step; the square
 # at gamma = 0.5 has D1 corners, which admit no solution, and must exit 2 and
-# write nothing.
+# write nothing. The 1x3 problem at gammas (0.1, 0.1, 3.0, 3.0) stagnates in
+# the Newton-Krylov core, whose line search finds no decrease: it must exit
+# 2, write nothing and print one stderr line ending with the last five
+# residuals. No digits are pinned, since a trace that does not converge may
+# round differently on another scipy.
 # Usage: .github/scripts/solve_graph_checks.sh  (with `capvertex` installed)
 set -euo pipefail
 tmp=$(mktemp -d)
@@ -22,6 +26,15 @@ refused() {  # name, config JSON
   echo "$1: exit $code"
   test "$code" -eq 2
   test ! -e "$tmp/$1"
+}
+
+stagnates() {  # name, config JSON
+  refused "$1" "$2" 2> "$tmp/$1.err"
+  cat "$tmp/$1.err"
+  test "$(wc -l < "$tmp/$1.err")" -eq 1
+  number='[0-9.]+e[+-][0-9]+'
+  grep -Eq "^error: line search stagnated at residual $number; last residuals ($number, ){4}$number\$" \
+    "$tmp/$1.err"
 }
 
 solve() {  # name, config JSON
@@ -51,3 +64,4 @@ no_missed_step mixed
 solve upper '{"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [1.9, 1.9, 1.9, 1.9], "grid_n": 64}'
 no_missed_step upper
 refused d1 '{"kind": "solve-graph", "a": 1.0, "b": 1.0, "gammas": [0.5, 0.5, 0.5, 0.5], "grid_n": 16}'
+stagnates stagnant '{"kind": "solve-graph", "a": 1.0, "b": 3.0, "gammas": [0.1, 0.1, 3.0, 3.0], "grid_n": 16}'

@@ -45,9 +45,9 @@ from .geometry import (
     vertex_angle_grid,
     TAG_CODES,
 )
-from .graphpde import (RectangleProblem, compatibility_h, exact_square_cap, solve_rectangle,
-                       _Stopwatch)
+from .graphpde import RectangleProblem, compatibility_h, exact_square_cap, solve_rectangle
 from .meshes import seed_mesh, perturb, structured_surface, write_obj
+from .newton import Stopwatch
 from .evolver import energy, energy_gradient, evolve, volume
 
 __all__ = ["main", "run", "verify_suite"]
@@ -142,12 +142,12 @@ def _angles(cfg, key, n, where):
     return [float(v) for v in vals]
 
 
-def _parsed(cfg: dict, where) -> _Stopwatch:
+def _parsed(cfg: dict, where) -> Stopwatch:
     """Ends parsing: refuses any key no reader consumed, then starts the stage clock."""
     if cfg:
         raise ConfigError(f"{where}: unused key{'s' if len(cfg) > 1 else ''} "
                           + ", ".join(map(repr, cfg)))
-    return _Stopwatch()
+    return Stopwatch()
 
 
 def _write_grid_csv(path, header, x, y, coord, cell, columns):

@@ -2,8 +2,8 @@
 
 ``div(grad u / sqrt(1 + |grad u|^2)) = 2h`` on ``[0, a] x [0, b]`` with the
 contact-angle flux condition ``nu . Tu = cos(gamma)`` on each wall. Cell
-centered, with face fluxes and a damped Newton iteration; the mean-zero gauge
-fixes the additive constant.
+centered, with face fluxes, solved by the damped inexact Newton-Krylov loop
+of ``newton``; the mean-zero gauge fixes the additive constant.
 
 The stacked face operator ``slopes`` and the divergence ``div`` are built once
 per problem, each as one CSR matrix from index arithmetic: the stencils are
@@ -12,73 +12,36 @@ residual keeps the face-flux partials ``(dp, dt)`` it computes, and the
 Jacobian at an accepted iterate is ``div`` times ``slopes`` with its rows
 scaled by them. GMRES takes only its product, a function, so it is not
 assembled: ``J v`` is ``div @ (dp * s[0::2] + dt * s[1::2])`` with
-``s = slopes @ v``, the residual's own two sparse products (an exact
-Jacobian-free Newton-Krylov step; Knoll & Keyes, J. Comput. Phys. 193,
-2004). The Jacobian kills constants and its columns sum to zero, as the
-residual does for any field, so each Newton system ``J delta = -F`` is
-singular but consistent. Restarted GMRES (Saad & Schultz, SIAM J. Sci.
-Stat. Comput. 7, 1986) solves it, right-preconditioned
-by the exact inverse of the constant-coefficient 5-point Neumann Laplacian on
-mean-zero fields: a type-II cosine transform, a division by the Laplacian's
-eigenvalues and the inverse transform (Concus & Golub, SIAM J. Numer. Anal.
-10, 1973). Right preconditioning makes the residual GMRES minimizes the true
-one. A Krylov step stops at a forcing term eta times the Newton residual
-(inexact Newton, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996) and is
-tested by its own true linear residual. eta is tight (1e-8) at the first
-step, after a damped step or one that missed the test, after a step that cut
-the residual's 2-norm less than tenfold, and at a step predicted to end the
-solve; otherwise it is their choice 2, 0.9 times the last reduction ratio
-squared, so that GMRES does not over-solve while Newton converges
-quadratically. A step that misses the test is still taken, under the line
-search, and the next one is solved tight. Only data with a D2 corner have
-been seen to miss it (``RectangleProblem`` refuses D1 corners). The step
-differs from the mean-zero one by a constant that the line search's
-re-centring removes.
+``s = slopes @ v``, the residual's own two sparse products. The Jacobian
+kills constants and its columns sum to zero, as the residual does for any
+field, so each Newton system ``J delta = -F`` is singular but consistent.
+GMRES is right-preconditioned by the exact inverse of the
+constant-coefficient 5-point Neumann Laplacian on mean-zero fields: a
+type-II cosine transform, a division by the Laplacian's eigenvalues and the
+inverse transform (Concus & Golub, SIAM J. Numer. Anal. 10, 1973). Only data
+with a D2 corner have been seen to miss the Krylov step's acceptance test
+(``RectangleProblem`` refuses D1 corners). The step differs from the
+mean-zero one by a constant that the line search's re-centring removes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 
-from .errors import DomainError, NoSolutionError, NonConvergenceError
+from .errors import DomainError, NoSolutionError
 from .geometry import _CODE_TO_TAG, QTag, classify_grid
+from .newton import Stopwatch, newton_krylov
 
 __all__ = ["RectangleProblem", "GraphField", "compatibility_h", "exact_square_cap",
            "solve_rectangle"]
 
-# a solve stagnates when this many Newton steps in a row each leave more than
-# this fraction of the residual
-_STALL_STEPS = 5
-_STALL_RATIO = 0.9
-# a solve ends once its max-norm residual is below _TOL, or fails after _MAX_ITERS steps
-_TOL, _MAX_ITERS = 1e-10, 60
 # the largest grid a problem may ask for; its sparse operators and its GMRES
-# basis of _GMRES_RESTART + 1 fields grow with the cell count, and a side of
-# 9036 at 32 cells per unit asks for 8.4e10 cells, 670 GB per field
+# basis grow with the cell count, and a side of 9036 at 32 cells per unit
+# asks for 8.4e10 cells, 670 GB per field
 _MAX_CELLS = 512 * 512
-# GMRES for a Newton step: restart length, restart cycles, and the tight
-# relative tolerance, which is also the least forcing term eta. GMRES stops at
-# eta times the Newton residual's 2-norm, or _FORCING_FLOOR times _TOL; the
-# step is kept when its true linear residual is at most _FORCING / _GMRES_RTOL
-# = 100 times that target (so _FORCING times the 2-norm at the tight eta)
-_GMRES_RESTART = 40
-_GMRES_CYCLES = 2
-_GMRES_RTOL = 1e-8
-_FORCING = 1e-6
-_FORCING_FLOOR = 1e-3
-# adaptive forcing (Eisenstat & Walker's choice 2): after a full Krylov step
-# that cut the residual's 2-norm by the ratio r < _FAST_RATIO, the next step's
-# eta is max(_GMRES_RTOL, _FORCING_GAMMA * r**2), unless eta times the max-norm
-# residual, the residual that step is predicted to leave, is already below _TOL;
-# any other step is tight
-_FAST_RATIO = 0.1
-_FORCING_GAMMA = 0.9
 # each corner's two walls, as (side, end) indices into the (left, right,
 # bottom, top) angles; every corner is a right-angled wedge, alpha = pi/4
 _CORNERS = {"left-bottom": (0, 2), "left-top": (0, 3),
@@ -94,15 +57,25 @@ def _cosines(gammas) -> np.ndarray:
     return np.where(np.abs(c) < 4e-16, 0.0, c)
 
 
+def _walls(a, b, gammas) -> tuple:
+    """The four wall angles as floats, once the sides and the angles pass."""
+    gammas = tuple(float(g) for g in gammas)
+    if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+        raise DomainError("side lengths must be positive and finite")
+    if len(gammas) != 4:
+        raise DomainError("four wall angles required (left, right, bottom, top)")
+    if any(not 0.0 <= g <= np.pi for g in gammas):
+        raise DomainError("contact angles must lie in [0, pi]")
+    return gammas
+
+
 def compatibility_h(a: float, b: float, gammas) -> float:
     """Mean curvature implied by the divergence theorem.
 
     ``h = sum(cos(gamma_wall) * wall_length) / (2 a b)``; wall order
     (left, right, bottom, top).
     """
-    if not (0.0 < a < np.inf and 0.0 < b < np.inf):
-        raise DomainError("side lengths must be positive and finite")
-    cl, cr, cb, ct = _cosines(gammas)
+    cl, cr, cb, ct = _cosines(_walls(a, b, gammas))
     return (b * (cl + cr) + a * (cb + ct)) / (2.0 * a * b)
 
 
@@ -128,13 +101,7 @@ class RectangleProblem:
     grid_n: int = 32
 
     def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
-            raise DomainError("side lengths must be positive and finite")
-        if len(self.gammas) != 4:
-            raise DomainError("four wall angles required (left, right, bottom, top)")
-        if any(not 0.0 <= g <= np.pi for g in self.gammas):
-            raise DomainError("contact angles must lie in [0, pi]")
+        object.__setattr__(self, "gammas", _walls(self.a, self.b, self.gammas))
         if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, (int, np.integer)):
             raise DomainError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n < 16:
@@ -174,16 +141,9 @@ class RectangleProblem:
 
 @dataclass(frozen=True)
 class GraphField:
-    """Cell-centered height samples with solver provenance.
-
-    ``trace`` holds the max-norm residual before each Newton step and the final
-    one (``residuals``), and per step its accepted length (``steps``), its GMRES
-    iterations (``krylov``) and whether its true linear residual missed the
-    acceptance test, so that it was taken anyway (``missed``). ``seconds``
-    splits the solve's wall time by stage: ``setup`` (operators and initial
-    guess), ``residual`` (every residual evaluation, the line search's
-    included), ``krylov`` (the Jacobian product, GMRES and its acceptance
-    test) and ``line_search`` (the rest of the line search)."""
+    """Cell-centered height samples with solver provenance: ``trace`` is
+    ``newton_krylov``'s, whose ``setup`` stage builds the operators and the
+    initial guess."""
 
     u: np.ndarray
     hx: float
@@ -354,91 +314,6 @@ class _Discretization:
         rhat = fft.dctn(np.reshape(r, (self.nx, self.ny)), type=2, norm="ortho")
         return -fft.idctn(rhat * self.inverse_eigenvalues, type=2, norm="ortho").ravel()
 
-    def krylov_step(self, matvec, res, tol, eta=_GMRES_RTOL):
-        """GMRES on ``J delta = -res`` to the forcing term ``eta``, where
-        ``matvec`` maps ``v`` to ``J v``: the step, its GMRES iterations and
-        whether its true linear residual passes the acceptance test,
-        ``_FORCING / _GMRES_RTOL`` times the GMRES target."""
-        rhs = -res.ravel()
-        norm = float(np.linalg.norm(rhs))
-        floor = _FORCING_FLOOR * tol
-        delta, iterations = _gmres(matvec, self.poisson_solve, rhs, max(eta * norm, floor),
-                                   _GMRES_RESTART, _GMRES_CYCLES)
-        linear = float(np.linalg.norm(matvec(delta) - rhs))
-        # a non-finite residual fails: its linear residual is not finite either
-        ok = math.isfinite(linear) and linear <= max(_FORCING / _GMRES_RTOL * eta * norm, floor)
-        return delta.reshape(res.shape), iterations, ok
-
-
-def _gmres(matvec, psolve, b, target, restart, cycles):
-    """Restarted GMRES for ``A x = b`` from ``x = 0``, right-preconditioned.
-
-    Each cycle minimizes the true residual ``|b - A x|`` over ``x = M⁻¹ V y``,
-    ``V`` an orthonormal basis of the Krylov space of ``A M⁻¹`` (``matvec``
-    applies ``A``, ``psolve`` applies ``M⁻¹``); only ``V`` is stored, and
-    ``M⁻¹`` is applied to ``V y`` once per cycle. A new basis vector is
-    orthogonalized against all earlier ones at once, twice (classical
-    Gram–Schmidt with one reorthogonalization pass); Givens rotations keep
-    the Hessenberg matrix triangular and give the residual norm at each step.
-    A cycle ends when that norm is at most ``target``, after ``restart``
-    steps, or when the space stops growing (a breakdown, after which ``x``
-    is as good as the space allows); a cycle that ends above ``target``
-    restarts from the true residual, at most ``cycles`` cycles in all. The
-    caller tests the true residual of the ``x`` returned.
-
-    Returns ``x`` and the number of steps. A ``b`` that is zero, not finite
-    or already within ``target`` takes none and gives ``x = 0``.
-    """
-    x = np.zeros_like(b)
-    V = np.empty((restart + 1, b.size))
-    r, beta, steps = b, float(np.linalg.norm(b)), 0
-    for cycle in range(cycles):
-        if not beta > target:
-            break
-        V[0] = r / beta
-        R = np.zeros((restart, restart))
-        g = [beta]                      # the rotated right-hand side
-        rotations = []
-        breakdown = False
-        for k in range(restart):
-            w = matvec(psolve(V[k]))
-            wnorm = float(np.linalg.norm(w))
-            basis = V[:k + 1]
-            h = basis @ w
-            w -= h @ basis
-            again = basis @ w
-            w -= again @ basis
-            h += again
-            hnorm = float(np.linalg.norm(w))
-            col = h.tolist()
-            for i, (c, s) in enumerate(rotations):
-                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            rho = math.hypot(col[k], hnorm)
-            if not rho > 0.0:           # a zero or non-finite column
-                breakdown = True
-                break
-            c, s = col[k] / rho, hnorm / rho
-            rotations.append((c, s))
-            col[k] = rho
-            R[:k + 1, k] = col[:k + 1]
-            g[k], g_next = c * g[k], -s * g[k]
-            g.append(g_next)
-            steps += 1
-            # the new direction is rounding: the space has stopped growing
-            breakdown = hnorm <= np.finfo(float).eps * wnorm
-            if breakdown or abs(g_next) <= target:
-                break
-            V[k + 1] = w / hnorm
-        m = len(rotations)
-        if m:
-            y = solve_triangular(R[:m, :m], np.array(g[:m]), check_finite=False)
-            x += psolve(y @ V[:m])
-        if breakdown or abs(g[-1]) <= target or cycle + 1 == cycles:
-            break
-        r = b - matvec(x)
-        beta = float(np.linalg.norm(r))
-    return x, steps
-
 
 def _initial_guess(prob: RectangleProblem) -> np.ndarray:
     nx, ny = prob.shape
@@ -467,89 +342,18 @@ def exact_square_cap(prob: RectangleProblem) -> np.ndarray:
     return _initial_guess(prob)
 
 
-class _Stopwatch:
-    """Seconds per stage: each ``lap`` charges the time since the previous one
-    (or since the stopwatch was made) to its stage, so the stages partition
-    the time from the start to the last lap. ``stages`` start at 0; any other
-    stage gets its key at its first lap."""
-
-    def __init__(self, stages=()):
-        self.seconds = dict.fromkeys(stages, 0.0)
-        self._last = perf_counter()
-
-    def lap(self, stage):
-        now = perf_counter()
-        self.seconds[stage] = self.seconds.get(stage, 0.0) + (now - self._last)
-        self._last = now
-
-
 def solve_rectangle(prob: RectangleProblem) -> GraphField:
-    """Damped Newton solve of the discrete CMC system.
+    """Newton-Krylov solve of the discrete CMC system (``newton_krylov``)
+    from the exact cap on an equal-angle square, and from the paraboloid of
+    mean curvature ``h`` elsewhere: the mean-zero height field with its trace.
 
-    Every solve of a problem starts from the same field: the exact cap on an
-    equal-angle square, and the paraboloid of mean curvature ``h`` elsewhere.
-    Returns the mean-zero height field with its Newton trace. Raises
-    ``NonConvergenceError`` with the trace of residuals if the residual
-    stagnates: the line search finds no decrease, or ``_STALL_STEPS`` steps in
-    a row each cut it by less than ``1 - _STALL_RATIO``.
-
-    The field's bits are reproducible at a fixed BLAS thread count: GMRES's
-    dense products and norms run in BLAS, whose summation order depends on
-    its thread count. One and two threads give the same fields at 64 cells
-    per unit, but the square and the 1 x 2 rectangle at 128 differ by 2.8e-17.
+    One and two BLAS threads give the same fields at 64 cells per unit, but
+    the square and the 1 x 2 rectangle at 128 differ by 2.8e-17 (``_gmres``).
     """
-    clock = _Stopwatch(("setup", "residual", "krylov", "line_search"))
+    clock = Stopwatch(("setup", "residual", "krylov", "line_search"))
     disc = _Discretization(prob)
-    u = _initial_guess(prob)
-    u -= u.mean()
-    trace, steps, krylov, missed = [], [], [], []
-    clock.lap("setup")
-    res, partials = disc.residual(u)
-    rnorm = float(np.abs(res).max())
-    # the next step's forcing term; empty for krylov_step's tight default
-    forcing = ()
-    clock.lap("residual")
-    for it in range(_MAX_ITERS):
-        trace.append(rnorm)
-        if rnorm < _TOL:
-            return GraphField(u=u, hx=disc.hx, hy=disc.hy, a=prob.a, b=prob.b,
-                              iterations=it, final_residual=rnorm,
-                              trace={"residuals": tuple(trace), "steps": tuple(steps),
-                                     "krylov": tuple(krylov), "missed": tuple(missed),
-                                     "seconds": clock.seconds})
-        recent = trace[-_STALL_STEPS - 1:]
-        if len(recent) > _STALL_STEPS and all(
-                new > _STALL_RATIO * old for old, new in zip(recent, recent[1:])):
-            raise NonConvergenceError(
-                f"residual stagnated at {rnorm:.3e} over {_STALL_STEPS} steps", trace=trace)
-        delta, its, ok = disc.krylov_step(disc.jacobian_operator(partials), res, _TOL, *forcing)
-        clock.lap("krylov")
-        step = 1.0
-        for _ in range(30):
-            cand = u + step * delta
-            cand -= cand.mean()
-            clock.lap("line_search")
-            cres, cpartials = disc.residual(cand)
-            clock.lap("residual")
-            cnorm = float(np.abs(cres).max())
-            if cnorm < rnorm * (1.0 - 1e-4 * step) or cnorm < _TOL:
-                break
-            step *= 0.5
-        else:
-            raise NonConvergenceError(
-                f"line search stagnated at residual {rnorm:.3e}", trace=trace)
-        # Newton's quadratic rate predicts the next residual at about eta times
-        # this one; a step predicted to end the solve stays tight, so that the
-        # returned field is the tight step's
-        ratio = float(np.linalg.norm(cres) / np.linalg.norm(res))
-        eta = max(_GMRES_RTOL, _FORCING_GAMMA * ratio ** 2)
-        fast = ok and step == 1.0 and ratio < _FAST_RATIO
-        forcing = (eta,) if fast and eta * cnorm >= _TOL else ()
-        u, res, partials, rnorm = cand, cres, cpartials, cnorm
-        steps.append(step)
-        krylov.append(its)
-        missed.append(not ok)
-        clock.lap("line_search")
-    raise NonConvergenceError(
-        f"no convergence in {_MAX_ITERS} iterations (residual {rnorm:.3e})",
-        trace=trace)
+    u, trace = newton_krylov(disc.residual, disc.jacobian_operator, disc.poisson_solve,
+                             lambda v: v - v.mean(), _initial_guess(prob), clock)
+    return GraphField(u=u, hx=disc.hx, hy=disc.hy, a=prob.a, b=prob.b,
+                      iterations=len(trace["steps"]), final_residual=trace["residuals"][-1],
+                      trace=trace)

@@ -8,22 +8,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from capvertex import graphpde
+from capvertex import graphpde, newton
 from capvertex.errors import DomainError, NoSolutionError, NonConvergenceError
 from capvertex.geometry import QTag
 from capvertex.graphpde import (
-    _FORCING,
-    _GMRES_RTOL,
     GraphField,
     RectangleProblem,
     _Discretization,
     _flux,
-    _gmres,
     _initial_guess,
     compatibility_h,
     exact_square_cap,
     solve_rectangle,
 )
+from capvertex.newton import _FORCING, _GMRES_RTOL, _krylov_step
 
 
 # corner names in the order RectangleProblem reports them
@@ -85,14 +83,13 @@ def _same_arrays(A, B):
 def _recording_misses(monkeypatch):
     """Spy on the Krylov steps: the list of whether each missed its acceptance test."""
     misses = []
-    krylov_step = _Discretization.krylov_step
 
-    def recording(self, J, res, tol, *forcing):
-        step = krylov_step(self, J, res, tol, *forcing)
+    def recording(J, psolve, res, *forcing):
+        step = _krylov_step(J, psolve, res, *forcing)
         misses.append(not step[2])
         return step
 
-    monkeypatch.setattr(_Discretization, "krylov_step", recording)
+    monkeypatch.setattr(newton, "_krylov_step", recording)
     return misses
 
 
@@ -101,13 +98,12 @@ def _recording_forcing(monkeypatch, tight=False):
     every step is solved to the tight default instead, as before the adaptive
     forcing."""
     etas = []
-    krylov_step = _Discretization.krylov_step
 
-    def recording(self, J, res, tol, eta=_GMRES_RTOL):
+    def recording(J, psolve, res, eta=_GMRES_RTOL):
         etas.append(eta)
-        return krylov_step(self, J, res, tol, *(() if tight else (eta,)))
+        return _krylov_step(J, psolve, res, *(() if tight else (eta,)))
 
-    monkeypatch.setattr(_Discretization, "krylov_step", recording)
+    monkeypatch.setattr(newton, "_krylov_step", recording)
     return etas
 
 
@@ -248,6 +244,17 @@ def test_compatibility_round_trip(a, b, gammas):
     assert 2.0 * h * a * b == pytest.approx(total, abs=1e-12)
 
 
+@pytest.mark.parametrize("gammas, match", [
+    ((np.nan,) * 4, "contact angles must lie in"),
+    ((7.0,) * 4, "contact angles must lie in"),
+    ((1.0,) * 3, "four wall angles required"),
+])
+def test_compatibility_h_checks_the_angles_as_the_problem_does(gammas, match):
+    for build in (compatibility_h, RectangleProblem):
+        with pytest.raises(DomainError, match=match):
+            build(1.0, 1.0, gammas)
+
+
 @pytest.mark.parametrize("a, b", [(np.nan, 1.0), (1.0, np.inf), (0.0, 1.0)])
 def test_side_lengths_must_be_positive_and_finite(a, b):
     with pytest.raises(DomainError, match="positive and finite"):
@@ -344,7 +351,7 @@ def test_krylov_step_meets_the_forcing_test_and_is_the_bordered_step(a, b, gamma
     disc, u = _Discretization(p), _initial_guess(p)
     res, partials = disc.residual(u)
     J = _kron_jacobian(disc, u)
-    delta, iterations, ok = disc.krylov_step(disc.jacobian_operator(partials), res, 1e-10)
+    delta, iterations, ok = _krylov_step(disc.jacobian_operator(partials), disc.poisson_solve, res)
     assert ok and 0 < iterations
     linear = np.linalg.norm(J @ delta.ravel() + res.ravel()) / np.linalg.norm(res)
     assert linear <= _FORCING
@@ -414,14 +421,13 @@ def test_steps_that_miss_the_acceptance_test_are_taken_and_the_solve_converges()
 ])
 def test_the_step_after_a_missed_step_is_solved_tight(monkeypatch, b, gammas):
     steps = []
-    krylov_step = _Discretization.krylov_step
 
-    def recording(self, J, res, tol, eta=_GMRES_RTOL):
-        step = krylov_step(self, J, res, tol, eta)
+    def recording(J, psolve, res, eta=_GMRES_RTOL):
+        step = _krylov_step(J, psolve, res, eta)
         steps.append((eta, not step[2]))
         return step
 
-    monkeypatch.setattr(_Discretization, "krylov_step", recording)
+    monkeypatch.setattr(newton, "_krylov_step", recording)
     f = solve_rectangle(RectangleProblem(1.0, b, gammas, grid_n=16))
     assert f.final_residual < 1e-10
     assert f.trace["missed"] == tuple(missed for _, missed in steps)
@@ -435,13 +441,12 @@ def test_a_solve_whose_every_step_misses_takes_them_tight_to_the_same_field(
     p = RectangleProblem(a, b, gammas, grid_n=grid_n)
     ref = solve_rectangle(p)
     etas = []
-    krylov_step = _Discretization.krylov_step
 
-    def missing(self, J, res, tol, eta=_GMRES_RTOL):
+    def missing(J, psolve, res, eta=_GMRES_RTOL):
         etas.append(eta)
-        return (*krylov_step(self, J, res, tol, eta)[:2], False)
+        return (*_krylov_step(J, psolve, res, eta)[:2], False)
 
-    monkeypatch.setattr(_Discretization, "krylov_step", missing)
+    monkeypatch.setattr(newton, "_krylov_step", missing)
     f = solve_rectangle(p)
     # every missed step is taken, and the next one is solved tight
     assert f.final_residual < 1e-10
@@ -573,38 +578,6 @@ def test_a_step_predicted_to_end_the_solve_stays_tight(monkeypatch):
     assert np.array_equal(f.u, solve_rectangle(p).u)
 
 
-def _nonsymmetric_system(n, seed):
-    """A nonsymmetric diagonally dominant matrix, a right-hand side, and the
-    inverse of the matrix's diagonal as a preconditioner."""
-    rng = np.random.default_rng(seed)
-    A = np.diag(rng.uniform(1.0, 3.0, n)) + rng.standard_normal((n, n)) / n
-    return A, rng.standard_normal(n), lambda v: v / np.diag(A)
-
-
-def test_gmres_restarts_to_the_dense_solution():
-    A, b, psolve = _nonsymmetric_system(30, seed=1)
-    x, steps = _gmres(A.dot, psolve, b, 1e-12 * np.linalg.norm(b), restart=4, cycles=20)
-    ref = np.linalg.solve(A, b)
-    assert 4 < steps <= 80                       # it restarted, and stopped early
-    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
-    assert np.linalg.norm(A @ x - b) <= 1e-11 * np.linalg.norm(b)
-
-
-def test_gmres_stops_when_the_krylov_space_stops_growing():
-    # b has components on two eigenvectors of A: the space has dimension 2
-    A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) + np.triu(np.ones((5, 5)), 3)
-    b = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    x, steps = _gmres(A.dot, lambda v: v.copy(), b, 0.0, restart=5, cycles=3)
-    assert steps == 2
-    assert np.abs(x - np.linalg.solve(A, b)).max() <= 1e-15
-
-
-def test_gmres_takes_no_step_on_a_zero_right_hand_side():
-    A, _, psolve = _nonsymmetric_system(6, seed=2)
-    x, steps = _gmres(A.dot, psolve, np.zeros(6), 1e-12, restart=4, cycles=2)
-    assert steps == 0 and np.array_equal(x, np.zeros(6))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_krylov_step_misses_on_a_non_finite_residual(bad):
     p = RectangleProblem(1.0, 2.0, (1.2,) * 4, grid_n=16)
@@ -613,7 +586,7 @@ def test_krylov_step_misses_on_a_non_finite_residual(bad):
     res[3, 5] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        delta, iterations, ok = disc.krylov_step(_kron_jacobian(disc, u).dot, res, 1e-10)
+        delta, iterations, ok = _krylov_step(_kron_jacobian(disc, u).dot, disc.poisson_solve, res)
     assert not ok and iterations == 0 and delta.shape == res.shape
 
 
